@@ -1267,107 +1267,6 @@ func BenchmarkNetCommitThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedWritersSharded prices the per-shard WAL design: 8
-// parallel writers over a store partitioned into 1/2/4/8 composite-unit
-// shards, each transaction mutating one pre-built Document hierarchy
-// (single-shard commit, the common case) except every 8th, which spans
-// two hierarchies and exercises the cross-shard 2PC. With one shard all
-// writers serialize on one log's group committer; with more shards,
-// commits on different units sync different files, so fsync bandwidth —
-// the durable-commit bottleneck — scales until cross-shard prepares
-// (which fsync every participant) eat the gain. fsyncs/commit is the
-// aggregate over every shard WAL (the registry sums same-named
-// instruments), cross-commit-rate the observed 2PC fraction.
-func BenchmarkMixedWritersSharded(b *testing.B) {
-	const writers = 8
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			d, err := db.Open(db.Options{Dir: b.TempDir(), SyncWAL: true, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			if _, err := d.DefineClass(schema.ClassDef{Name: "Para", Attributes: []schema.AttrSpec{
-				schema.NewAttr("Text", schema.StringDomain),
-			}}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.DefineClass(schema.ClassDef{Name: "Doc", Attributes: []schema.AttrSpec{
-				schema.NewAttr("Title", schema.StringDomain),
-				schema.NewCompositeSetAttr("Paras", "Para"),
-			}}); err != nil {
-				b.Fatal(err)
-			}
-			docs := make([]uid.UID, writers)
-			for i := range docs {
-				o, err := d.Make("Doc", map[string]value.Value{"Title": value.Str(fmt.Sprint(i))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				docs[i] = o.UID()
-			}
-			reg := d.Observability()
-			fsync0 := reg.Counter("wal_fsync_total").Load()
-			commit0 := reg.Counter("txn_commit_total").Load()
-			cross0 := reg.Counter("storage_shard_cross_commit_total").Load()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						n := next.Add(1)
-						if n > int64(b.N) {
-							return
-						}
-						// Every 8th transaction spans this writer's doc and the
-						// next one's; writing in index order keeps the lock
-						// acquisition a total order, so contention costs waits,
-						// not deadlock-retry storms.
-						targets := docs[w : w+1]
-						if n%8 == 0 {
-							lo, hi := w, (w+1)%writers
-							if hi < lo {
-								lo, hi = hi, lo
-							}
-							targets = []uid.UID{docs[lo], docs[hi]}
-						}
-						tx := d.Begin()
-						ok := true
-						for _, id := range targets {
-							if err := tx.WriteAttr(id, "Title", value.Str(fmt.Sprint(n))); err != nil {
-								// A deadlock verdict is still possible against
-								// the single-doc writers; retry with a fresh n.
-								tx.Abort()
-								ok = false
-								break
-							}
-						}
-						if !ok {
-							continue
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			commits := reg.Counter("txn_commit_total").Load() - commit0
-			fsyncs := reg.Counter("wal_fsync_total").Load() - fsync0
-			cross := reg.Counter("storage_shard_cross_commit_total").Load() - cross0
-			if commits > 0 {
-				b.ReportMetric(float64(fsyncs)/float64(commits), "fsyncs/commit")
-				b.ReportMetric(float64(cross)/float64(commits), "cross-commit-rate")
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------
 // Composite-granularity write admission (§7 protocol as a concurrency
 // control): disjoint-hierarchy writers against the global-mutex design

@@ -44,10 +44,9 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-reply write bound")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain bound on SIGTERM")
 	metrics := flag.String("metrics", "", "address to serve /metrics and /healthz on (empty = off)")
-	shards := flag.Int("shards", 0, "shard count (0 = manifest or 1; a -db dir remembers its count)")
 	flag.Parse()
 
-	d, err := db.Open(db.Options{Dir: *dir, SyncWAL: *sync && *dir != "", Shards: *shards})
+	d, err := db.Open(db.Options{Dir: *dir, SyncWAL: *sync && *dir != ""})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)

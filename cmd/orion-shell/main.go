@@ -56,10 +56,9 @@ func main() {
 	metrics := flag.String("metrics", "", "address to serve /metrics on (empty = off)")
 	placement := flag.String("placement", "", "clustering policy: first-parent, class, usage")
 	recluster := flag.Duration("recluster", 0, "background recluster interval (0 = off)")
-	shards := flag.Int("shards", 0, "shard count (0 = manifest or 1; a -db dir remembers its count)")
 	flag.Parse()
 
-	d, err := db.Open(db.Options{Dir: *dir, Placement: *placement, ReclusterInterval: *recluster, Shards: *shards})
+	d, err := db.Open(db.Options{Dir: *dir, Placement: *placement, ReclusterInterval: *recluster})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)

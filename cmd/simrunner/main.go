@@ -7,7 +7,6 @@
 //	go run ./cmd/simrunner -replay failure.trace -seed 1
 //	go run ./cmd/simrunner -net -workers 8 -ops 500 -durable
 //	go run ./cmd/simrunner -workers 4 -recluster -ops 1000 -durable
-//	go run ./cmd/simrunner -shards 4 -workers 8 -ops 1000 -durable
 //
 // On failure it prints the seed, the failing step and op, and the
 // minimized trace (replayable with -replay), then exits 1. On success
@@ -37,7 +36,6 @@ type options struct {
 	readers    int
 	net        bool
 	recluster  bool
-	shards     int
 }
 
 func parseFlags(args []string) (options, error) {
@@ -56,7 +54,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.readers, "readers", 0, "add this many snapshot-reader goroutines to the concurrent harness (requires -workers)")
 	fs.BoolVar(&o.net, "net", false, "drive the concurrent harness through TCP clients against an in-process server (requires -workers)")
 	fs.BoolVar(&o.recluster, "recluster", false, "run the background reclusterer under the concurrent harness (requires -workers)")
-	fs.IntVar(&o.shards, "shards", 0, "partition the store into this many composite-unit shards (0/1 = single shard)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -84,7 +81,6 @@ func (o options) config(seed int64) sim.Config {
 		Evolution:  o.evolution,
 		Checkpoint: o.checkpoint,
 		Crash:      o.crash,
-		Shards:     o.shards,
 	}
 }
 
@@ -116,7 +112,6 @@ func run(o options, out io.Writer) (*sim.Failure, error) {
 				Dir:       o.dir,
 				Net:       o.net,
 				Recluster: o.recluster,
-				Shards:    o.shards,
 			})
 			if res.Failure != nil {
 				return res.Failure, nil
@@ -125,8 +120,8 @@ func run(o options, out io.Writer) (*sim.Failure, error) {
 			if o.net {
 				mode = "net"
 			}
-			fmt.Fprintf(out, "seed=%d mode=%s workers=%d readers=%d shards=%d ops=%d committed=%d aborted=%d deadlock-retries=%d snapshot-reads=%d recluster-migrations=%d ok\n",
-				seed, mode, o.workers, o.readers, o.shards, o.ops, res.Committed, res.Aborted, res.DeadlockRetries, res.SnapshotReads, res.ReclusterMigrations)
+			fmt.Fprintf(out, "seed=%d mode=%s workers=%d readers=%d ops=%d committed=%d aborted=%d deadlock-retries=%d snapshot-reads=%d recluster-migrations=%d ok\n",
+				seed, mode, o.workers, o.readers, o.ops, res.Committed, res.Aborted, res.DeadlockRetries, res.SnapshotReads, res.ReclusterMigrations)
 			continue
 		}
 		if fail := sim.Run(o.config(seed)); fail != nil {

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/authz"
@@ -92,16 +93,6 @@ type Options struct {
 	// (default 8): the pass holds no global locks, but bounding it keeps
 	// any single pass's WAL volume and lock footprint small.
 	ReclusterBatch int
-	// Shards partitions the store by composite unit (DESIGN.md §16): N
-	// independent page device + buffer pool + WAL + group committer
-	// stacks, with objects routed to the shard of their placement root,
-	// so single-hierarchy transactions fsync one log and recovery replays
-	// the logs in parallel. Cross-shard transactions commit via 2PC.
-	// Zero or one selects the classic single-shard layout (byte-
-	// compatible with pre-sharding directories); max 64. For durable
-	// databases the count is pinned in a shards.json manifest at
-	// creation, and the manifest wins on reopen.
-	Shards int
 }
 
 // ErrClosed is returned when a closed DB is used.
@@ -114,21 +105,24 @@ type DB struct {
 	cat    *schema.Catalog
 	engine *core.Engine
 
-	// The sharded store: shards[k] owns device, pool, store partition,
-	// WAL, and group committer k (see shard.go); store routes objects
-	// across them by composite unit. dev/pool/wal/gc alias shard 0's
-	// stack — the legacy single-shard surface (Pool(), AttachProf) and
-	// the package's crash tests reach the default shard through them.
-	shards []*dbShard
-	store  *storage.ShardedStore
-	so     shardObs
-	dev    storage.Device
-	pool   *storage.BufferPool
-	wal    *storage.WAL
-	gc     *storage.GroupCommitter
-	hk     *hook
+	dev   storage.Device
+	pool  *storage.BufferPool
+	store *storage.Store
+	wal   *storage.WAL // nil for in-memory databases
+	gc    *storage.GroupCommitter
 
-	vers *version.Manager
+	// appends/synced are the log's fsync watermark: appends counts data
+	// records logged, synced the append count known covered by a
+	// completed fsync. SyncAutoCommit skips the fsync when an earlier
+	// sync already covered every record.
+	appends atomic.Uint64
+	synced  atomic.Uint64
+	// commits counts transactions that logged an OpCommit. The metric
+	// keeps its storage_shard_ name: the benchmark divides fsyncs and
+	// group-commit wait by it.
+	commits *obs.Counter
+
+	vers   *version.Manager
 	auth   *authz.Store
 	txm    *txn.Manager
 	idx    *index.Manager
@@ -181,51 +175,31 @@ func Open(opts Options) (*DB, error) {
 	if d.place, perr = storage.NewPlacement(opts.Placement, d.heat, uint64(opts.ReclusterHotMisses)); perr != nil {
 		return nil, perr
 	}
+	d.commits = d.reg.Counter("storage_shard_local_commit_total")
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("db: create dir: %w", err)
 		}
-	}
-	d.bindShardObs()
-	nShards, err := resolveShards(opts.Dir, opts.Shards)
-	if err != nil {
-		return nil, err
-	}
-	d.so.count.Set(int64(nShards))
-	// Each shard gets its own buffer pool over its own device; the
-	// configured page budget is split across them (floored so tiny
-	// budgets still leave every shard a working pool).
-	perPool := opts.PoolPages / nShards
-	if perPool < 8 {
-		perPool = 8
-	}
-	stores := make([]*storage.Store, nShards)
-	for k := 0; k < nShards; k++ {
-		s := &dbShard{}
-		switch {
-		case k == 0 && opts.Device != nil:
-			// A Device override (fault injection) applies to the default
-			// shard; the remaining shards get ordinary devices.
-			s.dev = opts.Device
-		case opts.Dir == "":
-			s.dev = storage.NewMemDevice()
-		default:
-			dev, derr := storage.OpenFileDevice(filepath.Join(opts.Dir, shardFile(pagesFile, k)))
-			if derr != nil {
-				d.closeShardFiles()
-				return nil, derr
-			}
-			s.dev = dev
+		if err := checkShardsFile(opts.Dir); err != nil {
+			return nil, err
 		}
-		s.pool = storage.NewBufferPool(s.dev, perPool)
-		s.pool.SetObservability(d.reg)
-		s.st = storage.NewStore(s.pool)
-		d.shards = append(d.shards, s)
-		stores[k] = s.st
 	}
-	d.store = storage.NewShardedStore(stores)
+	switch {
+	case opts.Device != nil:
+		d.dev = opts.Device
+	case opts.Dir == "":
+		d.dev = storage.NewMemDevice()
+	default:
+		dev, err := storage.OpenFileDevice(filepath.Join(opts.Dir, pagesFile))
+		if err != nil {
+			return nil, err
+		}
+		d.dev = dev
+	}
+	d.pool = storage.NewBufferPool(d.dev, opts.PoolPages)
+	d.pool.SetObservability(d.reg)
+	d.store = storage.NewStore(d.pool)
 	d.store.SetHeat(d.heat, d.engine.PlacementRootOf)
-	d.dev, d.pool = d.shards[0].dev, d.shards[0].pool
 	d.vers = version.NewManager(d.engine)
 	d.auth = authz.NewStore(d.engine)
 	d.txm = txn.NewManager(d.engine) // picks up d.reg via the engine
@@ -233,31 +207,23 @@ func Open(opts Options) (*DB, error) {
 
 	if opts.Dir != "" {
 		if err := d.recover(); err != nil {
-			d.closeShardFiles()
+			d.dev.Close()
 			return nil, err
 		}
-		for k, s := range d.shards {
-			wal, werr := storage.OpenWAL(filepath.Join(opts.Dir, shardFile(walFile, k)))
-			if werr != nil {
-				d.closeShardFiles()
-				return nil, werr
-			}
-			wal.SetObservability(d.reg)
-			s.wal = wal
+		wal, err := storage.OpenWAL(filepath.Join(opts.Dir, walFile))
+		if err != nil {
+			d.dev.Close()
+			return nil, err
 		}
-		d.wal = d.shards[0].wal
+		wal.SetObservability(d.reg)
+		d.wal = wal
 	}
-	// Group committers are constructed even for in-memory databases (a
-	// nil WAL makes every Sync a no-op) so the metric family is always
-	// registered. One committer per shard is the point of the exercise:
-	// commits on disjoint hierarchies batch their fsyncs independently.
-	for _, s := range d.shards {
-		s.gc = storage.NewGroupCommitter(s.wal, opts.GroupCommitWait, opts.GroupCommitBatch)
-		s.gc.SetObservability(d.reg)
-	}
-	d.gc = d.shards[0].gc
-	h := &hook{d: d, logged: make(map[core.TxnID]uint64)}
-	d.hk = h
+	// The group committer is constructed even for in-memory databases
+	// (d.wal == nil makes every Sync a no-op) so its metric family is
+	// always registered.
+	d.gc = storage.NewGroupCommitter(d.wal, opts.GroupCommitWait, opts.GroupCommitBatch)
+	d.gc.SetObservability(d.reg)
+	h := &hook{d: d, logged: make(map[core.TxnID]bool)}
 	d.engine.SetHook(core.MultiHook{h, d.idx, d.vers})
 	d.txm.SetBoundary(h)
 	// Profiled transactions attach themselves as the ambient cost sink of
@@ -298,29 +264,37 @@ func (d *DB) versionGCLoop(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// closeShardFiles releases every shard's WAL and device handles (best
-// effort; used on Open's error paths).
-func (d *DB) closeShardFiles() {
-	for _, s := range d.shards {
-		if s.wal != nil {
-			s.wal.Close()
-		}
-		if s.dev != nil {
-			s.dev.Close()
-		}
+// shardsFile is the manifest in which earlier releases pinned the shard
+// count of a unit-sharded database. Open writes none, but refuses a
+// directory whose manifest names more than one shard: such a directory
+// holds per-shard pages and logs that a single-log store would silently
+// ignore.
+const shardsFile = "shards.json"
+
+// checkShardsFile fails when dir carries a multi-shard manifest.
+func checkShardsFile(dir string) error {
+	path := filepath.Join(dir, shardsFile)
+	b, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
 	}
+	if err != nil {
+		return err
+	}
+	var m struct {
+		Shards int `json:"shards"`
+	}
+	if err := json.Unmarshal(b, &m); err != nil {
+		return fmt.Errorf("db: parse %s: %w", path, err)
+	}
+	if m.Shards > 1 {
+		return fmt.Errorf("db: %s names %d shards; only single-log databases can be opened", path, m.Shards)
+	}
+	return nil
 }
 
-// recover loads checkpointed metadata and replays every shard's WAL.
-// Replay semantics per shard are unchanged from the single-log design:
-// auto-commit records (Txn == 0) apply immediately; a transaction's
-// records are buffered and applied only when its OpCommit is reached, so
-// an uncommitted tail — the log of a transaction interrupted by a crash,
-// or one that logged an OpAbort — is discarded wholesale and can never
-// leave a partial cascade behind. The shards replay in parallel (objects
-// are sharded, so no record ordering constraint crosses logs), and
-// prepared-but-undecided 2PC transactions resolve against their
-// coordinator's log afterwards; see recoverShards.
+// recover loads checkpointed metadata, replays the WAL, and rebuilds the
+// engine from the store.
 func (d *DB) recover() error {
 	load := func(name string, fn func(*bytes.Reader) error) error {
 		b, err := os.ReadFile(filepath.Join(d.opts.Dir, name))
@@ -335,6 +309,9 @@ func (d *DB) recover() error {
 	if err := load(catalogFile, func(r *bytes.Reader) error { return d.cat.Load(r) }); err != nil {
 		return err
 	}
+	if err := load(storeFile, func(r *bytes.Reader) error { return d.store.LoadMeta(r) }); err != nil {
+		return err
+	}
 	if err := load(versionsFile, func(r *bytes.Reader) error { return d.vers.Load(r) }); err != nil {
 		return err
 	}
@@ -346,9 +323,9 @@ func (d *DB) recover() error {
 	}); err != nil {
 		return err
 	}
-	maxTxn, err := d.recoverShards(load)
+	maxTxn, err := d.replay()
 	if err != nil {
-		return err
+		return fmt.Errorf("db: WAL replay: %w", err)
 	}
 	// Rebuild the engine from the store.
 	for _, id := range d.store.UIDs() {
@@ -370,73 +347,176 @@ func (d *DB) recover() error {
 			return err
 		}
 	}
-	// Seed the transaction-ID counter past every ID any shard's log has
-	// seen: with per-shard logs, a reused ID could pair a stale prepare
-	// record in one shard with a fresh same-ID commit on another shard's
-	// log and mis-resolve a future in-doubt transaction.
+	// Seed the transaction-ID counter past every ID the log holds, so no
+	// new transaction reuses the ID of a record still in the log (an
+	// uncommitted tail, say) and replay never has to tell two
+	// incarnations of one ID apart.
 	d.txm.SeedNext(maxTxn)
 	return nil
 }
 
-// segmentForClassIn returns (creating if needed) shard k's segment for
-// the class. Segment namespaces are per-shard: every shard storing
-// objects of a class carries its own segment under the class's name.
-func (d *DB) segmentForClassIn(k int, c uid.ClassID) (storage.SegmentID, error) {
+// replay applies the WAL to the store and returns the highest
+// transaction ID it saw. Auto-commit records (Txn == 0) apply
+// immediately; a transaction's records are buffered and applied only
+// when its OpCommit is reached, so an uncommitted tail — the log of a
+// transaction interrupted by a crash, or one that logged an OpAbort — is
+// discarded wholesale and can never leave a partial cascade behind.
+func (d *DB) replay() (uint64, error) {
+	// Segment IDs below this boundary come from the checkpoint's segment
+	// table and are stable across recovery; IDs at or above it were
+	// assigned after the checkpoint, and replay may hand them out in a
+	// different order (e.g. when a discarded transaction created a
+	// segment first), so they cannot be trusted by number.
+	ckptSegs := d.store.NextSegment()
+	var maxTxn uint64
+	pending := make(map[uint64][]storage.WALRecord)
+	err := storage.ReplayWAL(filepath.Join(d.opts.Dir, walFile), func(rec storage.WALRecord) error {
+		maxTxn = max(maxTxn, rec.Txn)
+		switch rec.Op {
+		case storage.OpBegin:
+			// A fresh Begin resets whatever an earlier incarnation of the
+			// same ID left behind.
+			pending[rec.Txn] = []storage.WALRecord{}
+			return nil
+		case storage.OpCommit:
+			for _, buffered := range pending[rec.Txn] {
+				if err := d.applyRecord(ckptSegs, buffered); err != nil {
+					return err
+				}
+			}
+			delete(pending, rec.Txn)
+			return nil
+		case storage.OpAbort:
+			delete(pending, rec.Txn)
+			return nil
+		case storage.OpPut, storage.OpDelete, storage.OpMove:
+			if rec.Txn != 0 {
+				pending[rec.Txn] = append(pending[rec.Txn], rec)
+				return nil
+			}
+			return d.applyRecord(ckptSegs, rec)
+		default:
+			return fmt.Errorf("unknown WAL op %d", rec.Op)
+		}
+	})
+	return maxTxn, err
+}
+
+// applyRecord applies one data record to the store.
+func (d *DB) applyRecord(ckptSegs storage.SegmentID, rec storage.WALRecord) error {
+	switch rec.Op {
+	case storage.OpPut:
+		// Prefer the segment persisted with the record; fall back to the
+		// class assignment when the record predates segment logging or
+		// references a post-checkpoint segment.
+		seg := rec.Seg
+		if seg == 0 || seg >= ckptSegs || !d.store.HasSegment(seg) {
+			var err error
+			if seg, err = d.segmentForClass(rec.UID.Class); err != nil {
+				return err
+			}
+		}
+		return d.store.Put(seg, rec.UID, rec.Data, rec.Near)
+	case storage.OpDelete:
+		if err := d.store.Delete(rec.UID); err != nil && !errors.Is(err, storage.ErrNotFound) {
+			return err
+		}
+		return nil
+	default: // storage.OpMove
+		// A reclusterer migration. The target segment travels by NAME:
+		// move targets are usually created after the last checkpoint, so
+		// their numeric IDs are not replay-stable. Skip moves of objects
+		// that don't exist at this log position (their creating
+		// transaction was discarded as an uncommitted tail).
+		if !d.store.Has(rec.UID) {
+			return nil
+		}
+		name := string(rec.Data)
+		if name == "" {
+			return fmt.Errorf("db: OpMove for %v without a segment name", rec.UID)
+		}
+		seg, err := d.segmentNamed(name)
+		if err != nil {
+			return err
+		}
+		return d.store.Move(seg, rec.UID, rec.Near)
+	}
+}
+
+// segmentForClass returns (creating if needed) the segment the class is
+// assigned to.
+func (d *DB) segmentForClass(c uid.ClassID) (storage.SegmentID, error) {
 	cl, err := d.cat.ClassByID(c)
 	if err != nil {
 		return 0, err
 	}
-	st := d.store.Shard(k)
-	if seg, ok := st.SegmentByName(cl.Segment); ok {
+	return d.segmentNamed(cl.Segment)
+}
+
+// segmentNamed returns (creating if needed) the segment with the name.
+func (d *DB) segmentNamed(name string) (storage.SegmentID, error) {
+	if seg, ok := d.store.SegmentByName(name); ok {
 		return seg, nil
 	}
-	seg, serr := st.CreateSegment(cl.Segment)
-	if errors.Is(serr, storage.ErrDupSegment) {
-		// Lost a creation race with a concurrent writer of the same class.
-		if seg, ok := st.SegmentByName(cl.Segment); ok {
+	seg, err := d.store.CreateSegment(name)
+	if errors.Is(err, storage.ErrDupSegment) {
+		// Lost a creation race with a concurrent writer.
+		if seg, ok := d.store.SegmentByName(name); ok {
 			return seg, nil
 		}
 	}
-	return seg, serr
+	return seg, err
 }
 
 // hook mirrors engine mutations into the WAL and page store, and (as the
 // transaction manager's Boundary) writes the commit/abort records that
-// delimit each transaction's group in the log. logged tracks, per open
-// transaction, the bitmask of shards it has written records to: read-only
-// transactions commit without touching any log, each shard's OpBegin
-// marker is written lazily with the transaction's first change on that
-// shard, and a mask with more than one bit at commit selects the 2PC
-// path (shard.go).
+// delimit each transaction's group in the log. logged tracks which open
+// transactions have emitted at least one record, so read-only
+// transactions commit without touching the log and the OpBegin marker is
+// written lazily with the transaction's first change.
 type hook struct {
 	d      *DB
 	mu     sync.Mutex
-	logged map[core.TxnID]uint64
+	logged map[core.TxnID]bool
 }
 
-// logRecord appends rec to shard k's log, emitting the transaction's
-// OpBegin on that shard first when this is its first logged change there.
-// Auto-commit records (tx == 0) carry no Begin/Commit bracket: replay
-// applies them immediately.
-func (h *hook) logRecord(tx core.TxnID, k int, rec storage.WALRecord) error {
-	s := h.d.shards[k]
+// logRecord appends rec, emitting the transaction's OpBegin first when
+// this is its first logged change. Auto-commit records (tx == 0) carry no
+// Begin/Commit bracket: replay applies them immediately.
+func (h *hook) logRecord(tx core.TxnID, rec storage.WALRecord) error {
+	d := h.d
 	if tx != 0 {
 		h.mu.Lock()
-		mask := h.logged[tx]
-		first := mask&(1<<k) == 0
-		h.logged[tx] = mask | 1<<k
+		first := !h.logged[tx]
+		h.logged[tx] = true
 		h.mu.Unlock()
 		if first {
-			if err := s.wal.Append(storage.WALRecord{Op: storage.OpBegin, Txn: uint64(tx)}); err != nil {
+			if err := d.wal.Append(storage.WALRecord{Op: storage.OpBegin, Txn: uint64(tx)}); err != nil {
 				return err
 			}
 		}
 	}
-	if err := s.wal.Append(rec); err != nil {
+	if err := d.wal.Append(rec); err != nil {
 		return err
 	}
-	s.appends.Add(1)
+	d.appends.Add(1)
 	return nil
+}
+
+// syncLog fsyncs the WAL through the group committer and raises the
+// fsync watermark to the appends it observed before the sync: any record
+// appended earlier is covered by this sync or by a concurrent one.
+func (d *DB) syncLog() error {
+	n := d.appends.Load()
+	if err := d.gc.Sync(); err != nil {
+		return err
+	}
+	for {
+		cur := d.synced.Load()
+		if cur >= n || d.synced.CompareAndSwap(cur, n) {
+			return nil
+		}
+	}
 }
 
 // OnWrite implements core.Hook for callers that carry no placement root
@@ -454,10 +534,7 @@ func (h *hook) OnWrite(tx core.TxnID, o *object.Object, near uid.UID) error {
 // construction is a unit a cold traversal will soon read.
 func (h *hook) OnWritePlaced(tx core.TxnID, o *object.Object, near, root uid.UID) error {
 	d := h.d
-	// Route by composite unit: the object's recorded shard if it has one,
-	// else its placement root's. The choice becomes sticky with the Put.
-	shard := d.store.ShardFor(o.UID(), root)
-	seg, err := d.segmentForClassIn(shard, o.Class())
+	seg, err := d.segmentForClass(o.Class())
 	if err != nil {
 		return err
 	}
@@ -467,58 +544,43 @@ func (h *hook) OnWritePlaced(tx core.TxnID, o *object.Object, near, root uid.UID
 	}
 	rec := encoding.EncodeObject(o)
 	if d.wal != nil {
-		if err := h.logRecord(tx, shard, storage.WALRecord{
+		if err := h.logRecord(tx, storage.WALRecord{
 			Op: storage.OpPut, Txn: uint64(tx), UID: o.UID(), Seg: seg, Near: hint, Data: rec,
 		}); err != nil {
 			return err
 		}
 	}
-	return d.store.Put(shard, seg, o.UID(), rec, hint)
+	return d.store.Put(seg, o.UID(), rec, hint)
 }
 
 // SyncAutoCommit implements core.AutoCommitSyncer: an auto-commit
 // mutation is its own commit boundary, so under SyncWAL the engine calls
 // this once per operation — after the write-through, outside the engine
-// latch — and each shard's group committer batches the fsync with any
-// concurrent committers. The append/synced watermark skips shards with
-// nothing new: an auto-commit write to one hierarchy must not fsync
-// every shard. The watermark read happens before the Sync, so any record
-// appended before this call is covered either by our Sync or by the
-// already-completed one that raised the watermark past it.
+// latch — and the group committer batches the fsync with any concurrent
+// committers. The fsync is skipped when the watermark shows an earlier
+// sync already covered every appended record. The watermark read happens
+// before the Sync, so any record appended before this call is covered
+// either by our Sync or by the completed one that raised the watermark.
 func (h *hook) SyncAutoCommit() error {
 	d := h.d
-	if d.wal == nil || !d.opts.SyncWAL {
+	if d.wal == nil || !d.opts.SyncWAL || d.appends.Load() <= d.synced.Load() {
 		return nil
 	}
-	for _, s := range d.shards {
-		n := s.appends.Load()
-		if n <= s.synced.Load() {
-			continue
-		}
-		if err := s.gc.Sync(); err != nil {
-			return err
-		}
-		s.noteSynced(n)
-	}
-	return nil
+	return d.syncLog()
 }
 
 func (h *hook) OnDelete(tx core.TxnID, id uid.UID) error {
 	d := h.d
-	shard, ok := d.store.ShardOf(id)
-	if !ok {
-		shard = d.store.ShardFor(id, uid.Nil)
-	}
 	if d.wal != nil {
 		// Record the segment the object lived in (best effort: the class
 		// assignment when the store no longer has it), so replay tooling
 		// sees where the delete landed. Near is meaningless for deletes
 		// and stays Nil.
-		seg, ok := d.store.Shard(shard).SegmentOf(id)
+		seg, ok := d.store.SegmentOf(id)
 		if !ok {
-			seg, _ = d.segmentForClassIn(shard, id.Class)
+			seg, _ = d.segmentForClass(id.Class)
 		}
-		if err := h.logRecord(tx, shard, storage.WALRecord{
+		if err := h.logRecord(tx, storage.WALRecord{
 			Op: storage.OpDelete, Txn: uint64(tx), UID: id, Seg: seg,
 		}); err != nil {
 			return err
@@ -533,68 +595,47 @@ func (h *hook) OnDelete(tx core.TxnID, id uid.UID) error {
 // OnCommit implements txn.Boundary: it seals the transaction's record
 // group with OpCommit and, under SyncWAL, makes it durable before the
 // transaction manager releases any lock (strict 2PL durability point).
-// Read-only transactions (nothing logged) skip the log entirely. A
-// transaction that wrote a single shard commits on that shard's log
-// alone; one that wrote several commits through the 2PC in shard.go —
-// prepare records fsynced on every participant, then the coordinator's
-// fsynced OpCommit as the commit point — which holds even when SyncWAL
-// is off (atomicity needs the barrier; durability of single-shard work
-// remains the checkpoint's job).
+// Read-only transactions (nothing logged) skip the log entirely.
 func (h *hook) OnCommit(tx core.TxnID) error {
 	d := h.d
 	if d.wal == nil {
 		return nil
 	}
 	h.mu.Lock()
-	mask := h.logged[tx]
+	wrote := h.logged[tx]
 	delete(h.logged, tx)
 	h.mu.Unlock()
-	if mask == 0 {
+	if !wrote {
 		return nil
 	}
-	shards := shardBits(mask)
-	if len(shards) > 1 {
-		return d.commitCrossShard(uint64(tx), shards)
-	}
-	s := d.shards[shards[0]]
-	if err := s.wal.Append(storage.WALRecord{Op: storage.OpCommit, Txn: uint64(tx)}); err != nil {
+	if err := d.wal.Append(storage.WALRecord{Op: storage.OpCommit, Txn: uint64(tx)}); err != nil {
 		return err
 	}
-	d.so.localCommits.Inc()
+	d.commits.Inc()
 	if d.opts.SyncWAL {
-		n := s.appends.Load()
-		if err := s.gc.Sync(); err != nil {
-			return err
-		}
-		s.noteSynced(n)
+		return d.syncLog()
 	}
 	return nil
 }
 
-// OnAbort implements txn.Boundary: it seals the group with OpAbort on
-// every shard the transaction wrote, so each shard's replay discards its
-// records — including the compensating undo writes Abort issued, which
-// carry the same transaction ID. No sync: an abort that never reaches a
-// log is discarded as an uncommitted tail there, which is the same
-// outcome.
+// OnAbort implements txn.Boundary: it seals the group with OpAbort so
+// replay discards the transaction's records — including the compensating
+// undo writes Abort issued, which carry the same transaction ID. No sync:
+// an abort that never reaches the log is discarded as an uncommitted
+// tail, which is the same outcome.
 func (h *hook) OnAbort(tx core.TxnID) error {
 	d := h.d
 	if d.wal == nil {
 		return nil
 	}
 	h.mu.Lock()
-	mask := h.logged[tx]
+	wrote := h.logged[tx]
 	delete(h.logged, tx)
 	h.mu.Unlock()
-	if mask == 0 {
+	if !wrote {
 		return nil
 	}
-	for _, k := range shardBits(mask) {
-		if err := d.shards[k].wal.Append(storage.WALRecord{Op: storage.OpAbort, Txn: uint64(tx)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.wal.Append(storage.WALRecord{Op: storage.OpAbort, Txn: uint64(tx)})
 }
 
 // Checkpoint flushes dirty pages and metadata to disk and truncates the
@@ -626,20 +667,11 @@ func (d *DB) checkpointInner() error {
 	if d.opts.Dir == "" {
 		return nil
 	}
-	// A checkpoint covers ALL shards or none: truncating one shard's log
-	// while another still holds a cross-shard transaction's prepare (or
-	// the coordinator's decision) would strand the in-doubt resolution.
-	// Syncing every log first makes the decision records of any completed
-	// 2PC durable before the metas that supersede them are written.
-	for _, s := range d.shards {
-		if err := s.wal.Sync(); err != nil {
-			return err
-		}
+	if err := d.wal.Sync(); err != nil {
+		return err
 	}
-	for _, s := range d.shards {
-		if err := s.pool.FlushAll(); err != nil {
-			return err
-		}
+	if err := d.pool.FlushAll(); err != nil {
+		return err
 	}
 	save := func(name string, fn func(*bytes.Buffer) error) error {
 		var buf bytes.Buffer
@@ -655,11 +687,8 @@ func (d *DB) checkpointInner() error {
 	if err := save(catalogFile, func(b *bytes.Buffer) error { return d.cat.Save(b) }); err != nil {
 		return err
 	}
-	for k := range d.shards {
-		st := d.store.Shard(k)
-		if err := save(shardFile(storeFile, k), func(b *bytes.Buffer) error { return st.SaveMeta(b) }); err != nil {
-			return err
-		}
+	if err := save(storeFile, func(b *bytes.Buffer) error { return d.store.SaveMeta(b) }); err != nil {
+		return err
 	}
 	if err := save(versionsFile, func(b *bytes.Buffer) error { return d.vers.Save(b) }); err != nil {
 		return err
@@ -672,15 +701,7 @@ func (d *DB) checkpointInner() error {
 	}); err != nil {
 		return err
 	}
-	for _, s := range d.shards {
-		if err := s.wal.Truncate(); err != nil {
-			return err
-		}
-	}
-	// With every shard log truncated no UID history remains on disk, so
-	// deleted UIDs no longer need their shard pins.
-	d.store.ClearGraves()
-	return nil
+	return d.wal.Truncate()
 }
 
 // Close checkpoints (for durable databases) and releases resources. A
@@ -705,15 +726,8 @@ func (d *DB) Close() error {
 		close(d.recStop)
 		d.recStop = nil
 	}
-	for _, s := range d.shards {
-		if s.wal != nil {
-			if err := s.wal.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := s.dev.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := d.closeFiles(); firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
@@ -737,16 +751,17 @@ func (d *DB) Abandon() error {
 		close(d.recStop)
 		d.recStop = nil
 	}
+	return d.closeFiles()
+}
+
+// closeFiles releases the WAL and device handles; the first error wins.
+func (d *DB) closeFiles() error {
 	var firstErr error
-	for _, s := range d.shards {
-		if s.wal != nil {
-			if err := s.wal.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := s.dev.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if d.wal != nil {
+		firstErr = d.wal.Close()
+	}
+	if err := d.dev.Close(); firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
@@ -769,10 +784,8 @@ func (d *DB) Authz() *authz.Store { return d.auth }
 // Txns returns the transaction manager.
 func (d *DB) Txns() *txn.Manager { return d.txm }
 
-// Store returns the (sharded) object store for clustering/IO inspection.
-// With Options.Shards ≤ 1 it fronts a single shard and behaves exactly
-// like the classic flat store.
-func (d *DB) Store() *storage.ShardedStore { return d.store }
+// Store returns the object store (for clustering/IO inspection).
+func (d *DB) Store() *storage.Store { return d.store }
 
 // CheckPlacement verifies the store's exactly-one-location invariant
 // (every object readable, no stale duplicate slot) under d.mu, which
@@ -808,11 +821,9 @@ func (d *DB) Observability() *obs.Registry { return d.reg }
 // for the slot and the last attach wins. Detach by attaching nil.
 // Txn.Profile calls this automatically through the manager's hooks.
 func (d *DB) AttachProf(p *obs.ProfCtx) {
-	for _, s := range d.shards {
-		s.pool.AttachProf(p)
-		if s.wal != nil {
-			s.wal.AttachProf(p)
-		}
+	d.pool.AttachProf(p)
+	if d.wal != nil {
+		d.wal.AttachProf(p)
 	}
 	d.txm.Locks().AttachProf(p)
 }

@@ -186,41 +186,13 @@ func (d *DB) reclusterUnit(root uid.UID) (int, error) {
 	}
 	members = append(members, comps...)
 	name := fmt.Sprintf("unit:%d.%d", root.Class, root.Serial)
-	// Reclustering NEVER crosses a shard boundary: each member moves
-	// within the shard the routing table already pins it to, into that
-	// shard's own "unit:C.S" segment (segment namespaces are per-shard, so
-	// a unit whose members were attached from another hierarchy gets one
-	// such segment on each shard involved). ShardedStore.Move enforces
-	// this — a move that would change an object's shard is refused, not
-	// silently performed — so a crash mid-pass can at worst leave a unit
-	// split across the same shards it already occupied.
-	segs := make(map[int]storage.SegmentID)
-	segFor := func(k int) (storage.SegmentID, error) {
-		if seg, ok := segs[k]; ok {
-			return seg, nil
-		}
-		st := d.store.Shard(k)
-		seg, ok := st.SegmentByName(name)
-		if !ok {
-			var err error
-			if seg, err = st.CreateSegment(name); err != nil {
-				return 0, err
-			}
-		}
-		segs[k] = seg
-		return seg, nil
+	seg, err := d.segmentNamed(name)
+	if err != nil {
+		return 0, err
 	}
 	allPlaced := true
 	for _, id := range members {
-		k, routed := d.store.ShardOf(id)
-		if !routed {
-			continue
-		}
-		seg, err := segFor(k)
-		if err != nil {
-			return 0, err
-		}
-		if s, ok := d.store.Shard(k).SegmentOf(id); ok && s != seg {
+		if s, ok := d.store.SegmentOf(id); ok && s != seg {
 			allPlaced = false
 			break
 		}
@@ -229,46 +201,33 @@ func (d *DB) reclusterUnit(root uid.UID) (int, error) {
 		return 0, nil
 	}
 	// Root first, then members in composite BFS order, each clustered next
-	// to its predecessor ON ITS SHARD: per-shard chains preserve the §3
-	// contiguous layout within each shard's segment.
+	// to its predecessor: the contiguous layout a §3 traversal reads.
 	moved := 0
-	prev := make(map[int]uid.UID)
-	touched := make(map[int]bool)
+	prev := uid.Nil
 	for _, id := range members {
-		k, routed := d.store.ShardOf(id)
-		if !routed || !d.store.Has(id) {
+		if !d.store.Has(id) {
 			continue
 		}
-		seg, err := segFor(k)
-		if err != nil {
-			return moved, err
-		}
 		if d.wal != nil {
-			if err := d.shards[k].wal.Append(storage.WALRecord{
-				Op: storage.OpMove, UID: id, Seg: seg, Near: prev[k], Data: []byte(name),
+			if err := d.wal.Append(storage.WALRecord{
+				Op: storage.OpMove, UID: id, Seg: seg, Near: prev, Data: []byte(name),
 			}); err != nil {
 				return moved, err
 			}
-			d.shards[k].appends.Add(1)
+			d.appends.Add(1)
 		}
-		if err := d.store.Move(k, seg, id, prev[k]); err != nil {
+		if err := d.store.Move(seg, id, prev); err != nil {
 			if errors.Is(err, storage.ErrNotFound) {
 				continue
 			}
 			return moved, err
 		}
-		prev[k] = id
-		touched[k] = true
+		prev = id
 		moved++
 	}
 	if d.wal != nil && d.opts.SyncWAL {
-		for k := range touched {
-			s := d.shards[k]
-			n := s.appends.Load()
-			if err := s.gc.Sync(); err != nil {
-				return moved, err
-			}
-			s.noteSynced(n)
+		if err := d.syncLog(); err != nil {
+			return moved, err
 		}
 	}
 	return moved, nil

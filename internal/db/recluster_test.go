@@ -1,12 +1,15 @@
 package db
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/uid"
 	"repro/internal/value"
@@ -275,4 +278,101 @@ func TestReclusterCrashAtEveryOffset(t *testing.T) {
 	}
 	_ = wal
 	_ = members
+}
+
+// defineSharedDocSchema is defineDocSchema plus a NON-exclusive "Refs"
+// composite set on Document, so a paragraph can be shared into a second
+// hierarchy.
+func defineSharedDocSchema(t *testing.T, d *DB) {
+	t.Helper()
+	if _, err := d.DefineClass(schema.ClassDef{Name: "Paragraph", Attributes: []schema.AttrSpec{
+		schema.NewAttr("Text", schema.StringDomain),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DefineClass(schema.ClassDef{Name: "Document", Attributes: []schema.AttrSpec{
+		schema.NewAttr("Title", schema.StringDomain),
+		schema.NewCompositeSetAttr("Paras", "Paragraph"),
+		schema.NewCompositeSetAttr("Refs", "Paragraph").WithExclusive(false).WithDependent(false),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReclusterPlacementProperty drives the reclusterer over randomly
+// built hierarchies, with shared paragraphs attached into several units,
+// under every placement policy. After each pass every object must stay
+// readable from exactly one location and every unit must keep its
+// components: migration changes pages, never the logical graph.
+func TestReclusterPlacementProperty(t *testing.T) {
+	for _, policy := range []string{storage.PlacementFirstParent, storage.PlacementClass, storage.PlacementUsage} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", policy, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				d, err := Open(Options{Placement: policy, ReclusterHotMisses: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				defineSharedDocSchema(t, d)
+				var roots, all []uid.UID
+				for i := 0; i < 8; i++ {
+					root, members := buildDoc(t, d, fmt.Sprintf("p%d", i), 1+rng.Intn(6))
+					roots = append(roots, root)
+					all = append(all, members...)
+				}
+				// Shared paragraphs: members of two units at once.
+				for i := 0; i < 4; i++ {
+					p, err := d.Make("Paragraph", map[string]value.Value{"Text": value.Str("shared")},
+						core.ParentSpec{Parent: roots[rng.Intn(len(roots))], Attr: "Refs"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					all = append(all, p.UID())
+					if err := d.Attach(roots[rng.Intn(len(roots))], "Refs", p.UID()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				comps := func() map[uid.UID]int {
+					n := make(map[uid.UID]int)
+					for _, root := range roots {
+						cs, err := d.ComponentsOf(root, core.QueryOpts{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						n[root] = len(cs)
+					}
+					return n
+				}
+				before := comps()
+				for pass := 0; pass < 4; pass++ {
+					for i := 0; i < 8; i++ {
+						root := roots[rng.Intn(len(roots))]
+						if err := d.Set(root, "Title", value.Str(fmt.Sprintf("w%d.%d", pass, i))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := d.ReclusterNow(); err != nil {
+						t.Fatal(err)
+					}
+					for _, id := range all {
+						if _, err := d.Store().Get(id); err != nil {
+							t.Fatalf("pass %d: %v unreadable: %v", pass, id, err)
+						}
+					}
+					if err := d.CheckPlacement(); err != nil {
+						t.Fatalf("pass %d: %v", pass, err)
+					}
+					for root, n := range comps() {
+						if n != before[root] {
+							t.Fatalf("pass %d: unit %v has %d components, had %d", pass, root, n, before[root])
+						}
+					}
+				}
+				if d.ReclusterStatus().Migrations == 0 {
+					t.Fatal("no unit was migrated")
+				}
+			})
+		}
+	}
 }

@@ -63,6 +63,8 @@ type granuleState struct {
 	// the new holder. The state must not be dropped from the granule map
 	// while waiters > 0 — parked waiters keep a pointer into it.
 	waiters int
+	// parked holds the mode each parked transaction is waiting for.
+	parked map[TxID]Mode
 }
 
 // Manager is a blocking lock manager with deadlock detection via a
@@ -77,9 +79,16 @@ type Manager struct {
 	held     map[TxID]map[string]bool // reverse index for ReleaseAll
 	waitsFor map[TxID]map[TxID]bool   // wait-for graph edges
 	doomed   map[TxID]bool            // deadlock victims pending abort
-	profs    map[TxID]*obs.ProfCtx    // per-tx cost attribution (RegisterProf)
-	aprof    atomic.Pointer[obs.ProfCtx]
-	o        managerObs
+	// yieldTo maps a deadlock victim to the transaction its abort was
+	// meant to unblock. A victim retries under its own TxID, and grants
+	// do not queue behind waits, so without this its retry can re-take
+	// the lock the winner is still parked on and lose the same cycle
+	// again. Until the winner releases, the victim's requests that
+	// conflict with the winner's parked request wait behind it.
+	yieldTo map[TxID]TxID
+	profs   map[TxID]*obs.ProfCtx // per-tx cost attribution (RegisterProf)
+	aprof   atomic.Pointer[obs.ProfCtx]
+	o       managerObs
 }
 
 // managerObs holds the manager's pre-resolved observability instruments
@@ -107,6 +116,7 @@ func NewManager() *Manager {
 		held:     make(map[TxID]map[string]bool),
 		waitsFor: make(map[TxID]map[TxID]bool),
 		doomed:   make(map[TxID]bool),
+		yieldTo:  make(map[TxID]TxID),
 		profs:    make(map[TxID]*obs.ProfCtx),
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -165,7 +175,7 @@ func (m *Manager) profFor(tx TxID) *obs.ProfCtx {
 func (m *Manager) state(key string) *granuleState {
 	st := m.granules[key]
 	if st == nil {
-		st = &granuleState{holders: make(map[TxID][]Mode)}
+		st = &granuleState{holders: make(map[TxID][]Mode), parked: make(map[TxID]Mode)}
 		m.granules[key] = st
 	}
 	return st
@@ -253,10 +263,12 @@ func (m *Manager) abortVictim(tx TxID, key string, mode Mode, g Granule, waitSpa
 		}
 	}
 	// Black-box trigger: a deadlock-victim abort dumps the flight ring so
-	// the operations leading up to the cycle are on record.
+	// the operations leading up to the cycle are on record. Throttled and
+	// incremental: under a deadlock storm each dump adds only the records
+	// since the last one.
 	if f := m.o.flight; f != nil {
 		f.Record("lock.deadlock", fmt.Sprintf("tx=%d %s %s", tx, mode, key), 0, "deadlock", "")
-		f.Dump("deadlock-victim abort")
+		f.DumpThrottled("deadlock-victim abort")
 	}
 	return fmt.Errorf("tx %d requesting %s on %s: %w", tx, mode, g, ErrDeadlock)
 }
@@ -280,6 +292,7 @@ func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
 	leaveWait := func() {
 		if waited {
 			st.waiters--
+			delete(st.parked, tx)
 		}
 	}
 	for {
@@ -288,12 +301,25 @@ func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
 			return m.abortVictim(tx, key, mode, g, waitSpan)
 		}
 		blockers := st.blockers(tx, mode)
+		if w, ok := m.yieldTo[tx]; ok {
+			if pm, parked := st.parked[w]; parked && !Compatible(pm, mode) {
+				blockers = append(blockers, w)
+			}
+		}
 		if len(blockers) == 0 {
 			break
 		}
 		if cycle := m.findCycle(tx, blockers); len(cycle) > 0 {
 			m.o.deadlocks.Inc()
 			victim := chooseVictim(cycle)
+			// Each cycle member waits for the next (the requester, last,
+			// for the first), so the victim's abort unblocks the member
+			// before it.
+			for i, t := range cycle {
+				if t == victim {
+					m.yieldTo[victim] = cycle[(i+len(cycle)-1)%len(cycle)]
+				}
+			}
 			if tr := m.o.tr; tr.Active() {
 				tr.Point(waitSpan, "lock.deadlock", obs.F("tx", tx), obs.F("granule", key), obs.F("mode", mode), obs.F("victim", victim))
 			}
@@ -314,6 +340,7 @@ func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
 			// relative to the sleep.
 			waited = true
 			st.waiters++
+			st.parked[tx] = mode
 			m.o.waits.Inc()
 			waitStart = time.Now()
 			if tr := m.o.tr; tr.Active() {
@@ -469,8 +496,19 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	}
 	delete(m.held, tx)
 	delete(m.waitsFor, tx)
+	// Waiters' edges to tx are stale until they wake and recompute; drop
+	// them now, or a retry under tx's TxID could close a false cycle.
+	for _, edges := range m.waitsFor {
+		delete(edges, tx)
+	}
 	delete(m.doomed, tx)
 	delete(m.profs, tx)
+	// tx's own yieldTo entry survives: its retry reuses the TxID.
+	for v, w := range m.yieldTo {
+		if w == tx {
+			delete(m.yieldTo, v)
+		}
+	}
 	m.cond.Broadcast()
 }
 

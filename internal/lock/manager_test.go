@@ -222,3 +222,57 @@ func TestCompositeReadersAndWritersCoexistOnExclusiveClass(t *testing.T) {
 		t.Fatal("X on S-locked root granted")
 	}
 }
+
+// TestVictimRetryYieldsToWinner is the retry livelock: T1 holds X on an
+// object and parks for IXOS on a class T2 holds; T2 then asks for the
+// object and is chosen as the victim. T2 retries under its own TxID
+// right after its abort. Grants do not queue behind waits, so without
+// the yield rule the retry re-took the class before T1 woke and lost the
+// same cycle again, until a bounded retrier gave up. The retry must wait
+// behind T1 and then succeed.
+func TestVictimRetryYieldsToWinner(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		m := NewManager()
+		obj := InstanceGranule(uid.UID{Class: 1, Serial: 1})
+		if err := m.Lock(1, obj, X); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Lock(2, g("C"), IXOS); err != nil {
+			t.Fatal(err)
+		}
+		t1 := make(chan error, 1)
+		go func() {
+			err := m.Lock(1, g("C"), IXOS)
+			m.ReleaseAll(1)
+			t1 <- err
+		}()
+		for parkedOn(m, g("C")) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if err := m.Lock(2, obj, X); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("round %d: T2 = %v, want ErrDeadlock", round, err)
+		}
+		m.ReleaseAll(2)
+		// The retry, under the same identity, before T1 has run.
+		if err := m.Lock(2, g("C"), IXOS); err != nil {
+			t.Fatalf("round %d: retry on the class: %v", round, err)
+		}
+		if err := m.Lock(2, obj, X); err != nil {
+			t.Fatalf("round %d: retry on the object: %v", round, err)
+		}
+		if err := <-t1; err != nil {
+			t.Fatalf("round %d: T1: %v", round, err)
+		}
+		m.ReleaseAll(2)
+	}
+}
+
+// parkedOn counts the requests parked on gr.
+func parkedOn(m *Manager, gr Granule) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if st := m.granules[gr.String()]; st != nil {
+		return st.waiters
+	}
+	return 0
+}

@@ -99,6 +99,17 @@ func TestPropertyManagerNeverGrantsConflicts(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
 			tx := TxID(w + 1)
+			// The shadow must never claim more than the manager grants:
+			// drop tx from it BEFORE releasing, or another worker can be
+			// granted a conflicting mode while the shadow still lists tx.
+			release := func() {
+				mu.Lock()
+				for _, byTx := range held {
+					delete(byTx, tx)
+				}
+				mu.Unlock()
+				m.ReleaseAll(tx)
+			}
 			for i := 0; i < 200; i++ {
 				gr := granules[r.Intn(len(granules))]
 				mode := randMode(r)
@@ -113,20 +124,10 @@ func TestPropertyManagerNeverGrantsConflicts(t *testing.T) {
 				mu.Unlock()
 				checkInvariant()
 				if r.Intn(3) == 0 {
-					m.ReleaseAll(tx)
-					mu.Lock()
-					for _, byTx := range held {
-						delete(byTx, tx)
-					}
-					mu.Unlock()
+					release()
 				}
 			}
-			m.ReleaseAll(tx)
-			mu.Lock()
-			for _, byTx := range held {
-				delete(byTx, tx)
-			}
-			mu.Unlock()
+			release()
 		}(w)
 	}
 	done := make(chan struct{})

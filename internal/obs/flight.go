@@ -28,8 +28,8 @@ import (
 type FlightRecord struct {
 	Seq     uint64        `json:"seq"`
 	At      time.Time     `json:"at"`
-	Op      string        `json:"op"`      // e.g. "components-of", "txn.commit"
-	Root    string        `json:"root"`    // root UID / lock key / detail
+	Op      string        `json:"op"`   // e.g. "components-of", "txn.commit"
+	Root    string        `json:"root"` // root UID / lock key / detail
 	Dur     time.Duration `json:"dur_ns"`
 	Outcome string        `json:"outcome"` // "ok", "err", "deadlock", ...
 	Costs   string        `json:"costs,omitempty"`
@@ -58,6 +58,8 @@ type FlightRecorder struct {
 	wmu      sync.Mutex
 	w        io.Writer    // dump destination; default os.Stderr
 	lastDump atomic.Int64 // unix ns of the last throttled dump
+	// newFrom is the first sequence number no throttled dump has printed.
+	newFrom atomic.Uint64
 }
 
 // NewFlightRecorder returns a recorder with a ring of the given
@@ -126,7 +128,10 @@ func (f *FlightRecorder) Dump(reason string) int {
 	if f == nil {
 		return 0
 	}
-	recs := f.Records()
+	return f.write(reason, f.Records())
+}
+
+func (f *FlightRecorder) write(reason string, recs []FlightRecord) int {
 	f.wmu.Lock()
 	w := f.w
 	if w == nil {
@@ -142,8 +147,10 @@ func (f *FlightRecorder) Dump(reason string) int {
 }
 
 // DumpThrottled dumps at most once per second — for triggers that can
-// fire in bursts (slow-op breaches under a storm). Returns the record
-// count, or -1 when suppressed.
+// fire in bursts (deadlock victims, slow-op breaches under a storm) — and
+// writes only the records newer than its previous dump, so a burst of
+// triggers does not re-print the same ring. Returns the record count, or
+// -1 when suppressed.
 func (f *FlightRecorder) DumpThrottled(reason string) int {
 	if f == nil {
 		return 0
@@ -153,5 +160,11 @@ func (f *FlightRecorder) DumpThrottled(reason string) int {
 	if now-last < int64(time.Second) || !f.lastDump.CompareAndSwap(last, now) {
 		return -1
 	}
-	return f.Dump(reason)
+	recs := f.Records()
+	from := f.newFrom.Load()
+	recs = recs[sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= from }):]
+	if len(recs) > 0 {
+		f.newFrom.Store(recs[len(recs)-1].Seq + 1)
+	}
+	return f.write(reason, recs)
 }

@@ -245,6 +245,30 @@ func TestFlightDumpAndThrottle(t *testing.T) {
 	}
 }
 
+// TestFlightThrottledDumpPrintsOnlyNewRecords: two throttled dumps in a
+// row print disjoint record sets — the second only what arrived after
+// the first.
+func TestFlightThrottledDumpPrintsOnlyNewRecords(t *testing.T) {
+	f := NewRegistry().Flight()
+	var buf bytes.Buffer
+	f.SetWriter(&buf)
+	f.Record("old-a", "", 0, "ok", "")
+	f.Record("old-b", "", 0, "ok", "")
+	if n := f.DumpThrottled("first"); n != 2 {
+		t.Fatalf("first dump wrote %d records, want 2", n)
+	}
+	f.Record("new-c", "", 0, "ok", "")
+	buf.Reset()
+	f.lastDump.Store(0) // lift the once-per-second throttle
+	if n := f.DumpThrottled("second"); n != 1 {
+		t.Fatalf("second dump wrote %d records, want 1", n)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "new-c") || strings.Contains(out, "old-a") || strings.Contains(out, "old-b") {
+		t.Fatalf("second dump = %q, want only new-c", out)
+	}
+}
+
 func TestFlightNil(t *testing.T) {
 	var f *FlightRecorder
 	f.Record("x", "", 0, "", "")

@@ -87,14 +87,6 @@ type ConcurrentConfig struct {
 	// invariant, and on durable runs the crash finale covers recovery of
 	// a log full of interleaved mutations and OpMove records.
 	Recluster bool
-	// Shards partitions the store by composite unit (0/1 = classic
-	// single-shard layout). Workers mutating the shared roots then
-	// produce genuine cross-shard transactions (2PC on the shard WALs);
-	// every quiescent check — and the durable crash finale — additionally
-	// verifies the cross-shard invariant: each object readable from
-	// exactly one shard, routing consistent with shard contents, and no
-	// transaction left in doubt.
-	Shards int
 }
 
 // ConcurrentResult reports one concurrent run.
@@ -338,14 +330,6 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 				return fail("post-recovery placement: " + err.Error())
 			}
 		}
-		if cfg.Shards > 1 {
-			// Parallel recovery resolved every prepared transaction one
-			// way or the other; nothing may remain in doubt, and no
-			// object may have leaked to a second shard.
-			if err := h.d.CheckShards(); err != nil {
-				return fail("post-recovery cross-shard invariant: " + err.Error())
-			}
-		}
 	}
 	if err := h.d.Close(); err != nil {
 		return fail("close: " + err.Error())
@@ -354,7 +338,7 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 
 	// Deterministic replay: the commit-order trace must replay cleanly as
 	// a sequential history (in memory — durability was checked above).
-	if f := RunTrace(Config{Seed: cfg.Seed, Shards: cfg.Shards}, h.trace); f != nil {
+	if f := RunTrace(Config{Seed: cfg.Seed}, h.trace); f != nil {
 		f.Msg = "serialized replay diverged: " + f.Msg
 		res.Failure = f
 	}
@@ -362,7 +346,7 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 }
 
 func (h *charness) open() error {
-	opts := db.Options{Shards: h.cfg.Shards}
+	opts := db.Options{}
 	if h.cfg.Durable {
 		opts.Dir = h.dir
 		opts.SyncWAL = true
@@ -643,13 +627,6 @@ func (h *charness) quiescentCheck() *Failure {
 		// move phase), every object is readable from exactly one location.
 		if err := h.d.CheckPlacement(); err != nil {
 			return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "placement check: " + err.Error()}
-		}
-	}
-	if h.cfg.Shards > 1 {
-		// At quiescence no 2PC transaction is mid-flight, so the in-doubt
-		// set must be empty and routing must match shard contents exactly.
-		if err := h.d.CheckShards(); err != nil {
-			return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "cross-shard invariant: " + err.Error()}
 		}
 	}
 	return nil

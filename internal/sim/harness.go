@@ -39,12 +39,6 @@ type Config struct {
 	IntegrityEvery int
 	// MaxObjects caps the live population (default 120).
 	MaxObjects int
-	// Shards partitions the store by composite unit (0/1 = classic
-	// single-shard layout). With more than one shard, the periodic
-	// integrity scan additionally verifies the cross-shard invariant:
-	// every object readable from exactly one shard, routing table
-	// consistent, and no 2PC transaction left in doubt.
-	Shards int
 	// ShrinkBudget bounds the number of replays during minimization
 	// (default 200).
 	ShrinkBudget int
@@ -196,7 +190,7 @@ func RunTrace(cfg Config, ops []Op) *Failure {
 }
 
 func (h *harness) open() error {
-	opts := db.Options{Shards: h.cfg.Shards}
+	opts := db.Options{}
 	if h.cfg.Durable {
 		opts.Dir = h.dir
 		opts.SyncWAL = true
@@ -635,11 +629,6 @@ func compareState(eng *core.Engine, view *Model) string {
 func (h *harness) integrity(i int, op Op) *Failure {
 	if v := h.d.Engine().Integrity(); len(v) != 0 {
 		return h.failOp(i, op, fmt.Sprintf("integrity violations: %v", v))
-	}
-	if h.cfg.Shards > 1 {
-		if err := h.d.CheckShards(); err != nil {
-			return h.failOp(i, op, "cross-shard invariant: "+err.Error())
-		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -22,9 +23,13 @@ type Stats struct {
 	Evictions uint64
 }
 
-// ErrPoolFull is returned when every frame is pinned and none can be
-// evicted.
+// ErrPoolFull is returned when every frame stays pinned for
+// poolWaitBound, so none can be evicted.
 var ErrPoolFull = errors.New("storage: buffer pool full (all pages pinned)")
+
+// poolWaitBound is how long Fetch and NewPage wait for Unpin to release a
+// frame when every frame of their shard is pinned.
+const poolWaitBound = 200 * time.Millisecond
 
 type frame struct {
 	page  Page
@@ -39,6 +44,8 @@ type frame struct {
 // hash to the same shard.
 type shard struct {
 	mu       sync.Mutex
+	freed    sync.Cond // broadcast by Unpin when a frame drops to zero pins
+	waiters  int       // goroutines blocked on freed
 	capacity int
 	frames   map[PageID]*frame
 	lru      *list.List // of PageID, front = most recently unpinned
@@ -93,11 +100,13 @@ func NewBufferPool(dev Device, capacity int) *BufferPool {
 		if i < rem {
 			c++
 		}
-		bp.shards = append(bp.shards, &shard{
+		s := &shard{
 			capacity: c,
 			frames:   make(map[PageID]*frame),
 			lru:      list.New(),
-		})
+		}
+		s.freed.L = &s.mu
+		bp.shards = append(bp.shards, s)
 	}
 	return bp
 }
@@ -161,6 +170,36 @@ func (bp *BufferPool) evictOne(s *shard) error {
 	return nil
 }
 
+// roomy reports whether the shard can take one more frame, by eviction
+// if need be. Caller holds s.mu.
+func (s *shard) roomy() bool {
+	return len(s.frames) < s.capacity || s.lru.Len() > 0
+}
+
+// waitFreed blocks until Unpin releases a frame or the wait that began
+// at the first call (which sets *deadline) exceeds poolWaitBound; then it
+// returns ErrPoolFull. Caller holds s.mu, which the wait releases, so the
+// caller must re-check the shard afterwards.
+func (s *shard) waitFreed(deadline *time.Time) error {
+	if deadline.IsZero() {
+		*deadline = time.Now().Add(poolWaitBound)
+	}
+	left := time.Until(*deadline)
+	if left <= 0 {
+		return ErrPoolFull
+	}
+	t := time.AfterFunc(left, func() {
+		s.mu.Lock()
+		s.freed.Broadcast()
+		s.mu.Unlock()
+	})
+	s.waiters++
+	s.freed.Wait()
+	s.waiters--
+	t.Stop()
+	return nil
+}
+
 // ensureRoom makes space for one more frame in the shard. Caller holds
 // s.mu.
 func (bp *BufferPool) ensureRoom(s *shard) error {
@@ -177,15 +216,24 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	s := bp.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fr, ok := s.frames[id]; ok {
-		bp.o.hits.Inc()
-		bp.prof.Load().PoolHit()
-		if fr.elem != nil {
-			s.lru.Remove(fr.elem)
-			fr.elem = nil
+	var deadline time.Time
+	for {
+		if fr, ok := s.frames[id]; ok {
+			bp.o.hits.Inc()
+			bp.prof.Load().PoolHit()
+			if fr.elem != nil {
+				s.lru.Remove(fr.elem)
+				fr.elem = nil
+			}
+			fr.pins++
+			return &fr.page, nil
 		}
-		fr.pins++
-		return &fr.page, nil
+		if s.roomy() {
+			break
+		}
+		if err := s.waitFreed(&deadline); err != nil {
+			return nil, err
+		}
 	}
 	bp.o.misses.Inc()
 	bp.prof.Load().PoolMiss()
@@ -215,6 +263,12 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	s := bp.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var deadline time.Time
+	for !s.roomy() {
+		if err := s.waitFreed(&deadline); err != nil {
+			return nil, err
+		}
+	}
 	if err := bp.ensureRoom(s); err != nil {
 		return nil, err
 	}
@@ -252,6 +306,9 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	fr.pins--
 	if fr.pins == 0 {
 		fr.elem = s.lru.PushFront(id)
+		if s.waiters > 0 {
+			s.freed.Broadcast()
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBufferPoolFetchHitMiss(t *testing.T) {
@@ -75,6 +76,32 @@ func TestBufferPoolAllPinned(t *testing.T) {
 		t.Fatalf("NewPage after unpin: %v", err)
 	}
 	bp.Unpin(p2.ID, false)
+}
+
+// TestBufferPoolWaitsForUnpin: with every frame pinned, Fetch blocks
+// until another goroutine unpins one instead of failing at once.
+func TestBufferPoolWaitsForUnpin(t *testing.T) {
+	bp := NewBufferPool(NewMemDevice(), 1)
+	p1, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		bp.Unpin(p1.ID, true)
+	}()
+	start := time.Now()
+	p3, err := bp.NewPage()
+	if err != nil {
+		t.Fatalf("NewPage while a pin is being released: %v", err)
+	}
+	if waited := time.Since(start); waited >= poolWaitBound {
+		t.Fatalf("NewPage waited %v, the full bound", waited)
+	}
+	bp.Unpin(p3.ID, false)
+	if _, err := bp.Fetch(p1.ID); err != nil {
+		t.Fatalf("Fetch of the evicted page: %v", err)
+	}
 }
 
 func TestBufferPoolUnpinUnknownPanics(t *testing.T) {

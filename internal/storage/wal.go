@@ -40,31 +40,10 @@ const (
 	// and replaying each move at its log position lands every object in
 	// exactly one location no matter where a crash truncates the log.
 	OpMove WALOp = 6
-	// OpPrepare is the 2PC vote record of a cross-shard transaction,
-	// written to every PARTICIPANT shard's log (never the coordinator's)
-	// and fsynced before the coordinator's OpCommit — the commit point —
-	// is appended. Data carries the coordinator's shard index as a
-	// uvarint. Replay treats a prepared transaction without a local
-	// OpCommit/OpAbort as in-doubt: its fate is whatever the coordinator
-	// shard's log decided (commit if the coordinator logged OpCommit for
-	// the same transaction, presumed abort otherwise).
-	OpPrepare WALOp = 7
+	// 7 is reserved: earlier releases used it for the prepare record of a
+	// multi-log commit. Replay rejects it as an unknown op, so such a log
+	// fails loudly instead of being misread.
 )
-
-// EncodePrepareData encodes the coordinator shard index carried by an
-// OpPrepare record's Data field.
-func EncodePrepareData(coord int) []byte {
-	return binary.AppendUvarint(nil, uint64(coord))
-}
-
-// DecodePrepareData decodes an OpPrepare record's coordinator shard index.
-func DecodePrepareData(data []byte) (int, error) {
-	c, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, ErrCorruptWAL
-	}
-	return int(c), nil
-}
 
 // WALRecord is one logical change. Txn tags the record with the
 // transaction that produced it (0 = auto-commit: the record is its own

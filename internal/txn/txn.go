@@ -171,10 +171,9 @@ func (m *Manager) Reserve() lock.TxID {
 
 // SeedNext advances the transaction-ID counter so the next Begin/Reserve
 // hands out an ID strictly greater than n. Recovery calls this with the
-// highest transaction ID seen in any shard's WAL: with per-shard logs, a
-// reused ID could otherwise pair a stale prepare record surviving in one
-// shard with a fresh same-ID commit on another shard's log and mis-resolve
-// an in-doubt transaction. A no-op when the counter is already past n.
+// highest transaction ID in the WAL, so a new transaction never reuses the
+// ID of a record still in the log. A no-op when the counter is already
+// past n.
 func (m *Manager) SeedNext(n uint64) {
 	for {
 		cur := m.next.Load()
