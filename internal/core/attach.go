@@ -141,6 +141,7 @@ func (e *Engine) SetTx(tx TxnID, id uid.UID, attr string, v value.Value) error {
 		return err
 	}
 	e.bumpDirtyLocked(dirty)
+	e.noteWritesLocked(tx, dirty, nil)
 	e.mu.Unlock()
 	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
 }
@@ -255,6 +256,7 @@ func (e *Engine) AttachTx(tx TxnID, parent uid.UID, attr string, child uid.UID) 
 		return err
 	}
 	e.bumpDirtyLocked(dirty)
+	e.noteWritesLocked(tx, dirty, nil)
 	e.mu.Unlock()
 	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
 }
@@ -290,15 +292,16 @@ func (e *Engine) Detach(parent uid.UID, attr string, child uid.UID) error {
 
 // DetachTx is Detach tagged with the transaction performing the unlink.
 func (e *Engine) DetachTx(tx TxnID, parent uid.UID, attr string, child uid.UID) error {
-	dirty, err := e.detachLocked(parent, attr, child)
+	dirty, err := e.detachLocked(tx, parent, attr, child)
 	if err != nil {
 		return err
 	}
 	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
 }
 
-// detachLocked performs the unlink under the exclusive latch.
-func (e *Engine) detachLocked(parent uid.UID, attr string, child uid.UID) (*dirtySet, error) {
+// detachLocked performs the unlink under the exclusive latch and notes
+// the write set for tx.
+func (e *Engine) detachLocked(tx TxnID, parent uid.UID, attr string, child uid.UID) (*dirtySet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.legacy {
@@ -334,5 +337,6 @@ func (e *Engine) detachLocked(parent uid.UID, attr string, child uid.UID) (*dirt
 		tr.Point(0, "core.detach", obs.F("parent", parent), obs.F("attr", attr), obs.F("child", child))
 	}
 	e.bumpDirtyLocked(dirty)
+	e.noteWritesLocked(tx, dirty, nil)
 	return dirty, nil
 }

@@ -65,6 +65,7 @@ func (e *Engine) DeleteTx(tx TxnID, id uid.UID) ([]uid.UID, error) {
 	}
 	e.bumpDirtyLocked(dirty)
 	out := append([]uid.UID(nil), deleted.Slice()...)
+	e.noteWritesLocked(tx, dirty, out)
 	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	// Survivor rewrites first, then the casualty deletes, matching the

@@ -226,9 +226,9 @@ func TestCrashMidCascadeDeleteIsAtomic(t *testing.T) {
 	}
 }
 
-// TestAbortedTransactionDiscardedOnReplay: an abort's compensating
-// writes carry the same transaction tag, so the whole group — forward
-// writes and undo — vanishes on replay instead of being half-applied.
+// TestAbortedTransactionDiscardedOnReplay: an aborted transaction's
+// group is dropped before it reaches the log, so replay finds nothing
+// of it and the committed state around it comes back intact.
 func TestAbortedTransactionDiscardedOnReplay(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(Options{Dir: dir, SyncWAL: true})

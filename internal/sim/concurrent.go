@@ -92,7 +92,7 @@ type ConcurrentConfig struct {
 // ConcurrentResult reports one concurrent run.
 type ConcurrentResult struct {
 	Committed           int    // transactions committed
-	Aborted             int    // deliberate aborts (undo under concurrency)
+	Aborted             int    // deliberate aborts (rollback under concurrency)
 	DeadlockRetries     int    // transactions retried after a deadlock abort
 	SnapshotReads       int    // snapshot views verified against the commit history
 	ReclusterMigrations uint64 // units migrated by the background reclusterer
@@ -651,7 +651,7 @@ func (w *cworker) fail(op Op, msg string) *Failure {
 }
 
 // runTxn executes one transaction, retrying from scratch when the lock
-// manager picks it as a deadlock victim (its undo has already rolled the
+// manager picks it as a deadlock victim (its abort has already rolled the
 // partial effects back, so a fresh attempt starts clean). Retries keep
 // the first attempt's transaction identity so the youngest-victim policy
 // cannot starve a retrier that keeps losing to newer transactions.
@@ -796,7 +796,7 @@ func (w *cworker) attemptTxn(id lock.TxID, ops []Op) (retry bool, f *Failure) {
 		recs = append(recs, rec)
 	}
 
-	// Deliberate aborts exercise undo interleaved with other writers.
+	// Deliberate aborts exercise rollback interleaved with other writers.
 	if w.rng.Float64() < 0.15 {
 		if err := w.drv.Abort(); err != nil {
 			return false, w.fail(Op{}, "abort: "+err.Error())

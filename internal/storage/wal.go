@@ -28,7 +28,7 @@ const (
 	OpDelete WALOp = 2 // removal of an object
 	OpBegin  WALOp = 3 // first record of a transaction (marker)
 	OpCommit WALOp = 4 // transaction committed; buffered records apply
-	OpAbort  WALOp = 5 // transaction aborted; buffered records discard
+	OpAbort  WALOp = 5 // transaction aborted; buffered records discard (older logs only)
 	// OpMove records a physical relocation by the reclusterer: UID moves
 	// into the segment named by Data, clustered next to Near. Seg carries
 	// the segment's numeric ID at log time, but replay resolves the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/object"
 	"repro/internal/schema"
 	"repro/internal/uid"
 	"repro/internal/value"
@@ -209,5 +210,44 @@ func TestAbortRestoresEngineByteIdentical(t *testing.T) {
 				t.Fatalf("seed %d: integrity violations after abort: %v", seed, v)
 			}
 		})
+	}
+}
+
+// TestAbortRestoresFirstWriteVersion: an auto-commit install may push a
+// newer version over an object in an open transaction's write set (the
+// version layer's Mutate does, taking no §7 lock). Abort must restore
+// the version the object had at the transaction's first write of it,
+// not whatever heads its chain at abort time.
+func TestAbortRestoresFirstWriteVersion(t *testing.T) {
+	m := abortPropManager(t)
+	e := m.Engine()
+	o, err := e.New("Leaf", map[string]value.Value{"Tag": value.Int(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := o.UID()
+	before := encoding.EncodeObject(o)
+	tx := m.Begin()
+	if err := tx.WriteAttr(id, "Tag", value.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Mutate(id, func(o *object.Object) { o.Set("Tag", value.Int(3)) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := encoding.EncodeObject(got); !bytes.Equal(before, after) {
+		t.Fatalf("object after abort = %v, want its pre-transaction encoding", got.Get("Tag"))
+	}
+	// A snapshot begun after the abort reads the restored version too.
+	s := e.BeginSnapshot()
+	defer s.Release()
+	if so, err := s.Get(id); err != nil || !bytes.Equal(before, encoding.EncodeObject(so)) {
+		t.Fatalf("snapshot after abort reads %v (err %v), want the pre-transaction version", so, err)
 	}
 }

@@ -1,6 +1,8 @@
 // Package txn provides transactions over the composite-object engine:
-// strict two-phase locking through the §7 lock protocols, plus logical
-// undo so an aborted transaction leaves no trace.
+// strict two-phase locking through the §7 lock protocols. An abort
+// leaves no trace: the engine puts every object the transaction wrote
+// back to its last committed version, which strict 2PL keeps current
+// until the transaction ends, so no undo log is kept here.
 //
 // The granularity follows the paper: reads and writes of single objects
 // take IS/S and IX/X locks; operations on composite objects (cascading
@@ -29,11 +31,10 @@ import (
 var ErrDone = errors.New("txn: transaction already committed or aborted")
 
 // Boundary receives transaction outcomes before locks are released. The
-// db facade implements it to write the WAL commit/abort records that
-// delimit each transaction's group: OnCommit is the durability point
-// (under strict 2PL it must complete before any lock is released, or a
-// reader could observe state that a crash then rolls back), OnAbort
-// seals the group so replay discards it.
+// db facade implements it around each transaction's group of log
+// records: OnCommit logs the group and is the durability point (under
+// strict 2PL it must complete before any lock is released, or a reader
+// could observe state that a crash then rolls back), OnAbort drops it.
 type Boundary interface {
 	OnCommit(tx core.TxnID) error
 	OnAbort(tx core.TxnID) error
@@ -183,22 +184,14 @@ func (m *Manager) SeedNext(n uint64) {
 	}
 }
 
-// undoRec is one logical undo action.
-type undoRec struct {
-	restore *object.Object // non-nil: put this before-image back
-	evict   uid.UID        // non-nil UID: remove this created object
-}
-
 // Txn is a transaction. It is not safe for concurrent use by multiple
 // goroutines (one goroutine per transaction, many transactions in
 // parallel).
 type Txn struct {
-	m       *Manager
-	id      lock.TxID
-	undo    []undoRec
-	snapped map[uid.UID]bool
-	prof    *obs.ProfCtx
-	done    bool
+	m    *Manager
+	id   lock.TxID
+	prof *obs.ProfCtx
+	done bool
 }
 
 // Profile turns on cost attribution for the rest of the transaction
@@ -250,23 +243,6 @@ func (t *Txn) check() error {
 	return nil
 }
 
-// snapshot records a before-image of id once per transaction.
-func (t *Txn) snapshot(id uid.UID) error {
-	if t.snapped == nil {
-		t.snapped = make(map[uid.UID]bool)
-	}
-	if t.snapped[id] {
-		return nil
-	}
-	snap, err := t.m.engine.Snapshot(id)
-	if err != nil {
-		return err
-	}
-	t.snapped[id] = true
-	t.undo = append(t.undo, undoRec{restore: snap})
-	return nil
-}
-
 // ReadObject locks the composite units containing id for reading (S on
 // each unit root) and returns a private copy. Admitting the read at the
 // unit root — not with a bare IS/S instance lock — is what serializes it
@@ -284,7 +260,7 @@ func (t *Txn) ReadObject(id uid.UID) (*object.Object, error) {
 
 // WriteAttr locks the composite units containing id and every object the
 // new value references (dropped references are components of id's units
-// already) and sets the attribute, recording undo.
+// already) and sets the attribute.
 func (t *Txn) WriteAttr(id uid.UID, attr string, v value.Value) error {
 	if err := t.check(); err != nil {
 		return err
@@ -292,26 +268,6 @@ func (t *Txn) WriteAttr(id uid.UID, attr string, v value.Value) error {
 	units := append([]uid.UID{id}, v.Refs(nil)...)
 	if err := t.m.proto.LockUnitsWrite(t.id, units...); err != nil {
 		return err
-	}
-	// Composite attribute writes touch referenced children too; snapshot
-	// every object the diff will touch.
-	if err := t.snapshot(id); err != nil {
-		return err
-	}
-	o, err := t.m.engine.Get(id)
-	if err != nil {
-		return err
-	}
-	touched := uid.NewSet(o.Get(attr).Refs(nil)...)
-	for _, r := range v.Refs(nil) {
-		touched.Add(r)
-	}
-	for _, r := range touched.Slice() {
-		if t.m.engine.Exists(r) {
-			if err := t.snapshot(r); err != nil {
-				return err
-			}
-		}
 	}
 	return t.m.engine.SetTx(t.txid(), id, attr, v)
 }
@@ -336,26 +292,10 @@ func (t *Txn) New(class string, attrs map[string]value.Value, parents ...core.Pa
 	if err := t.m.proto.LockUnitsWrite(t.id, units...); err != nil {
 		return nil, err
 	}
-	for _, p := range parents {
-		if err := t.snapshot(p.Parent); err != nil {
-			return nil, err
-		}
-	}
-	// Attribute values that reference existing objects mutate them too.
-	for _, v := range attrs {
-		for _, r := range v.Refs(nil) {
-			if t.m.engine.Exists(r) {
-				if err := t.snapshot(r); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
 	o, err := t.m.engine.NewTx(t.txid(), class, attrs, parents...)
 	if err != nil {
 		return nil, err
 	}
-	t.undo = append(t.undo, undoRec{evict: o.UID()})
 	// Lock the created instance exclusively until commit.
 	if err := t.m.locks.Lock(t.id, lock.InstanceGranule(o.UID()), lock.X); err != nil {
 		return nil, err
@@ -373,34 +313,20 @@ func (t *Txn) Attach(parent uid.UID, attr string, child uid.UID) error {
 	if err := t.m.proto.LockUnitsWrite(t.id, parent, child); err != nil {
 		return err
 	}
-	for _, id := range []uid.UID{parent, child} {
-		if err := t.snapshot(id); err != nil {
-			return err
-		}
-	}
 	return t.m.engine.AttachTx(t.txid(), parent, attr, child)
 }
 
 // Detach removes the parent-child reference within the transaction. The
 // child may no longer exist — a weak (non-composite) reference dangles
 // after its target is deleted, and detaching is exactly how such a
-// reference is cleaned up — so a missing child snapshot is tolerated:
-// with no child object there is no child state to undo, and the engine's
-// Detach likewise skips reverse-reference maintenance for it.
+// reference is cleaned up — in which case the engine skips
+// reverse-reference maintenance for it.
 func (t *Txn) Detach(parent uid.UID, attr string, child uid.UID) error {
 	if err := t.check(); err != nil {
 		return err
 	}
 	if err := t.m.proto.LockUnitsWrite(t.id, parent, child); err != nil {
 		return err
-	}
-	for _, id := range []uid.UID{parent, child} {
-		if err := t.snapshot(id); err != nil {
-			if id == child && errors.Is(err, core.ErrNoObject) {
-				continue
-			}
-			return err
-		}
 	}
 	return t.m.engine.DetachTx(t.txid(), parent, attr, child)
 }
@@ -430,47 +356,22 @@ func (t *Txn) Delete(id uid.UID) ([]uid.UID, error) {
 	if err := t.m.proto.LockForDelete(t.id, id); err != nil {
 		return nil, err
 	}
-	// Snapshot everything deletion may touch: the object, its component
-	// closure, and the parents of each (forward references are edited).
-	affected := uid.NewSet(id)
-	comps, err := t.m.engine.ComponentsOf(id, core.QueryOpts{Prof: t.prof})
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range comps {
-		affected.Add(c)
-	}
-	for _, a := range append([]uid.UID{}, affected.Slice()...) {
-		o, err := t.m.engine.Get(a)
-		if err != nil {
-			continue
-		}
-		for _, r := range o.Reverse() {
-			affected.Add(r.Parent)
-		}
-	}
-	for _, a := range affected.Slice() {
-		if err := t.snapshot(a); err != nil {
-			return nil, err
-		}
-	}
 	return t.m.engine.DeleteTx(t.txid(), id)
 }
 
-// Commit ends the transaction: the boundary makes its WAL group durable
-// (OnCommit — the commit record, fsynced under SyncWAL via group
-// commit), then every lock is released and the undo log discarded. The
-// ordering is load-bearing: releasing locks before the commit record is
-// durable would let a reader observe state a crash then rolls back. On a
-// boundary error the locks are still released and the error returned —
-// the transaction's effects remain in memory but are not durable, and
-// replay discards its unsealed WAL group.
+// Commit ends the transaction: the boundary logs its group and makes it
+// durable (OnCommit — fsynced under SyncWAL via group commit), then
+// every lock is released. The ordering is load-bearing: releasing locks
+// before the commit record is durable would let a reader observe state a
+// crash then rolls back. On a boundary error the locks are still
+// released and the error returned — the transaction's effects remain in
+// memory but are not durable, and replay discards a group with no
+// commit record.
 func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
 		return err
 	}
 	t.done = true
-	t.undo = nil
 	var err error
 	if t.m.boundary != nil {
 		err = t.m.boundary.OnCommit(t.txid())
@@ -496,13 +397,13 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// Abort rolls back every change in reverse order and releases all locks.
-// Undo actions write through the engine's persistence hook tagged with
-// this transaction, so both the forward writes and these compensating
-// writes land in the same WAL group — which OnAbort then seals with an
-// abort record, making replay discard the whole group. A persistence
-// failure surfaces here; every undo record is still processed and every
-// lock released before the first such error is returned.
+// Abort rolls back every change and releases all locks. The engine puts
+// each object the transaction wrote back to its last committed version
+// and evicts the ones it created (AbortVersions); the boundary then drops
+// the transaction's unlogged group, so an abort writes neither log
+// records nor pages. A hook failure during the rollback surfaces here;
+// the boundary still runs and every lock is still released before the
+// first error is returned.
 func (t *Txn) Abort() error {
 	if err := t.check(); err != nil {
 		return err
@@ -510,35 +411,17 @@ func (t *Txn) Abort() error {
 	t.done = true
 	t.m.o.aborts.Inc()
 	if tr := t.m.o.tr; tr.Active() {
-		tr.Point(0, "txn.abort", obs.F("tx", t.id), obs.F("undo", len(t.undo)))
+		tr.Point(0, "txn.abort", obs.F("tx", t.id))
 	}
-	var firstErr error
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		u := t.undo[i]
-		var err error
-		switch {
-		case u.restore != nil:
-			err = t.m.engine.RestoreTx(t.txid(), u.restore)
-		case !u.evict.IsNil():
-			err = t.m.engine.EvictTx(t.txid(), u.evict)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	t.undo = nil
-	// Drop the transaction's accumulated version write set (forward
-	// writes and the compensations above alike): the chains stay at the
-	// pre-transaction boundary, which the rolled-back live state equals.
-	t.m.engine.AbortVersions(t.txid())
+	err := t.m.engine.AbortVersions(t.txid())
 	if t.m.boundary != nil {
-		if err := t.m.boundary.OnAbort(t.txid()); err != nil && firstErr == nil {
-			firstErr = err
+		if berr := t.m.boundary.OnAbort(t.txid()); berr != nil && err == nil {
+			err = berr
 		}
 	}
 	t.finishProf("txn.abort", "abort")
 	t.m.locks.ReleaseAll(t.id)
-	return firstErr
+	return err
 }
 
 // Run executes fn in a transaction, committing on nil and aborting on
