@@ -350,3 +350,28 @@ func TestVersionGCPlateau(t *testing.T) {
 		t.Fatalf("mvcc_versions_live = %d after release+GC (objects: %d)", live, e.Len())
 	}
 }
+
+// TestSnapshotSeesSchemaDeletions: the objects a schema change deletes
+// (DropClass instances and their dependent components) get tombstones in
+// the change's commit boundary, so a snapshot begun after it no longer
+// finds them while one begun before still does.
+func TestSnapshotSeesSchemaDeletions(t *testing.T) {
+	e := documentEngine(t)
+	doc := mustNew(t, e, "Document", nil)
+	note := mustNew(t, e, "Paragraph", nil, ParentSpec{Parent: doc.UID(), Attr: "Annotations"})
+	before := e.BeginSnapshot()
+	defer before.Release()
+	if _, err := e.DropClass("Document"); err != nil {
+		t.Fatal(err)
+	}
+	after := e.BeginSnapshot()
+	defer after.Release()
+	for _, id := range []uid.UID{doc.UID(), note.UID()} {
+		if _, err := before.Get(id); err != nil {
+			t.Fatalf("snapshot before the drop lost %v: %v", id, err)
+		}
+		if _, err := after.Get(id); err == nil {
+			t.Fatalf("snapshot after the drop still reads %v", id)
+		}
+	}
+}
