@@ -76,6 +76,17 @@ func buildTree(b *testing.B, e *core.Engine, depth, fanout int) uid.UID {
 	return root.UID()
 }
 
+// treeNodes is the node count of a buildTree(depth, fanout) tree,
+// excluding the root (what ComponentsOf returns).
+func treeNodes(depth, fanout int) int {
+	n, level := 0, 1
+	for d := 0; d < depth; d++ {
+		level *= fanout
+		n += level
+	}
+	return n
+}
+
 // ---------------------------------------------------------------------
 // §3 operations: components-of traversal sweeps
 // ---------------------------------------------------------------------
@@ -927,110 +938,6 @@ func BenchmarkIndexedVsScan(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent read path (tentpole): parallel query throughput
-// ---------------------------------------------------------------------
-
-// treeNodes is the node count of a buildTree(depth, fanout) tree,
-// excluding the root (what ComponentsOf returns).
-func treeNodes(depth, fanout int) int {
-	n, level := 0, 1
-	for d := 0; d < depth; d++ {
-		level *= fanout
-		n += level
-	}
-	return n
-}
-
-// BenchmarkComponentsOfParallel drives the RLock read path from GOMAXPROCS
-// goroutines over a depth-8 / fanout-4 part tree (87380 components). The
-// serialized twin below forces the pre-refactor behavior — every query
-// exclusive — so the ratio between the two is the read-path speedup.
-// Plan-cache effectiveness is reported as a metric.
-func BenchmarkComponentsOfParallel(b *testing.B) {
-	e := partEngine(b, true, true)
-	root := buildTree(b, e, 8, 4)
-	want := treeNodes(8, 4)
-	e.ResetStats()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			comps, err := e.ComponentsOf(root, core.QueryOpts{})
-			if err != nil || len(comps) != want {
-				b.Errorf("components = %d, %v", len(comps), err)
-				return
-			}
-		}
-	})
-	s := e.Stats()
-	if tot := s.PlanHits + s.PlanMisses; tot > 0 {
-		b.ReportMetric(float64(s.PlanHits)/float64(tot), "plan-hit-rate")
-	}
-	// Aggregate hit rate across the engine's caches, read from the
-	// registry snapshot (the same numbers /metrics serves).
-	snap := e.Observability().Snapshot()
-	hits := snap.Counters["core_cache_plan_hits_total"] +
-		snap.Counters["core_cache_ancestor_hits_total"] +
-		snap.Counters["core_cache_partition_hits_total"]
-	misses := snap.Counters["core_cache_plan_misses_total"] +
-		snap.Counters["core_cache_ancestor_misses_total"] +
-		snap.Counters["core_cache_partition_misses_total"]
-	if tot := hits + misses; tot > 0 {
-		b.ReportMetric(float64(hits)/float64(tot), "cache-hit-rate")
-	}
-}
-
-// BenchmarkComponentsOfSerialized is the baseline for the parallel bench:
-// identical tree and query mix, but an external mutex serializes every
-// query, reproducing the old engine-wide exclusive lock.
-func BenchmarkComponentsOfSerialized(b *testing.B) {
-	e := partEngine(b, true, true)
-	root := buildTree(b, e, 8, 4)
-	want := treeNodes(8, 4)
-	var mu sync.Mutex
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			comps, err := e.ComponentsOf(root, core.QueryOpts{})
-			mu.Unlock()
-			if err != nil || len(comps) != want {
-				b.Errorf("components = %d, %v", len(comps), err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkAncestorsOfCached measures the generation-checked ancestor
-// cache on a static graph: after the first miss per leaf, every query is
-// a signature validation plus a copy. Hit rate is reported as a metric.
-func BenchmarkAncestorsOfCached(b *testing.B) {
-	e := partEngine(b, true, true)
-	root := buildTree(b, e, 8, 2)
-	comps, err := e.ComponentsOf(root, core.QueryOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	leaf := comps[len(comps)-1]
-	depth := 8
-	e.ResetStats()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			ancs, err := e.AncestorsOf(leaf, core.QueryOpts{})
-			if err != nil || len(ancs) != depth {
-				b.Errorf("ancestors = %d, %v", len(ancs), err)
-				return
-			}
-		}
-	})
-	s := e.Stats()
-	if tot := s.AncestorHits + s.AncestorMisses; tot > 0 {
-		b.ReportMetric(float64(s.AncestorHits)/float64(tot), "anc-hit-rate")
-	}
-}
-
-// ---------------------------------------------------------------------
 // Observability overhead (internal/obs)
 // ---------------------------------------------------------------------
 
@@ -1093,7 +1000,7 @@ func BenchmarkProfiledTraversal(b *testing.B) {
 		}
 		return time.Since(start)
 	}
-	run(10, false) // warm the plan and ancestor caches
+	run(10, false) // warm the plan memo
 	run(10, true)
 	b.ResetTimer()
 	off := run(b.N, false)

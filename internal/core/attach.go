@@ -140,7 +140,6 @@ func (e *Engine) SetTx(tx TxnID, id uid.UID, attr string, v value.Value) error {
 		e.mu.Unlock()
 		return err
 	}
-	e.bumpDirtyLocked(dirty)
 	e.noteWritesLocked(tx, dirty, nil)
 	e.mu.Unlock()
 	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
@@ -255,7 +254,6 @@ func (e *Engine) AttachTx(tx TxnID, parent uid.UID, attr string, child uid.UID) 
 		e.mu.Unlock()
 		return err
 	}
-	e.bumpDirtyLocked(dirty)
 	e.noteWritesLocked(tx, dirty, nil)
 	e.mu.Unlock()
 	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
@@ -276,7 +274,6 @@ func (e *Engine) AttachWithCheck(parent uid.UID, attr string, child uid.UID,
 		e.mu.Unlock()
 		return err
 	}
-	e.bumpDirtyLocked(dirty)
 	e.mu.Unlock()
 	return e.writeThrough(0, dirty, uid.Nil, uid.Nil, nil)
 }
@@ -336,7 +333,6 @@ func (e *Engine) detachLocked(tx TxnID, parent uid.UID, attr string, child uid.U
 	if tr := e.o.tr; tr.Active() {
 		tr.Point(0, "core.detach", obs.F("parent", parent), obs.F("attr", attr), obs.F("child", child))
 	}
-	e.bumpDirtyLocked(dirty)
 	e.noteWritesLocked(tx, dirty, nil)
 	return dirty, nil
 }

@@ -43,7 +43,6 @@ func (e *Engine) CopyComposite(root uid.UID) (uid.UID, map[uid.UID]uid.UID, erro
 				ext.Remove(c)
 			}
 		}
-		e.bumpDirtyLocked(dirty)
 		return uid.Nil, nil, err
 	}
 	if err := e.flush(dirty, nil); err != nil {

@@ -163,17 +163,11 @@ type Engine struct {
 	hook    Hook
 	legacy  bool
 
-	// Read-path state. gens holds a monotonic generation counter per UID,
-	// bumped (under the write lock) whenever the object is mutated,
-	// created, deleted, restored, or evicted; cached query results carry
-	// the generation sum of everything they read and are invalidated by
-	// any change to it. cache and the obs instruments have their own
-	// synchronization because readers fill them while holding only the
-	// read lock.
-	gens  map[uid.UID]uint64
-	cache *readCache
+	// plans and the obs instruments have their own synchronization:
+	// readers fill them while holding only the read latch, or none (a
+	// Snapshot).
+	plans planMemo
 	o     engineObs
-	trav  TraversalOpts
 
 	// mvcc is the copy-on-write version store behind BeginSnapshot: per-
 	// object version chains keyed by a commit-sequence clock, installed
@@ -195,9 +189,7 @@ func NewEngine(cat *schema.Catalog) *Engine {
 		gen:     uid.NewGenerator(),
 		objects: make(map[uid.UID]*object.Object),
 		extents: make(map[uid.ClassID]*uid.Set),
-		gens:    make(map[uid.UID]uint64),
-		cache:   newReadCache(),
-		trav:    TraversalOpts{}.normalized(),
+		plans:   planMemo{plans: make(map[planKey][]string)},
 	}
 	e.mvcc.pending = make(map[TxnID]map[uid.UID]*versionNode)
 	e.mvcc.active = make(map[uint64]int)
@@ -261,30 +253,18 @@ func (e *Engine) evictLocked(id uid.UID) bool {
 	if ext := e.extents[id.Class]; ext != nil {
 		ext.Remove(id)
 	}
-	e.bumpLocked(id)
 	return true
 }
 
 // Snapshot returns a private deep copy of the object.
 func (e *Engine) Snapshot(id uid.UID) (*object.Object, error) {
-	e.mu.RLock()
-	o, err := e.readObject(id, e.cat.CurrentCC())
-	if err == nil {
-		cp := o.Clone()
-		e.mu.RUnlock()
-		return cp, nil
-	}
-	e.mu.RUnlock()
-	if !errors.Is(err, errStaleCC) {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	o, err = e.get(id)
-	if err != nil {
-		return nil, err
-	}
-	return o.Clone(), nil
+	return live(e, nil, func(r reader) (*object.Object, error) {
+		o, err := r.src.fetch(id)
+		if err != nil {
+			return nil, err
+		}
+		return o.Clone(), nil
+	})
 }
 
 // Load installs an object restored from storage without running creation
@@ -298,7 +278,6 @@ func (e *Engine) Load(o *object.Object) error {
 	e.objects[o.UID()] = o
 	e.extentFor(o.Class()).Add(o.UID())
 	e.gen.Seed(o.UID().Serial)
-	e.bumpLocked(o.UID())
 	e.installLocked([]uid.UID{o.UID()})
 	return nil
 }
@@ -314,8 +293,8 @@ func (e *Engine) extentFor(c uid.ClassID) *uid.Set {
 
 // get returns the live object, applying pending deferred schema changes
 // (§4.3) first. ApplyPending mutates the object, so get requires the
-// caller to hold e.mu for WRITING; read-locked paths use readObject,
-// which detects pending changes and reports errStaleCC instead of
+// caller to hold e.mu for WRITING; read-locked paths go through live,
+// whose source detects pending changes and reports errStaleCC instead of
 // applying them.
 func (e *Engine) get(id uid.UID) (*object.Object, error) {
 	o, ok := e.objects[id]
@@ -331,31 +310,6 @@ func (e *Engine) get(id uid.UID) (*object.Object, error) {
 		if tr := e.o.tr; tr.Active() {
 			tr.Point(0, "core.evolution.replay", obs.F("uid", id), obs.F("changes", n))
 		}
-		e.bumpLocked(id)
-	}
-	return o, nil
-}
-
-// readObject is the read-locked counterpart of get: it returns the live
-// object without mutating anything. When deferred schema changes newer
-// than the object's CC stamp apply to its class, it fails with errStaleCC
-// and the caller must retry under the write lock via get. cc is the
-// catalog's current change counter (pass e.cat.CurrentCC(), hoisted so
-// loops pay the catalog lock once). Caller holds e.mu (read or write).
-func (e *Engine) readObject(id uid.UID, cc uint64) (*object.Object, error) {
-	o, ok := e.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
-	}
-	if o.CC() < cc {
-		cl, err := e.cat.ClassByID(id.Class)
-		if err != nil {
-			return nil, err
-		}
-		if len(e.cat.Pending(cl.Name, o.CC())) > 0 {
-			e.o.staleRetries.Inc()
-			return nil, errStaleCC
-		}
 	}
 	return o, nil
 }
@@ -364,23 +318,14 @@ func (e *Engine) readObject(id uid.UID, cc uint64) (*object.Object, error) {
 // engine's live record: callers must treat it as read-only and go through
 // Engine methods for mutation.
 func (e *Engine) Get(id uid.UID) (*object.Object, error) {
-	e.mu.RLock()
-	o, err := e.readObject(id, e.cat.CurrentCC())
-	e.mu.RUnlock()
-	if err == nil || !errors.Is(err, errStaleCC) {
-		return o, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.get(id)
+	return live(e, nil, func(r reader) (*object.Object, error) { return r.src.fetch(id) })
 }
 
 // Mutate runs fn on the live object under the engine's write lock, then
-// invalidates the read-path caches for it. Layers that keep out-of-band
+// publishes it as an auto-commit version. Layers that keep out-of-band
 // bookkeeping inside engine objects (the version manager's generic-level
 // reverse references, §5.3) must use it instead of mutating an object
-// returned by Get, so concurrent readers never observe a torn write and
-// cached ancestor/partition sets are dropped.
+// returned by Get, so concurrent readers never observe a torn write.
 func (e *Engine) Mutate(id uid.UID, fn func(o *object.Object)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -389,7 +334,6 @@ func (e *Engine) Mutate(id uid.UID, fn func(o *object.Object)) error {
 		return err
 	}
 	fn(o)
-	e.bumpLocked(id)
 	e.installLocked([]uid.UID{id})
 	return nil
 }
@@ -520,7 +464,6 @@ func (e *Engine) makeLocked(tx TxnID, class string, attrs map[string]value.Value
 				}
 			}
 		}
-		e.bumpDirtyLocked(dirty)
 	}
 	for name, v := range attrs {
 		if err := e.setAttrLocked(o, name, v, dirty); err != nil {
@@ -539,7 +482,6 @@ func (e *Engine) makeLocked(tx TxnID, class string, attrs map[string]value.Value
 		}
 	}
 	dirty.add(o.UID())
-	e.bumpDirtyLocked(dirty)
 	e.noteWritesLocked(tx, dirty, nil)
 	return o, dirty, near, nil
 }
@@ -550,16 +492,14 @@ type dirtySet struct{ ids *uid.Set }
 func newDirtySet() *dirtySet       { return &dirtySet{ids: uid.NewSet()} }
 func (d *dirtySet) add(id uid.UID) { d.ids.Add(id) }
 
-// flush bumps the generation counters of every dirty object (invalidating
-// cached query results that depend on them), publishes them and the
-// deleted objects as one auto-commit boundary, and pushes them to the
-// hook, all under the exclusive latch the caller already holds. Only the
-// schema-evolution and copy paths use it: they are rare, already hold the
-// latch for the whole rewrite, and their durability comes from the schema
-// checkpoint that follows. The regular mutation paths use writeThrough
+// flush publishes every dirty object and the deleted objects as one
+// auto-commit boundary and pushes them to the hook, all under the
+// exclusive latch the caller already holds. Only the schema-evolution and
+// copy paths use it: they are rare, already hold the latch for the whole
+// rewrite, and their durability comes from the schema checkpoint that
+// follows. The regular mutation paths use writeThrough
 // instead.
 func (e *Engine) flush(d *dirtySet, deleted []uid.UID) error {
-	e.bumpDirtyLocked(d)
 	e.installLocked(append(d.ids.Slice(), deleted...))
 	return e.notifyLocked(0, d, uid.Nil, uid.Nil, deleted)
 }
@@ -568,9 +508,8 @@ func (e *Engine) flush(d *dirtySet, deleted []uid.UID) error {
 // operation (tx 0) publishes its write set as one MVCC commit boundary
 // (a transaction's was noted under the exclusive latch and installs at
 // CommitVersions), then the effects go to the hook (see notifyLocked).
-// The caller has already spliced the graph and bumped generations under
-// the exclusive latch, so writers of disjoint composite units encode and
-// log in parallel here. The whole hook loop runs inside one continuous
+// The caller has already spliced the graph under the exclusive latch, so
+// writers of disjoint composite units encode and log in parallel here. The whole hook loop runs inside one continuous
 // read-locked window: a splice needs the exclusive latch and therefore
 // cannot interleave, which keeps every object's record order consistent
 // with its mutation order (two concurrent windows that both cover an

@@ -60,10 +60,6 @@ func (e *Engine) DeleteTx(tx TxnID, id uid.UID) ([]uid.UID, error) {
 	if tr := e.o.tr; tr.Active() {
 		tr.End(sp, "core.delete", obs.F("deleted", n))
 	}
-	for _, d := range deleted.Slice() {
-		e.bumpLocked(d)
-	}
-	e.bumpDirtyLocked(dirty)
 	out := append([]uid.UID(nil), deleted.Slice()...)
 	e.noteWritesLocked(tx, dirty, out)
 	e.mu.Unlock()

@@ -70,9 +70,6 @@ func (e *Engine) dropAttrValuesLocked(class string, spec schema.AttrSpec) (*uid.
 			dirty.add(id)
 		}
 	}
-	for _, d := range deleted.Slice() {
-		e.bumpLocked(d)
-	}
 	if err := e.flush(dirty, deleted.Slice()); err != nil {
 		return nil, err
 	}
@@ -125,9 +122,6 @@ func (e *Engine) DropClass(class string) ([]uid.UID, error) {
 		if !deleted.Contains(id) {
 			e.deleteLocked(id, deleted, dirty, 0)
 		}
-	}
-	for _, d := range deleted.Slice() {
-		e.bumpLocked(d)
 	}
 	if err := e.flush(dirty, deleted.Slice()); err != nil {
 		return nil, err

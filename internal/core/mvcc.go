@@ -228,7 +228,6 @@ func (e *Engine) AbortVersions(tx TxnID) error {
 		} else {
 			e.objects[id] = n.obj.Clone()
 			e.extentFor(id.Class).Add(id)
-			e.bumpLocked(id)
 			set.d.add(id)
 		}
 	}

@@ -161,23 +161,21 @@ func TestSnapshotLockFreeUnderExclusiveLatch(t *testing.T) {
 	e.mu.Unlock()
 }
 
-// TestSnapshotCacheIsolation pins the staleness-window fix: the shared
-// generation-counter cache, refilled after a commit, must never be
-// served to a snapshot begun before that commit. The snapshot path keeps
-// private memos and never touches the shared cache.
+// TestSnapshotCacheIsolation pins the staleness-window fix: live queries
+// answered after a commit must never leak into a snapshot begun before
+// that commit, however the two interleave.
 func TestSnapshotCacheIsolation(t *testing.T) {
 	e := mvccEngine(t)
 	root, mid, leaf := mvccChain(t, e)
 
-	// Warm the shared ancestor cache with the pre-commit order.
+	// A live query at the pre-commit state.
 	if _, err := e.AncestorsOf(leaf, QueryOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.BeginSnapshot()
 	defer snap.Release()
 
-	// Commit a new grandparent and refill the shared cache with the
-	// post-commit order.
+	// Commit a new grandparent and query the post-commit order live.
 	super, err := e.New("Part", map[string]value.Value{"Name": value.Str("super")})
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +190,7 @@ func TestSnapshotCacheIsolation(t *testing.T) {
 	wantUIDs(t, "live ancestors", live, []uid.UID{mid, root, super.UID()})
 
 	// The pre-commit snapshot must keep answering with the pre-commit
-	// order, shared-cache contents notwithstanding — twice, so the second
-	// (memoized) answer is checked too.
+	// order — twice, so a second answer is checked too.
 	for i := 0; i < 2; i++ {
 		got, err := snap.AncestorsOf(leaf, QueryOpts{})
 		if err != nil {

@@ -16,14 +16,9 @@ type engineObs struct {
 	slow   *obs.SlowLog
 	flight *obs.FlightRecorder
 
-	// Read-path cache counters (the former engineStats).
-	ancestorHits    *obs.Counter
-	ancestorMisses  *obs.Counter
-	partitionHits   *obs.Counter
-	partitionMisses *obs.Counter
-	planHits        *obs.Counter
-	planMisses      *obs.Counter
-	invalidations   *obs.Counter
+	// Plan-memo counters (traverse.go).
+	planHits   *obs.Counter
+	planMisses *obs.Counter
 
 	// Mutation and evolution counters.
 	attaches         *obs.Counter
@@ -61,13 +56,8 @@ func (e *Engine) bindObs(r *obs.Registry) {
 		tr:               r.Tracer(),
 		slow:             r.Slow(),
 		flight:           r.Flight(),
-		ancestorHits:     r.Counter("core_cache_ancestor_hits_total"),
-		ancestorMisses:   r.Counter("core_cache_ancestor_misses_total"),
-		partitionHits:    r.Counter("core_cache_partition_hits_total"),
-		partitionMisses:  r.Counter("core_cache_partition_misses_total"),
 		planHits:         r.Counter("core_cache_plan_hits_total"),
 		planMisses:       r.Counter("core_cache_plan_misses_total"),
-		invalidations:    r.Counter("core_cache_invalidations_total"),
 		attaches:         r.Counter("core_attach_total"),
 		detaches:         r.Counter("core_detach_total"),
 		deletes:          r.Counter("core_delete_total"),

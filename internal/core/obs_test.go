@@ -156,12 +156,15 @@ func TestCascadeTraceOffByDefault(t *testing.T) {
 
 // TestSetObservabilityNil: a nil registry (the no-instrumentation
 // baseline BenchmarkObsDisabled measures against) must keep the engine
-// fully functional with Stats reading all zeros.
+// fully functional.
 func TestSetObservabilityNil(t *testing.T) {
 	e, root, _, _, _ := cascadeEngine(t)
 	e.SetObservability(nil)
 	if e.Observability() != nil {
 		t.Fatal("nil registry not installed")
+	}
+	if comps, err := e.ComponentsOf(root, QueryOpts{}); err != nil || len(comps) != 3 {
+		t.Fatalf("components with nil registry = %v, %v", comps, err)
 	}
 	deleted, err := e.Delete(root)
 	if err != nil {
@@ -170,15 +173,13 @@ func TestSetObservabilityNil(t *testing.T) {
 	if len(deleted) != 4 {
 		t.Fatalf("deleted = %v", deleted)
 	}
-	if s := e.Stats(); s != (Stats{}) {
-		t.Fatalf("stats with nil registry = %+v", s)
-	}
-	e.ResetStats() // must not panic
 }
 
-// TestResetStatsRace exercises ResetStats against concurrent cached
-// queries; under -race this pins the registry-backed reset as race-free.
-func TestResetStatsRace(t *testing.T) {
+// TestPlanMemoRace runs live and snapshot walks, which fill the one
+// shared plan memo, against catalog mutations that advance its version
+// and drop older entries. Under -race this pins the memo as race-free;
+// every walk must still see the unchanged Parts plan.
+func TestPlanMemoRace(t *testing.T) {
 	cat := schema.NewCatalog()
 	if _, err := cat.DefineClass(schema.ClassDef{Name: "Leaf"}); err != nil {
 		t.Fatal(err)
@@ -197,23 +198,33 @@ func TestResetStatsRace(t *testing.T) {
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					if _, err := e.ComponentsOf(r.UID(), QueryOpts{}); err != nil {
-						panic(fmt.Sprintf("ComponentsOf: %v", err))
-					}
-					e.Stats()
+				}
+				var comps []uid.UID
+				var err error
+				if i%2 == 0 {
+					comps, err = e.ComponentsOf(r.UID(), QueryOpts{})
+				} else {
+					s := e.BeginSnapshot()
+					comps, err = s.ComponentsOf(r.UID(), QueryOpts{})
+					s.Release()
+				}
+				if err != nil || len(comps) != 8 {
+					panic(fmt.Sprintf("ComponentsOf = %d, %v", len(comps), err))
 				}
 			}
-		}()
+		}(i)
 	}
-	for i := 0; i < 200; i++ {
-		e.ResetStats()
+	for i := 0; i < 50; i++ {
+		if _, err := cat.DefineClass(schema.ClassDef{Name: fmt.Sprintf("Other%d", i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()

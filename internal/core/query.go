@@ -10,6 +10,19 @@ import (
 	"repro/internal/uid"
 )
 
+// errStaleCC signals, on the read-locked fast path, that deferred schema
+// changes (§4.3) pend on an object the query touched. Applying them
+// mutates the object, which the read lock forbids; the caller retries the
+// whole operation under the write lock, where get applies them.
+var errStaleCC = errors.New("core: deferred schema changes pending")
+
+// ErrDangling reports a composite reference to a missing object, surfaced
+// by queries run with QueryOpts.Strict. A dangling composite reference is
+// an integrity violation (unlike weak references, which ORION lets
+// dangle); the lenient default skips it, as the paper's implementation
+// does.
+var ErrDangling = errors.New("core: dangling composite reference")
+
 // QueryOpts carries the optional arguments of the §3.1 messages:
 //
 //	(components-of Object [ListofClasses] [Exclusive] [Shared] [Level])
@@ -30,8 +43,8 @@ import (
 // surfaces that.
 //
 // Prof, when non-nil, receives per-operation cost attribution for this
-// query: objects visited, traversal-cache (ancestor/plan) hits and
-// misses. It does not change what the query computes.
+// query: objects visited, plan-memo hits and misses. It does not change
+// what the query computes.
 type QueryOpts struct {
 	Classes   []string
 	Exclusive bool
@@ -53,72 +66,73 @@ func (q QueryOpts) wantEdge(exclusive bool) bool {
 	return !exclusive
 }
 
-// cacheable reports whether the raw ancestor set answers the query: the
-// edge filter must be all-pass (a filtered traversal prunes whole
-// subtrees, which cannot be recovered from the unfiltered set) and Strict
-// must be off (a warm cache would mask the dangling reference a cold
-// strict walk reports).
-func (q QueryOpts) cacheable() bool {
-	return q.Exclusive == q.Shared && !q.Strict
+// liveSource is the engine's object table as a walk source (see
+// traverse.go). Without write it is read under the shared latch and
+// fails with errStaleCC on an object that deferred schema changes (§4.3)
+// newer than its CC stamp still apply to; with write the caller holds the
+// exclusive latch and get applies them.
+type liveSource struct {
+	e     *Engine
+	write bool
+	cc    uint64
+	prof  *obs.ProfCtx
+	// ceil memoizes, per class, the highest CC of a deferred change
+	// applicable to its instances, so the staleness test costs one
+	// catalog lookup per class per query.
+	ceil map[uid.ClassID]uint64
 }
 
-// wantClass reports whether an object of the given class passes the
-// Classes filter.
-func (e *Engine) wantClass(q QueryOpts, id uid.UID) bool {
-	if len(q.Classes) == 0 {
-		return true
+func (s *liveSource) fetch(id uid.UID) (*object.Object, error) {
+	if s.write {
+		o, err := s.e.get(id)
+		if err == nil {
+			s.prof.ObjectVisited()
+		}
+		return o, err
 	}
-	cl, err := e.cat.ClassByID(id.Class)
-	if err != nil {
-		return false
+	o, ok := s.e.objects[id]
+	if !ok {
+		return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
 	}
-	for _, want := range q.Classes {
-		if e.cat.IsA(cl.Name, want) {
-			return true
+	if o.CC() < s.cc && o.CC() < s.pendingCeiling(id.Class) {
+		s.e.o.staleRetries.Inc()
+		return nil, errStaleCC
+	}
+	s.prof.ObjectVisited()
+	return o, nil
+}
+
+func (s *liveSource) pendingCeiling(c uid.ClassID) uint64 {
+	if v, ok := s.ceil[c]; ok {
+		return v
+	}
+	var v uint64
+	if cl, err := s.e.cat.ClassByID(c); err == nil {
+		if entries := s.e.cat.Pending(cl.Name, 0); len(entries) > 0 {
+			v = entries[len(entries)-1].CC
 		}
 	}
-	return false
+	if s.ceil == nil {
+		s.ceil = make(map[uid.ClassID]uint64)
+	}
+	s.ceil[c] = v
+	return v
 }
 
-// filterAncestors applies the Classes filter to a cached raw ancestor
-// order. The result is always a fresh slice (cached orders are shared).
-func (e *Engine) filterAncestors(q QueryOpts, order []uid.UID) []uid.UID {
-	if len(q.Classes) == 0 {
-		return append([]uid.UID(nil), order...)
-	}
-	var out []uid.UID
-	for _, id := range order {
-		if e.wantClass(q, id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// withFresh runs fn on the live object with deferred schema changes
-// applied, without fn observing concurrent mutation: the fast path holds
-// the read lock and verifies no changes pend; otherwise the write lock is
-// taken and get applies them.
-func (e *Engine) withFresh(id uid.UID, fn func(o *object.Object)) error {
+// live runs fn over the live object table without fn observing a
+// concurrent mutation: under the shared latch first, and once more under
+// the exclusive latch when fn met an object with deferred schema changes
+// pending, which get then applies. prof receives the objects visited.
+func live[T any](e *Engine, prof *obs.ProfCtx, fn func(r reader) (T, error)) (T, error) {
 	e.mu.RLock()
-	o, err := e.readObject(id, e.cat.CurrentCC())
-	if err == nil {
-		fn(o)
-		e.mu.RUnlock()
-		return nil
-	}
+	out, err := fn(e.reader(&liveSource{e: e, cc: e.cat.CurrentCC(), prof: prof}, e.cat))
 	e.mu.RUnlock()
 	if !errors.Is(err, errStaleCC) {
-		return err
+		return out, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	o, err = e.get(id)
-	if err != nil {
-		return err
-	}
-	fn(o)
-	return nil
+	return fn(e.reader(&liveSource{e: e, write: true, prof: prof}, e.cat))
 }
 
 // observeQuery wraps a traversal query with tracing, slow-path
@@ -157,203 +171,44 @@ func (e *Engine) observeQuery(op string, id uid.UID, prof *obs.ProfCtx, run func
 // where the level of a component is the length of the shortest composite
 // path from the object, §2.2).
 func (e *Engine) ComponentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
+	run := func() ([]uid.UID, error) {
+		return live(e, q.Prof, func(r reader) ([]uid.UID, error) { return r.components(id, q) })
+	}
 	if e.o.timed() || e.o.flight != nil {
-		return e.observeQuery("components-of", id, q.Prof, func() ([]uid.UID, error) {
-			return e.componentsOf(id, q)
-		})
+		return e.observeQuery("components-of", id, q.Prof, run)
 	}
-	return e.componentsOf(id, q)
-}
-
-func (e *Engine) componentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	e.mu.RLock()
-	cc := e.cat.CurrentCC()
-	root, err := e.readObject(id, cc)
-	var out []uid.UID
-	if err == nil {
-		out, err = e.componentsLocked(root, q, cc, false)
-	}
-	e.mu.RUnlock()
-	if err == nil || !errors.Is(err, errStaleCC) {
-		return out, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	root, err = e.get(id)
-	if err != nil {
-		return nil, err
-	}
-	return e.componentsLocked(root, q, 0, true)
+	return run()
 }
 
 // ParentsOf implements (parents-of Object ...): the objects holding direct
 // composite references to the object, read from its reverse composite
 // references (§2.4).
 func (e *Engine) ParentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	var out []uid.UID
-	err := e.withFresh(id, func(o *object.Object) {
-		q.Prof.ObjectVisited()
-		for _, r := range o.Reverse() {
-			if q.wantEdge(r.Exclusive) && e.wantClass(q, r.Parent) {
-				out = append(out, r.Parent)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return live(e, q.Prof, func(r reader) ([]uid.UID, error) { return r.parents(id, q) })
 }
 
 // AncestorsOf implements (ancestors-of Object ...): the transitive closure
-// of ParentsOf, in BFS order. When the edge filter is all-pass the raw
-// ancestor set is served from (and fills) the invalidation-aware cache;
-// the Classes filter applies to the cached order.
+// of ParentsOf, in BFS order.
 func (e *Engine) AncestorsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
+	run := func() ([]uid.UID, error) {
+		return live(e, q.Prof, func(r reader) ([]uid.UID, error) { return r.ancestors(id, q) })
+	}
 	if e.o.timed() || e.o.flight != nil {
-		return e.observeQuery("ancestors-of", id, q.Prof, func() ([]uid.UID, error) {
-			return e.ancestorsOf(id, q)
-		})
+		return e.observeQuery("ancestors-of", id, q.Prof, run)
 	}
-	return e.ancestorsOf(id, q)
-}
-
-func (e *Engine) ancestorsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	cacheable := q.cacheable()
-	e.mu.RLock()
-	cc := e.cat.CurrentCC()
-	if cacheable {
-		if ent := e.cache.lookupAnc(id); ent != nil && e.ancestorValidLocked(ent, cc) {
-			e.o.ancestorHits.Inc()
-			q.Prof.CacheHit()
-			out := e.filterAncestors(q, ent.order)
-			e.mu.RUnlock()
-			return out, nil
-		}
-		e.o.ancestorMisses.Inc()
-		q.Prof.CacheMiss()
-	}
-	out, err := e.ancestorsRead(id, q, cc, cacheable)
-	e.mu.RUnlock()
-	if err == nil || !errors.Is(err, errStaleCC) {
-		return out, err
-	}
-	// Deferred schema changes pend somewhere in the ancestor graph: apply
-	// them under the write lock and retry.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	root, err := e.get(id)
-	if err != nil {
-		return nil, err
-	}
-	order, err := e.ancestorsLocked(root, q, 0, true, cacheable)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		ent := e.storeAncestorsLocked(id, order, e.cat.CurrentCC())
-		return e.filterAncestors(q, ent.order), nil
-	}
-	return order, nil
-}
-
-// ancestorsRead is the read-locked ancestor traversal, filling the cache
-// when the query is cacheable. Caller holds e.mu for reading.
-func (e *Engine) ancestorsRead(id uid.UID, q QueryOpts, cc uint64, cacheable bool) ([]uid.UID, error) {
-	root, err := e.readObject(id, cc)
-	if err != nil {
-		return nil, err
-	}
-	order, err := e.ancestorsLocked(root, q, cc, false, cacheable)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		ent := e.storeAncestorsLocked(id, order, cc)
-		return e.filterAncestors(q, ent.order), nil
-	}
-	return order, nil
-}
-
-// rawAncestorEntry returns the cached (or freshly computed and cached)
-// raw ancestor entry for id, for membership tests. Caller holds e.mu for
-// reading; errStaleCC propagates for the caller's write-locked retry.
-func (e *Engine) rawAncestorEntry(id uid.UID, cc uint64) (*ancestorEntry, error) {
-	if ent := e.cache.lookupAnc(id); ent != nil && e.ancestorValidLocked(ent, cc) {
-		e.o.ancestorHits.Inc()
-		return ent, nil
-	}
-	e.o.ancestorMisses.Inc()
-	root, err := e.readObject(id, cc)
-	if err != nil {
-		return nil, err
-	}
-	order, err := e.ancestorsLocked(root, QueryOpts{}, cc, false, true)
-	if err != nil {
-		return nil, err
-	}
-	return e.storeAncestorsLocked(id, order, cc), nil
+	return run()
 }
 
 // ComponentOf implements (component-of Object1 Object2): true when a is a
-// direct or indirect component of b. It walks a's ancestor set via the
-// reverse references rather than scanning b's components, as §3.2 suggests
-// the shorthand should; the set is served from the ancestor cache.
+// direct or indirect component of b.
 func (e *Engine) ComponentOf(a, b uid.UID) (bool, error) {
-	e.mu.RLock()
-	cc := e.cat.CurrentCC()
-	var err error
-	if _, ok := e.objects[a]; !ok {
-		err = fmt.Errorf("%v: %w", a, ErrNoObject)
-	} else if _, ok := e.objects[b]; !ok {
-		err = fmt.Errorf("%v: %w", b, ErrNoObject)
-	}
-	if err != nil {
-		e.mu.RUnlock()
-		return false, err
-	}
-	if a == b {
-		e.mu.RUnlock()
-		return false, nil
-	}
-	ent, err := e.rawAncestorEntry(a, cc)
-	if err == nil {
-		ok := ent.member[b]
-		e.mu.RUnlock()
-		return ok, nil
-	}
-	e.mu.RUnlock()
-	if !errors.Is(err, errStaleCC) {
-		return false, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	root, err := e.get(a)
-	if err != nil {
-		return false, err
-	}
-	order, err := e.ancestorsLocked(root, QueryOpts{}, 0, true, true)
-	if err != nil {
-		return false, err
-	}
-	ent = e.storeAncestorsLocked(a, order, e.cat.CurrentCC())
-	return ent.member[b], nil
+	return live(e, nil, func(r reader) (bool, error) { return r.componentOf(a, b) })
 }
 
 // ChildOf implements (child-of Object1 Object2): true when a is a direct
 // component of b.
 func (e *Engine) ChildOf(a, b uid.UID) (bool, error) {
-	var has bool
-	if err := e.withFresh(a, func(o *object.Object) { has = o.HasReverse(b) }); err != nil {
-		return false, err
-	}
-	e.mu.RLock()
-	_, ok := e.objects[b]
-	e.mu.RUnlock()
-	if !ok {
-		return false, fmt.Errorf("%v: %w", b, ErrNoObject)
-	}
-	return has, nil
+	return live(e, nil, func(r reader) (bool, error) { return r.childOf(a, b) })
 }
 
 // ExclusiveComponentOf implements (exclusive-component-of Object1
@@ -361,88 +216,21 @@ func (e *Engine) ChildOf(a, b uid.UID) (bool, error) {
 // composite reference; Nil (false) when a is not a component at all or is
 // a shared component (§3.2).
 func (e *Engine) ExclusiveComponentOf(a, b uid.UID) (bool, error) {
-	is, err := e.ComponentOf(a, b)
-	if err != nil || !is {
-		return false, err
-	}
-	var excl bool
-	if err := e.withFresh(a, func(o *object.Object) { excl = o.HasExclusiveReverse() }); err != nil {
-		if errors.Is(err, ErrNoObject) {
-			return false, nil // deleted between the two steps
-		}
-		return false, err
-	}
-	return excl, nil
+	return live(e, nil, func(r reader) (bool, error) { return r.componentHeld(a, b, true) })
 }
 
 // SharedComponentOf implements (shared-component-of Object1 Object2): true
 // when a is a shared component of b. As §3.2 observes, it is equivalent to
 // component-of followed by a negative exclusive-component-of.
 func (e *Engine) SharedComponentOf(a, b uid.UID) (bool, error) {
-	is, err := e.ComponentOf(a, b)
-	if err != nil || !is {
-		return false, err
-	}
-	var excl, alive bool
-	if err := e.withFresh(a, func(o *object.Object) { excl, alive = o.HasExclusiveReverse(), true }); err != nil {
-		if errors.Is(err, ErrNoObject) {
-			return false, nil
-		}
-		return false, err
-	}
-	return alive && !excl, nil
+	return live(e, nil, func(r reader) (bool, error) { return r.componentHeld(a, b, false) })
 }
 
 // LevelOf returns n such that a is a level-n component of b (the shortest
 // path from b to a counted in composite references, §2.2), or -1 when a is
 // not a component of b.
 func (e *Engine) LevelOf(a, b uid.UID) (int, error) {
-	e.mu.RLock()
-	cc := e.cat.CurrentCC()
-	lvl, err := e.levelLocked(a, b, cc, false)
-	e.mu.RUnlock()
-	if err == nil || !errors.Is(err, errStaleCC) {
-		return lvl, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.levelLocked(a, b, 0, true)
-}
-
-func (e *Engine) levelLocked(a, b uid.UID, cc uint64, mutate bool) (int, error) {
-	w := e.newWalker(QueryOpts{}, cc, mutate)
-	if _, err := w.fetch(a); err != nil {
-		return -1, err
-	}
-	if _, err := w.fetch(b); err != nil {
-		return -1, err
-	}
-	type item struct {
-		id    uid.UID
-		level int
-	}
-	seen := uid.NewSet(a)
-	queue := []item{{a, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		o, err := w.fetch(cur.id)
-		if err != nil {
-			if errors.Is(err, errStaleCC) {
-				return -1, err
-			}
-			continue
-		}
-		for _, r := range o.Reverse() {
-			if r.Parent == b {
-				return cur.level + 1, nil
-			}
-			if seen.Add(r.Parent) {
-				queue = append(queue, item{r.Parent, cur.level + 1})
-			}
-		}
-	}
-	return -1, nil
+	return live(e, nil, func(r reader) (int, error) { return r.level(a, b) })
 }
 
 // RootsOf returns the roots of the composite objects containing id: the
@@ -450,66 +238,26 @@ func (e *Engine) levelLocked(a, b uid.UID, cc uint64, mutate bool) (int, error) 
 // system needs this for locking and authorization (§2.4), and because
 // bottom-up creation lets roots change, it is computed, never cached.
 func (e *Engine) RootsOf(id uid.UID) ([]uid.UID, error) {
-	e.mu.RLock()
-	cc := e.cat.CurrentCC()
-	roots, err := e.rootsLocked(id, cc, false)
-	e.mu.RUnlock()
-	if err == nil || !errors.Is(err, errStaleCC) {
-		return roots, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rootsLocked(id, 0, true)
+	return live(e, nil, func(r reader) ([]uid.UID, error) { return r.roots(id) })
 }
 
-func (e *Engine) rootsLocked(id uid.UID, cc uint64, mutate bool) ([]uid.UID, error) {
-	w := e.newWalker(QueryOpts{}, cc, mutate)
-	o, err := w.fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	if !o.HasAnyReverse() {
-		return []uid.UID{id}, nil
-	}
-	seen := uid.NewSet(id)
-	queue := []uid.UID{id}
-	var roots []uid.UID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		co, err := w.fetch(cur)
-		if err != nil {
-			if errors.Is(err, errStaleCC) {
-				return nil, err
-			}
-			continue
-		}
-		if cur != id && !co.HasAnyReverse() {
-			roots = append(roots, cur)
-			continue
-		}
-		for _, r := range co.Reverse() {
-			if seen.Add(r.Parent) {
-				queue = append(queue, r.Parent)
-			}
-		}
-	}
-	return roots, nil
+// Partitions returns the partition sets IX/DX/IS/DS of Definition 1
+// (§2.2) for the object, from its reverse composite references.
+func (e *Engine) Partitions(id uid.UID) (PartitionSets, error) {
+	return live(e, nil, func(r reader) (PartitionSets, error) { return r.partitions(id) })
 }
 
 // Describe renders the object with its class name, for the figures tool.
 func (e *Engine) Describe(id uid.UID) (string, error) {
-	var s string
-	var cerr error
-	if err := e.withFresh(id, func(o *object.Object) {
+	return live(e, nil, func(r reader) (string, error) {
+		o, err := r.src.fetch(id)
+		if err != nil {
+			return "", err
+		}
 		cl, err := e.cat.ClassByID(id.Class)
 		if err != nil {
-			cerr = err
-			return
+			return "", err
 		}
-		s = fmt.Sprintf("%s %s", cl.Name, o)
-	}); err != nil {
-		return "", err
-	}
-	return s, cerr
+		return fmt.Sprintf("%s %s", cl.Name, o), nil
+	})
 }

@@ -18,11 +18,8 @@ import (
 // state at sequence Seq, however long the snapshot lives.
 //
 // Like a Txn, a Snapshot is single-goroutine (one goroutine per
-// snapshot, many snapshots in parallel): its memo caches are private
-// plain maps. That privacy is also the staleness fix for the shared
-// generation-counter caches — a snapshot never consults them, so a
-// post-commit entry can never be served to a pre-commit snapshot
-// (TestSnapshotCacheIsolation pins this).
+// snapshot, many snapshots in parallel). Its queries are the engine's own
+// walks (traverse.go) over the version chains instead of the live table.
 //
 // Objects returned by Get are the shared immutable version records:
 // callers must treat them as read-only.
@@ -48,12 +45,6 @@ type Snapshot struct {
 	// snapshot's reads: objects visited and MVCC version-chain nodes
 	// walked. Single-goroutine like the rest of the snapshot.
 	prof *obs.ProfCtx
-
-	// Per-snapshot memoization, never shared: traversal plans per
-	// (class, edge-filter) and raw ancestor orders per object. Both are
-	// immutable facts for the lifetime of the snapshot.
-	plans map[planKey][]string
-	anc   map[uid.UID][]uid.UID
 }
 
 // BeginSnapshot registers a read-only snapshot at the current commit
@@ -67,13 +58,7 @@ func (e *Engine) BeginSnapshot() *Snapshot {
 	e.o.mvccSnapshotBegins.Inc()
 	e.o.mvccSnapshotsActive.Add(1)
 	e.updateSnapshotAge()
-	return &Snapshot{
-		e:     e,
-		seq:   seq,
-		cat:   e.catalogView(),
-		plans: make(map[planKey][]string),
-		anc:   make(map[uid.UID][]uid.UID),
-	}
+	return &Snapshot{e: e, seq: seq, cat: e.catalogView()}
 }
 
 // catalogView returns an immutable clone of the catalog at its current
@@ -146,7 +131,10 @@ func (s *Snapshot) object(id uid.UID) *object.Object {
 
 // Get returns the object's committed state at the snapshot boundary.
 // The returned object is the shared version record: read-only.
-func (s *Snapshot) Get(id uid.UID) (*object.Object, error) {
+func (s *Snapshot) Get(id uid.UID) (*object.Object, error) { return s.fetch(id) }
+
+// fetch makes the snapshot a walk source (traverse.go).
+func (s *Snapshot) fetch(id uid.UID) (*object.Object, error) {
 	if o := s.object(id); o != nil {
 		return o, nil
 	}
@@ -192,256 +180,45 @@ func (s *Snapshot) Len() int {
 	return n
 }
 
-// planFor memoizes the composite attributes of class c passing the edge
-// filter, from the snapshot's pinned catalog clone — a schema evolution
-// committed after BeginSnapshot cannot change the answer. The shared plan
-// cache is deliberately not consulted: snapshot memos must never mix with
-// generation-keyed shared state.
-func (s *Snapshot) planFor(q QueryOpts, c uid.ClassID) []string {
-	key := planKey{class: c, exclusive: q.Exclusive, shared: q.Shared}
-	if attrs, ok := s.plans[key]; ok {
-		return attrs
-	}
-	var names []string
-	if cl, err := s.cat.ClassByID(c); err == nil {
-		if attrs, err := s.cat.Attributes(cl.Name); err == nil {
-			for _, spec := range attrs {
-				if spec.Composite && q.wantEdge(spec.Exclusive) {
-					names = append(names, spec.Name)
-				}
-			}
-		}
-	}
-	s.plans[key] = names
-	return names
-}
+func (s *Snapshot) reader() reader { return s.e.reader(s, s.cat) }
 
-// wantClass is the engine's Classes-filter test against the snapshot's
-// pinned catalog.
-func (s *Snapshot) wantClass(q QueryOpts, id uid.UID) bool {
-	if len(q.Classes) == 0 {
-		return true
-	}
-	cl, err := s.cat.ClassByID(id.Class)
-	if err != nil {
-		return false
-	}
-	for _, want := range q.Classes {
-		if s.cat.IsA(cl.Name, want) {
-			return true
-		}
-	}
-	return false
-}
-
-// filterAncestors applies the Classes filter to a cached raw ancestor
-// order, against the pinned catalog. Always returns a fresh slice.
-func (s *Snapshot) filterAncestors(q QueryOpts, order []uid.UID) []uid.UID {
-	if len(q.Classes) == 0 {
-		return append([]uid.UID(nil), order...)
-	}
-	var out []uid.UID
-	for _, id := range order {
-		if s.wantClass(q, id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ComponentsOf is the snapshot form of (components-of Object ...): the
-// same BFS level-order walk as the engine's, over version-resolved
-// objects. Expansion is sequential — snapshots favor isolation over
-// intra-query parallelism.
+// ComponentsOf is the snapshot form of Engine.ComponentsOf.
 func (s *Snapshot) ComponentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	root, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	seen := uid.NewSet(id)
-	frontier := []*object.Object{root}
-	var out []uid.UID
-	for level := 0; len(frontier) > 0; level++ {
-		if q.Level > 0 && level >= q.Level {
-			break
-		}
-		var next []*object.Object
-		for _, o := range frontier {
-			for _, name := range s.planFor(q, o.Class()) {
-				for _, child := range o.Get(name).Refs(nil) {
-					if !seen.Add(child) {
-						continue
-					}
-					co := s.object(child)
-					if co == nil {
-						if q.Strict {
-							return nil, fmt.Errorf("core: %v references missing component %v: %w",
-								o.UID(), child, ErrDangling)
-						}
-						continue
-					}
-					if s.wantClass(q, child) {
-						out = append(out, child)
-					}
-					next = append(next, co)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out, nil
+	return s.reader().components(id, q)
 }
 
-// ParentsOf is the snapshot form of (parents-of Object ...).
+// ParentsOf is the snapshot form of Engine.ParentsOf.
 func (s *Snapshot) ParentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	o, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	var out []uid.UID
-	for _, r := range o.Reverse() {
-		if q.wantEdge(r.Exclusive) && s.wantClass(q, r.Parent) {
-			out = append(out, r.Parent)
-		}
-	}
-	return out, nil
+	return s.reader().parents(id, q)
 }
 
-// AncestorsOf is the snapshot form of (ancestors-of Object ...). As in
-// the engine, an all-pass edge filter computes the raw ancestor order
-// once (memoized for the snapshot's lifetime) and applies the Classes
-// filter on top.
+// AncestorsOf is the snapshot form of Engine.AncestorsOf.
 func (s *Snapshot) AncestorsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	cacheable := q.cacheable()
-	if cacheable {
-		if order, ok := s.anc[id]; ok {
-			return s.filterAncestors(q, order), nil
-		}
-	}
-	root, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	order, err := s.ancestors(root, q, cacheable)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		s.anc[id] = order
-		return s.filterAncestors(q, order), nil
-	}
-	return order, nil
+	return s.reader().ancestors(id, q)
 }
 
-// ancestors mirrors the engine's ancestorsLocked over version-resolved
-// objects: reverse BFS, with raw selecting the unfiltered (cacheable)
-// form. A reverse reference to an object missing at the boundary still
-// contributes the parent but is not expanded, exactly as the live path
-// treats dangling reverse references.
-func (s *Snapshot) ancestors(start *object.Object, q QueryOpts, raw bool) ([]uid.UID, error) {
-	if raw {
-		q = QueryOpts{Strict: q.Strict}
-	}
-	seen := uid.NewSet(start.UID())
-	frontier := []*object.Object{start}
-	var out []uid.UID
-	for len(frontier) > 0 {
-		var next []*object.Object
-		for _, o := range frontier {
-			for _, r := range o.Reverse() {
-				if !q.wantEdge(r.Exclusive) {
-					continue
-				}
-				p := r.Parent
-				if !seen.Add(p) {
-					continue
-				}
-				keep := raw || s.wantClass(q, p)
-				po := s.object(p)
-				if po == nil {
-					if q.Strict {
-						return nil, fmt.Errorf("core: %v holds a reverse reference to missing parent %v: %w",
-							o.UID(), p, ErrDangling)
-					}
-					if keep {
-						out = append(out, p)
-					}
-					continue
-				}
-				if keep {
-					out = append(out, p)
-				}
-				next = append(next, po)
-			}
-		}
-		frontier = next
-	}
-	return out, nil
+// ComponentOf is the snapshot form of Engine.ComponentOf.
+func (s *Snapshot) ComponentOf(a, b uid.UID) (bool, error) { return s.reader().componentOf(a, b) }
+
+// ChildOf is the snapshot form of Engine.ChildOf.
+func (s *Snapshot) ChildOf(a, b uid.UID) (bool, error) { return s.reader().childOf(a, b) }
+
+// ExclusiveComponentOf is the snapshot form of Engine.ExclusiveComponentOf.
+func (s *Snapshot) ExclusiveComponentOf(a, b uid.UID) (bool, error) {
+	return s.reader().componentHeld(a, b, true)
 }
 
-// ComponentOf is the snapshot form of (component-of Object1 Object2),
-// answered from the memoized raw ancestor order of a.
-func (s *Snapshot) ComponentOf(a, b uid.UID) (bool, error) {
-	if _, err := s.Get(a); err != nil {
-		return false, err
-	}
-	if _, err := s.Get(b); err != nil {
-		return false, err
-	}
-	if a == b {
-		return false, nil
-	}
-	order, err := s.AncestorsOf(a, QueryOpts{})
-	if err != nil {
-		return false, err
-	}
-	for _, p := range order {
-		if p == b {
-			return true, nil
-		}
-	}
-	return false, nil
+// SharedComponentOf is the snapshot form of Engine.SharedComponentOf.
+func (s *Snapshot) SharedComponentOf(a, b uid.UID) (bool, error) {
+	return s.reader().componentHeld(a, b, false)
 }
 
-// Partitions returns the §2.2 partition sets at the snapshot boundary.
-// Slices are owned by the caller.
-func (s *Snapshot) Partitions(id uid.UID) (PartitionSets, error) {
-	o, err := s.Get(id)
-	if err != nil {
-		return PartitionSets{}, err
-	}
-	return PartitionSets{IX: o.IX(), DX: o.DX(), IS: o.IS(), DS: o.DS()}, nil
-}
+// LevelOf is the snapshot form of Engine.LevelOf.
+func (s *Snapshot) LevelOf(a, b uid.UID) (int, error) { return s.reader().level(a, b) }
 
-// RootsOf is the snapshot form of Engine.RootsOf: the ancestors of id
-// (or id itself) without composite parents at the boundary.
-func (s *Snapshot) RootsOf(id uid.UID) ([]uid.UID, error) {
-	o, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if !o.HasAnyReverse() {
-		return []uid.UID{id}, nil
-	}
-	seen := uid.NewSet(id)
-	queue := []uid.UID{id}
-	var roots []uid.UID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		co := s.object(cur)
-		if co == nil {
-			continue
-		}
-		if cur != id && !co.HasAnyReverse() {
-			roots = append(roots, cur)
-			continue
-		}
-		for _, r := range co.Reverse() {
-			if seen.Add(r.Parent) {
-				queue = append(queue, r.Parent)
-			}
-		}
-	}
-	return roots, nil
-}
+// RootsOf is the snapshot form of Engine.RootsOf.
+func (s *Snapshot) RootsOf(id uid.UID) ([]uid.UID, error) { return s.reader().roots(id) }
+
+// Partitions is the snapshot form of Engine.Partitions. Slices are owned
+// by the caller.
+func (s *Snapshot) Partitions(id uid.UID) (PartitionSets, error) { return s.reader().partitions(id) }

@@ -3,329 +3,374 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/object"
+	"repro/internal/schema"
 	"repro/internal/uid"
 )
 
-// errStaleCC signals, on the read-locked fast path, that deferred schema
-// changes (§4.3) pend on an object the query touched. Applying them
-// mutates the object, which the read lock forbids; the caller retries the
-// whole operation under the write lock, where get applies them.
-var errStaleCC = errors.New("core: deferred schema changes pending")
-
-// ErrDangling reports a composite reference to a missing object, surfaced
-// by queries run with QueryOpts.Strict. A dangling composite reference is
-// an integrity violation (unlike weak references, which ORION lets
-// dangle); the lenient default skips it, as the paper's implementation
-// does.
-var ErrDangling = errors.New("core: dangling composite reference")
-
-// TraversalOpts configures the parallel composite traversal used by
-// ComponentsOf and AncestorsOf. Parallelism bounds the worker count for
-// expanding one BFS level (<= 0 selects GOMAXPROCS); Threshold is the
-// minimum frontier size before workers are used at all (<= 0 selects the
-// default) — small frontiers expand sequentially, since fan-out overhead
-// would dominate.
-type TraversalOpts struct {
-	Parallelism int
-	Threshold   int
-}
-
-// defaultTraversalThreshold is the frontier size below which level
-// expansion stays sequential.
-const defaultTraversalThreshold = 64
-
-func (t TraversalOpts) normalized() TraversalOpts {
-	if t.Parallelism <= 0 {
-		t.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if t.Threshold <= 0 {
-		t.Threshold = defaultTraversalThreshold
-	}
-	return t
-}
-
-// SetTraversalOpts installs the traversal configuration.
-func (e *Engine) SetTraversalOpts(t TraversalOpts) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.trav = t.normalized()
-}
-
-// TraversalOpts returns the current traversal configuration.
-func (e *Engine) TraversalOpts() TraversalOpts {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.trav
-}
-
-// walker carries the per-traversal state of one BFS. mutate selects the
-// write-locked path: fetch applies deferred schema changes via get, and
-// expansion stays sequential (workers must not mutate). On the read
-// path (mutate false) fetch never mutates and fails with errStaleCC when
-// an object it needs has pending changes.
+// The §3 queries are written once, as walks over a source. A source
+// resolves a UID to an object; it has three forms:
 //
-// plans and maxCC are written only by the merge step (which runs on the
-// goroutine holding the engine latch), never by expansion workers, so the
-// maps need no locking.
-type walker struct {
-	e      *Engine
-	q      QueryOpts
-	cc     uint64
-	catVer uint64
-	mutate bool
-	plans  map[uid.ClassID][]string
-	maxCC  map[uid.ClassID]uint64
+//   - the live table under the engine's read latch (liveSource), which
+//     fails with errStaleCC when deferred schema changes pend on an
+//     object, so the caller retries under the write latch;
+//   - the live table under the write latch (liveSource with write set),
+//     which applies pending changes through get;
+//   - a snapshot's version chains at its sequence number (*Snapshot),
+//     which reads each version as it was installed and makes no
+//     staleness check.
+//
+// A walk takes no lock of its own: the engine's methods run it through
+// live, which holds the latch, and a Snapshot's methods pass the
+// snapshot itself.
+type source interface {
+	fetch(id uid.UID) (*object.Object, error)
 }
 
-func (e *Engine) newWalker(q QueryOpts, cc uint64, mutate bool) *walker {
-	return &walker{
-		e:      e,
-		q:      q,
-		cc:     cc,
-		catVer: e.cat.Version(),
-		mutate: mutate,
-		plans:  make(map[uid.ClassID][]string),
-		maxCC:  make(map[uid.ClassID]uint64),
-	}
+// reader answers the §3 queries over one source, planning against cat:
+// the live catalog, or the clone a snapshot pinned.
+type reader struct {
+	e   *Engine
+	src source
+	cat *schema.Catalog
+	ver uint64 // cat.Version() when the reader was made
 }
 
-// fetch returns the live object for a traversal step. Read path: the
-// object is returned as stored, unless deferred schema changes newer than
-// its CC stamp apply to its class, in which case errStaleCC tells the
-// caller to restart under the write lock. Write path: get, which applies
-// the pending changes.
-func (w *walker) fetch(id uid.UID) (*object.Object, error) {
-	if w.mutate {
-		o, err := w.e.get(id)
-		if err == nil {
-			w.q.Prof.ObjectVisited()
+func (e *Engine) reader(src source, cat *schema.Catalog) reader {
+	return reader{e: e, src: src, cat: cat, ver: cat.Version()}
+}
+
+// planKey identifies a composite traversal plan: the composite
+// attributes of a class that pass an Exclusive/Shared edge filter, as
+// the catalog at version ver defines them.
+type planKey struct {
+	ver       uint64
+	class     uid.ClassID
+	exclusive bool
+	shared    bool
+}
+
+// planMemo holds the traversal plans of every walk, live and snapshot
+// alike. Resolving a class's attributes walks the inheritance lattice,
+// which dominates traversal cost on deep schemas. A key carries the
+// catalog version it was read at and a pinned clone keeps its version, so
+// a snapshot never uses a plan of a schema it does not see. Entries of
+// older versions are dropped when a newer one is stored.
+type planMemo struct {
+	mu     sync.RWMutex
+	latest uint64
+	plans  map[planKey][]string
+}
+
+func (m *planMemo) lookup(k planKey) ([]string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	attrs, ok := m.plans[k]
+	return attrs, ok
+}
+
+func (m *planMemo) store(k planKey, attrs []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if k.ver > m.latest {
+		for old := range m.plans {
+			if old.ver < k.ver {
+				delete(m.plans, old)
+			}
 		}
-		return o, err
+		m.latest = k.ver
 	}
-	o, ok := w.e.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
-	}
-	if o.CC() < w.cc && o.CC() < w.pendingCeiling(id.Class) {
-		w.e.o.staleRetries.Inc()
-		return nil, errStaleCC
-	}
-	w.q.Prof.ObjectVisited()
-	return o, nil
+	m.plans[k] = attrs
 }
 
-// pendingCeiling returns the highest CC of a deferred log entry applicable
-// to instances of class c (0 when none), memoized per traversal so the
-// staleness test on each visited object is O(1) after the first instance
-// of its class.
-func (w *walker) pendingCeiling(c uid.ClassID) uint64 {
-	if v, ok := w.maxCC[c]; ok {
-		return v
+// plan returns the composite attributes of class c passing q's edge
+// filter. memo is the walk's own map, so the shared memo is consulted
+// (and counted) once per class per walk.
+func (r reader) plan(memo map[uid.ClassID][]string, c uid.ClassID, q QueryOpts) []string {
+	if names, ok := memo[c]; ok {
+		return names
 	}
-	var v uint64
-	if cl, err := w.e.cat.ClassByID(c); err == nil {
-		if entries := w.e.cat.Pending(cl.Name, 0); len(entries) > 0 {
-			v = entries[len(entries)-1].CC
-		}
-	}
-	w.maxCC[c] = v
-	return v
-}
-
-// planFor memoizes the composite attributes of class c that pass the edge
-// filter, consulting the engine-wide plan cache first (catalog attribute
-// resolution walks the inheritance lattice on every call, which dominates
-// traversal cost on deep schemas). Merge-side only.
-func (w *walker) planFor(c uid.ClassID) {
-	if _, ok := w.plans[c]; ok {
-		return
-	}
-	key := planKey{class: c, exclusive: w.q.Exclusive, shared: w.q.Shared}
-	if ent := w.e.cache.lookupPlan(key); ent != nil && ent.ver == w.catVer {
-		w.e.o.planHits.Inc()
-		w.q.Prof.CacheHit()
-		w.plans[c] = ent.attrs
-		return
-	}
-	w.e.o.planMisses.Inc()
-	w.q.Prof.CacheMiss()
-	var names []string
-	if cl, err := w.e.cat.ClassByID(c); err == nil {
-		if attrs, err := w.e.cat.Attributes(cl.Name); err == nil {
-			for _, spec := range attrs {
-				if spec.Composite && w.q.wantEdge(spec.Exclusive) {
-					names = append(names, spec.Name)
+	key := planKey{ver: r.ver, class: c, exclusive: q.Exclusive, shared: q.Shared}
+	names, ok := r.e.plans.lookup(key)
+	if ok {
+		r.e.o.planHits.Inc()
+		q.Prof.CacheHit()
+	} else {
+		r.e.o.planMisses.Inc()
+		q.Prof.CacheMiss()
+		if cl, err := r.cat.ClassByID(c); err == nil {
+			if attrs, err := r.cat.Attributes(cl.Name); err == nil {
+				for _, spec := range attrs {
+					if spec.Composite && q.wantEdge(spec.Exclusive) {
+						names = append(names, spec.Name)
+					}
 				}
 			}
 		}
+		// A catalog mutation advances the version before it releases the
+		// catalog lock, so an unchanged version means names were read
+		// from the schema at r.ver.
+		if r.cat.Version() == r.ver {
+			r.e.plans.store(key, names)
+		}
 	}
-	w.plans[c] = names
-	w.e.cache.storePlan(key, &planEntry{attrs: names, ver: w.catVer})
+	memo[c] = names
+	return names
 }
 
-// children returns the UIDs o references through the planned composite
-// attributes, in attribute order. The plan for o's class must already be
-// in w.plans (the merge step guarantees this before expansion).
-func (w *walker) children(o *object.Object) []uid.UID {
-	var out []uid.UID
-	for _, name := range w.plans[o.Class()] {
-		out = o.Get(name).Refs(out)
+// wantClass reports whether id's class passes the Classes filter
+// (subclasses included).
+func (r reader) wantClass(q QueryOpts, id uid.UID) bool {
+	if len(q.Classes) == 0 {
+		return true
 	}
-	return out
+	cl, err := r.cat.ClassByID(id.Class)
+	if err != nil {
+		return false
+	}
+	for _, want := range q.Classes {
+		if r.cat.IsA(cl.Name, want) {
+			return true
+		}
+	}
+	return false
 }
 
-// expand computes the outgoing edges of every frontier object — composite
-// children (down) or composite parents via reverse references (up) — as
-// one slice per frontier slot, preserving per-object order. Large
-// frontiers are split across workers; because each worker writes only its
-// own slots and reads only immutable traversal state, the result is
-// identical to the sequential expansion, and the caller's ordered merge
-// preserves the BFS level-order output contract exactly.
-func (w *walker) expand(frontier []*object.Object, down bool) [][]uid.UID {
-	out := make([][]uid.UID, len(frontier))
-	expand1 := func(i int) {
-		o := frontier[i]
-		if down {
-			out[i] = w.children(o)
-			return
-		}
-		for _, r := range o.Reverse() {
-			if w.q.wantEdge(r.Exclusive) {
-				out[i] = append(out[i], r.Parent)
-			}
-		}
+// components is (components-of ...): the objects reachable from id over
+// composite references passing the edge filter, in BFS level order, down
+// to q.Level levels (0 = all). A reference to a missing object is
+// skipped, or is ErrDangling under q.Strict.
+func (r reader) components(id uid.UID, q QueryOpts) ([]uid.UID, error) {
+	root, err := r.src.fetch(id)
+	if err != nil {
+		return nil, err
 	}
-	opts := w.e.trav
-	if w.mutate || opts.Parallelism <= 1 || len(frontier) < opts.Threshold {
-		for i := range frontier {
-			expand1(i)
-		}
-		return out
-	}
-	workers := opts.Parallelism
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	chunk := (len(frontier) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(frontier); lo += chunk {
-		hi := lo + chunk
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				expand1(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// componentsLocked runs the (components-of ...) BFS from root. The
-// traversal is level-synchronous: each level is expanded (possibly in
-// parallel), then merged sequentially in frontier order, so the output is
-// the exact BFS level-order sequence the sequential walk produces. Caller
-// holds e.mu — for reading when w.mutate is false, for writing otherwise.
-func (e *Engine) componentsLocked(root *object.Object, q QueryOpts, cc uint64, mutate bool) ([]uid.UID, error) {
-	w := e.newWalker(q, cc, mutate)
-	id := root.UID()
-	q.Prof.ObjectVisited() // the root, fetched by the caller
-	w.planFor(id.Class)
+	memo := make(map[uid.ClassID][]string)
 	seen := uid.NewSet(id)
 	frontier := []*object.Object{root}
-	frontierIDs := []uid.UID{id}
-	var out []uid.UID
-	for level := 0; len(frontier) > 0; level++ {
-		if q.Level > 0 && level >= q.Level {
-			break
-		}
+	var out, kids []uid.UID
+	for level := 0; len(frontier) > 0 && (q.Level <= 0 || level < q.Level); level++ {
 		var next []*object.Object
-		var nextIDs []uid.UID
-		for i, kids := range w.expand(frontier, true) {
+		for _, o := range frontier {
+			kids = kids[:0]
+			for _, name := range r.plan(memo, o.Class(), q) {
+				kids = o.Get(name).Refs(kids)
+			}
 			for _, child := range kids {
 				if !seen.Add(child) {
 					continue
 				}
-				co, err := w.fetch(child)
+				co, err := r.src.fetch(child)
+				if errors.Is(err, errStaleCC) {
+					return nil, err
+				}
 				if err != nil {
-					if errors.Is(err, errStaleCC) {
-						return nil, err
-					}
 					if q.Strict {
 						return nil, fmt.Errorf("core: %v references missing component %v: %w",
-							frontierIDs[i], child, ErrDangling)
+							o.UID(), child, ErrDangling)
 					}
-					continue // dangling composite ref would be an integrity bug; skip defensively
+					continue
 				}
-				if e.wantClass(q, child) {
+				if r.wantClass(q, child) {
 					out = append(out, child)
 				}
-				w.planFor(child.Class)
 				next = append(next, co)
-				nextIDs = append(nextIDs, child)
 			}
 		}
-		frontier, frontierIDs = next, nextIDs
+		frontier = next
 	}
 	return out, nil
 }
 
-// ancestorsLocked runs the reverse BFS from start over the reverse
-// composite references. With raw true, the edge filter is all-pass and
-// every ancestor is collected (the cacheable form; class filtering
-// happens on the cached order afterwards). A reverse reference to a
-// missing parent still contributes the parent to the output — ParentsOf
-// reads reverse references without an existence check, and ancestors-of
-// is its closure — but is not expanded; with q.Strict it is an error.
-// Caller holds e.mu as for componentsLocked.
-func (e *Engine) ancestorsLocked(start *object.Object, q QueryOpts, cc uint64, mutate, raw bool) ([]uid.UID, error) {
-	if raw {
-		q = QueryOpts{Strict: q.Strict, Prof: q.Prof}
+// parents is (parents-of ...): the objects holding a composite reference
+// to id, read from its reverse references (§2.4).
+func (r reader) parents(id uid.UID, q QueryOpts) ([]uid.UID, error) {
+	o, err := r.src.fetch(id)
+	if err != nil {
+		return nil, err
 	}
-	w := e.newWalker(q, cc, mutate)
-	seen := uid.NewSet(start.UID())
+	var out []uid.UID
+	for _, ref := range o.Reverse() {
+		if q.wantEdge(ref.Exclusive) && r.wantClass(q, ref.Parent) {
+			out = append(out, ref.Parent)
+		}
+	}
+	return out, nil
+}
+
+// ancestors is (ancestors-of ...): the closure of parents, in BFS order.
+// A reverse reference to a missing parent still reports the parent, as
+// parents does, but is not expanded; under q.Strict it is ErrDangling.
+func (r reader) ancestors(id uid.UID, q QueryOpts) ([]uid.UID, error) {
+	start, err := r.src.fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	seen := uid.NewSet(id)
 	frontier := []*object.Object{start}
-	frontierIDs := []uid.UID{start.UID()}
 	var out []uid.UID
 	for len(frontier) > 0 {
 		var next []*object.Object
-		var nextIDs []uid.UID
-		for i, parents := range w.expand(frontier, false) {
-			for _, p := range parents {
-				if !seen.Add(p) {
+		for _, o := range frontier {
+			for _, ref := range o.Reverse() {
+				if !q.wantEdge(ref.Exclusive) || !seen.Add(ref.Parent) {
 					continue
 				}
-				keep := raw || e.wantClass(q, p)
-				po, err := w.fetch(p)
-				if err != nil {
-					if errors.Is(err, errStaleCC) {
-						return nil, err
-					}
-					if q.Strict {
-						return nil, fmt.Errorf("core: %v holds a reverse reference to missing parent %v: %w",
-							frontierIDs[i], p, ErrDangling)
-					}
-					if keep {
-						out = append(out, p)
-					}
-					continue
+				po, err := r.src.fetch(ref.Parent)
+				if errors.Is(err, errStaleCC) {
+					return nil, err
 				}
-				if keep {
-					out = append(out, p)
+				if err != nil && q.Strict {
+					return nil, fmt.Errorf("core: %v holds a reverse reference to missing parent %v: %w",
+						o.UID(), ref.Parent, ErrDangling)
 				}
-				next = append(next, po)
-				nextIDs = append(nextIDs, p)
+				if r.wantClass(q, ref.Parent) {
+					out = append(out, ref.Parent)
+				}
+				if err == nil {
+					next = append(next, po)
+				}
 			}
 		}
-		frontier, frontierIDs = next, nextIDs
+		frontier = next
 	}
 	return out, nil
+}
+
+// roots returns the ancestors of id (or id itself) with no composite
+// parent: the roots of the composite objects containing id (§2.4).
+func (r reader) roots(id uid.UID) ([]uid.UID, error) {
+	o, err := r.src.fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	if !o.HasAnyReverse() {
+		return []uid.UID{id}, nil
+	}
+	seen := uid.NewSet(id)
+	frontier := []*object.Object{o}
+	var roots []uid.UID
+	for len(frontier) > 0 {
+		var next []*object.Object
+		for _, o := range frontier {
+			for _, ref := range o.Reverse() {
+				if !seen.Add(ref.Parent) {
+					continue
+				}
+				po, err := r.src.fetch(ref.Parent)
+				if errors.Is(err, errStaleCC) {
+					return nil, err
+				}
+				if err != nil {
+					continue
+				}
+				if po.HasAnyReverse() {
+					next = append(next, po)
+				} else {
+					roots = append(roots, ref.Parent)
+				}
+			}
+		}
+		frontier = next
+	}
+	return roots, nil
+}
+
+// level returns n such that a is a level-n component of b (the shortest
+// composite path from b to a, §2.2), or -1 when a is not a component of
+// b. Both objects must exist.
+func (r reader) level(a, b uid.UID) (int, error) {
+	start, err := r.src.fetch(a)
+	if err != nil {
+		return -1, err
+	}
+	if _, err := r.src.fetch(b); err != nil {
+		return -1, err
+	}
+	seen := uid.NewSet(a)
+	frontier := []*object.Object{start}
+	for n := 1; len(frontier) > 0; n++ {
+		var next []*object.Object
+		for _, o := range frontier {
+			for _, ref := range o.Reverse() {
+				if ref.Parent == b {
+					return n, nil
+				}
+				if !seen.Add(ref.Parent) {
+					continue
+				}
+				po, err := r.src.fetch(ref.Parent)
+				if errors.Is(err, errStaleCC) {
+					return -1, err
+				}
+				if err == nil {
+					next = append(next, po)
+				}
+			}
+		}
+		frontier = next
+	}
+	return -1, nil
+}
+
+// componentOf is (component-of a b): a is a direct or indirect component
+// of b. It searches up from a over the reverse references, as §3.2
+// suggests, rather than down b's components.
+func (r reader) componentOf(a, b uid.UID) (bool, error) {
+	if a == b {
+		_, err := r.src.fetch(a)
+		return false, err
+	}
+	n, err := r.level(a, b)
+	return n > 0, err
+}
+
+// childOf is (child-of a b): a is a direct component of b.
+func (r reader) childOf(a, b uid.UID) (bool, error) {
+	o, err := r.src.fetch(a)
+	if err != nil {
+		return false, err
+	}
+	if _, err := r.src.fetch(b); err != nil {
+		return false, err
+	}
+	return o.HasReverse(b), nil
+}
+
+// componentHeld is (exclusive-component-of a b) with exclusive set and
+// (shared-component-of a b) without: a is a component of b, and its
+// composite parents hold it exclusively (or not). Not a component at all
+// answers false either way (§3.2).
+func (r reader) componentHeld(a, b uid.UID, exclusive bool) (bool, error) {
+	is, err := r.componentOf(a, b)
+	if err != nil || !is {
+		return false, err
+	}
+	o, err := r.src.fetch(a)
+	if err != nil {
+		return false, err
+	}
+	return o.HasExclusiveReverse() == exclusive, nil
+}
+
+// PartitionSets are the four partition sets of Definition 1 (§2.2): the
+// parents of an object split by the D and X flags of the composite
+// reference holding it. Slices are in reverse-reference order and owned by
+// the caller.
+type PartitionSets struct {
+	IX []uid.UID // independent exclusive
+	DX []uid.UID // dependent exclusive
+	IS []uid.UID // independent shared
+	DS []uid.UID // dependent shared
+}
+
+// partitions returns id's partition sets, from its reverse references.
+func (r reader) partitions(id uid.UID) (PartitionSets, error) {
+	o, err := r.src.fetch(id)
+	if err != nil {
+		return PartitionSets{}, err
+	}
+	return PartitionSets{IX: o.IX(), DX: o.DX(), IS: o.IS(), DS: o.DS()}, nil
 }

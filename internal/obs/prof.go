@@ -57,8 +57,7 @@ type ProfCtx struct {
 	// MVCC snapshot reads.
 	versionsWalked atomic.Uint64
 
-	// Span tree (serial: one profiled operation is evaluated at a time;
-	// parallel traversal workers only touch the atomic counters above).
+	// Span tree (serial: one profiled operation is evaluated at a time).
 	spanMu sync.Mutex
 	spans  []ProfSpan
 	depth  int

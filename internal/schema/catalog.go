@@ -69,7 +69,10 @@ type Catalog struct {
 
 // Version returns the catalog mutation counter. It advances (at least)
 // once per successful or attempted catalog mutation, so any cached
-// derivation of the schema is stale whenever the counter moved.
+// derivation of the schema is stale whenever the counter moved. A
+// mutation advances it before releasing the catalog lock: a reader that
+// sees the same version before and after reading the schema read that
+// version's schema.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // NewCatalog returns an empty catalog.
@@ -116,8 +119,8 @@ func (c *Catalog) Clone() *Catalog {
 // may shadow inherited attributes, which ORION treats as overriding).
 func (c *Catalog) DefineClass(def ClassDef) (*Class, error) {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	if def.Name == "" {
 		return nil, fmt.Errorf("schema: class with empty name")
 	}

@@ -71,8 +71,8 @@ type OpLog struct {
 // The returned LogEntry describes the flag rewrite in either mode.
 func (c *Catalog) ChangeAttributeType(name, attr string, kind ChangeKind, deferred bool) (LogEntry, error) {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	def, err := c.definingClassLocked(name, attr)
 	if err != nil {
 		return LogEntry{}, err
@@ -134,8 +134,8 @@ func (c *Catalog) ChangeAttributeType(name, attr string, kind ChangeKind, deferr
 // records the new spec here.
 func (c *Catalog) UpdateAttributeFlags(name, attr string, composite, exclusive, dependent bool) error {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	def, err := c.definingClassLocked(name, attr)
 	if err != nil {
 		return err
@@ -235,8 +235,8 @@ func (c *Catalog) ApplyPending(className string, o *object.Object) int {
 // AddAttribute appends a new own attribute to the class.
 func (c *Catalog) AddAttribute(name string, spec AttrSpec) error {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	cl, err := c.classLocked(name)
 	if err != nil {
 		return err
@@ -269,8 +269,8 @@ func (c *Catalog) AddAttribute(name string, spec AttrSpec) error {
 // delete dependent components per the Deletion Rule.
 func (c *Catalog) DropAttribute(name, attr string) (AttrSpec, error) {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	cl, err := c.classLocked(name)
 	if err != nil {
 		return AttrSpec{}, err
@@ -294,8 +294,8 @@ func (c *Catalog) DropAttribute(name, attr string) (AttrSpec, error) {
 // with DropAttribute.
 func (c *Catalog) RenameAttribute(name, attr, newName string) error {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	cl, err := c.classLocked(name)
 	if err != nil {
 		return err
@@ -326,8 +326,8 @@ func (c *Catalog) RenameAttribute(name, attr, newName string) error {
 // the IS-A lattice), rejecting cycles.
 func (c *Catalog) AddSuperclass(name, super string) error {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	cl, err := c.classLocked(name)
 	if err != nil {
 		return err
@@ -354,8 +354,8 @@ func (c *Catalog) AddSuperclass(name, super string) error {
 // them to cascade deletions.
 func (c *Catalog) RemoveSuperclass(name, super string) ([]AttrSpec, error) {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	cl, err := c.classLocked(name)
 	if err != nil {
 		return nil, err
@@ -426,8 +426,8 @@ func (c *Catalog) domainUsageLocked(name string) error {
 // catalog referentially sound.
 func (c *Catalog) DropClass(name string) (*Class, error) {
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	cl, err := c.classLocked(name)
 	if err != nil {
 		return nil, err

@@ -45,8 +45,8 @@ func (c *Catalog) Load(r io.Reader) error {
 		return fmt.Errorf("schema: load catalog: %w", err)
 	}
 	c.mu.Lock()
-	defer c.version.Add(1)
 	defer c.mu.Unlock()
+	defer c.version.Add(1)
 	c.nextID = st.NextID
 	c.globalCC = st.GlobalCC
 	c.classes = make(map[string]*Class, len(st.Classes))

@@ -23,11 +23,11 @@ var ErrEval = errors.New("sexpr: eval error")
 // Interp evaluates expressions against a database. Objects created with
 // (define name expr) are bound in the environment for later reference.
 //
-// A (snapshot begin) session pins snap: while set, the §3 query messages
-// (get, components-of, parents-of, ancestors-of, roots-of, component-of)
-// answer from the MVCC snapshot — the committed state at the begin
-// boundary, read without the engine latch or any §7 lock — until
-// (snapshot release). Mutation messages keep writing to the live
+// A (snapshot begin) session pins snap: while set, get and the §3 query
+// messages (components-of, parents-of, ancestors-of, roots-of and the
+// §3.2 predicates) answer from the MVCC snapshot — the committed state at
+// the begin boundary, read without the engine latch or any §7 lock —
+// until (snapshot release). Mutation messages keep writing to the live
 // database; their effects become visible to queries only after release.
 type Interp struct {
 	DB   *db.DB
@@ -42,6 +42,28 @@ type Interp struct {
 	// parseQueryOpts threads it into every §3 query the expression
 	// issues, so traversal costs land on the profile being built.
 	prof *obs.ProfCtx
+}
+
+// queryReader is the §3 query surface a snapshot and the live database
+// share.
+type queryReader interface {
+	ComponentsOf(id uid.UID, q core.QueryOpts) ([]uid.UID, error)
+	ParentsOf(id uid.UID, q core.QueryOpts) ([]uid.UID, error)
+	AncestorsOf(id uid.UID, q core.QueryOpts) ([]uid.UID, error)
+	RootsOf(id uid.UID) ([]uid.UID, error)
+	ComponentOf(a, b uid.UID) (bool, error)
+	ChildOf(a, b uid.UID) (bool, error)
+	ExclusiveComponentOf(a, b uid.UID) (bool, error)
+	SharedComponentOf(a, b uid.UID) (bool, error)
+}
+
+// queries picks the reader for a §3 query: the open snapshot, else the
+// live database.
+func (in *Interp) queries() queryReader {
+	if in.snap != nil {
+		return in.snap
+	}
+	return in.DB
 }
 
 // NewInterp returns an interpreter over the database.
@@ -165,15 +187,10 @@ func init() {
 		"ancestors-of":  evalAncestorsOf,
 		"roots-of":      evalRootsOf,
 
-		"component-of": evalRel(func(in *Interp, a, b uid.UID) (bool, error) {
-			if in.snap != nil {
-				return in.snap.ComponentOf(a, b)
-			}
-			return in.DB.ComponentOf(a, b)
-		}),
-		"child-of":               evalRel(func(in *Interp, a, b uid.UID) (bool, error) { return in.DB.ChildOf(a, b) }),
-		"exclusive-component-of": evalRel(func(in *Interp, a, b uid.UID) (bool, error) { return in.DB.ExclusiveComponentOf(a, b) }),
-		"shared-component-of":    evalRel(func(in *Interp, a, b uid.UID) (bool, error) { return in.DB.SharedComponentOf(a, b) }),
+		"component-of":           evalRel(queryReader.ComponentOf),
+		"child-of":               evalRel(queryReader.ChildOf),
+		"exclusive-component-of": evalRel(queryReader.ExclusiveComponentOf),
+		"shared-component-of":    evalRel(queryReader.SharedComponentOf),
 
 		"compositep":           evalPred(func(c *schema.Catalog, cl string, a []string) (bool, error) { return c.Compositep(cl, a...) }),
 		"exclusive-compositep": evalPred(func(c *schema.Catalog, cl string, a []string) (bool, error) { return c.ExclusiveCompositep(cl, a...) }),
@@ -768,12 +785,7 @@ func evalComponentsOf(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	var ids []uid.UID
-	if in.snap != nil {
-		ids, err = in.snap.ComponentsOf(id, q)
-	} else {
-		ids, err = in.DB.ComponentsOf(id, q)
-	}
+	ids, err := in.queries().ComponentsOf(id, q)
 	if err != nil {
 		return value.Nil, err
 	}
@@ -792,12 +804,7 @@ func evalParentsOf(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	var ids []uid.UID
-	if in.snap != nil {
-		ids, err = in.snap.ParentsOf(id, q)
-	} else {
-		ids, err = in.DB.ParentsOf(id, q)
-	}
+	ids, err := in.queries().ParentsOf(id, q)
 	if err != nil {
 		return value.Nil, err
 	}
@@ -816,12 +823,7 @@ func evalAncestorsOf(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	var ids []uid.UID
-	if in.snap != nil {
-		ids, err = in.snap.AncestorsOf(id, q)
-	} else {
-		ids, err = in.DB.AncestorsOf(id, q)
-	}
+	ids, err := in.queries().AncestorsOf(id, q)
 	if err != nil {
 		return value.Nil, err
 	}
@@ -836,19 +838,14 @@ func evalRootsOf(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	var ids []uid.UID
-	if in.snap != nil {
-		ids, err = in.snap.RootsOf(id)
-	} else {
-		ids, err = in.DB.RootsOf(id)
-	}
+	ids, err := in.queries().RootsOf(id)
 	if err != nil {
 		return value.Nil, err
 	}
 	return refsToValue(ids), nil
 }
 
-func evalRel(rel func(*Interp, uid.UID, uid.UID) (bool, error)) builtin {
+func evalRel(rel func(queryReader, uid.UID, uid.UID) (bool, error)) builtin {
 	return func(in *Interp, args []Node) (value.Value, error) {
 		if len(args) != 2 {
 			return value.Nil, fmt.Errorf("expected two objects: %w", ErrEval)
@@ -861,7 +858,7 @@ func evalRel(rel func(*Interp, uid.UID, uid.UID) (bool, error)) builtin {
 		if err != nil {
 			return value.Nil, err
 		}
-		ok, err := rel(in, a, b)
+		ok, err := rel(in.queries(), a, b)
 		if err != nil {
 			return value.Nil, err
 		}

@@ -89,7 +89,7 @@ func (in *Interp) sourceLine() string {
 	if in.snap != nil {
 		return fmt.Sprintf("  source: mvcc snapshot seq=%d (lock-free version-chain reads)\n", in.snap.Seq())
 	}
-	return "  source: live engine (latched reads; ancestor/partition/plan caches)\n"
+	return "  source: live engine (latched reads; shared plan memo)\n"
 }
 
 // explainTraversal describes components-of (down) and parents-of /
@@ -124,7 +124,7 @@ func (in *Interp) explainTraversal(b *strings.Builder, op string, args []Node, d
 		if attrs, err := in.DB.Catalog().Attributes(className); err == nil {
 			b.WriteString(planLine(className, attrs, q.Exclusive, q.Shared))
 		}
-		b.WriteString("  (plans for other classes resolve from the plan cache as the walk reaches them)\n")
+		b.WriteString("  (plans for other classes resolve from the plan memo as the walk reaches them)\n")
 	} else {
 		parts := "IX + DX + IS + DS (all reverse references)"
 		switch {
@@ -135,7 +135,7 @@ func (in *Interp) explainTraversal(b *strings.Builder, op string, args []Node, d
 		}
 		depth := "one level (direct parents)"
 		if op == "ancestors-of" {
-			depth = "to fixpoint (ancestor cache consulted per node)"
+			depth = "to fixpoint (breadth-first over reverse references)"
 		}
 		fmt.Fprintf(b, "  direction: up, %s\n  partitions: %s\n", depth, parts)
 	}

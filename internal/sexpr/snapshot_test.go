@@ -31,10 +31,12 @@ func TestSnapshotCommand(t *testing.T) {
 		t.Fatalf("status = %s, want %s", st, seq)
 	}
 
-	// Mutate the live database: rename kid, attach a second component.
+	// Mutate the live database: rename kid, attach a second component,
+	// detach the first.
 	mustEval(t, in, `(set kid Name "renamed")`)
 	mustEval(t, in, `(define kid2 (make Part :Name "kid2"))`)
 	mustEval(t, in, `(attach root Subparts kid2)`)
+	mustEval(t, in, `(detach root Subparts kid)`)
 
 	// Snapshot reads stay at the begin boundary.
 	if v := mustEval(t, in, `(get kid Name)`); !v.Equal(value.Str("kid")) {
@@ -44,8 +46,17 @@ func TestSnapshotCommand(t *testing.T) {
 	if comps.Len() != 1 {
 		t.Fatalf("snapshot (components-of root) = %s, want one component", comps)
 	}
-	if v := mustEval(t, in, `(component-of kid root)`); !v.Equal(value.Bool(true)) {
-		t.Fatalf("snapshot (component-of kid root) = %s, want true", v)
+	// Every §3.2 predicate answers from the snapshot too: kid is still a
+	// shared child of root there.
+	for expr, want := range map[string]bool{
+		`(component-of kid root)`:           true,
+		`(child-of kid root)`:               true,
+		`(shared-component-of kid root)`:    true,
+		`(exclusive-component-of kid root)`: false,
+	} {
+		if v := mustEval(t, in, expr); !v.Equal(value.Bool(want)) {
+			t.Fatalf("snapshot %s = %s, want %v", expr, v, want)
+		}
 	}
 
 	// Release: live reads resume.
@@ -56,8 +67,12 @@ func TestSnapshotCommand(t *testing.T) {
 		t.Fatalf("live (get kid Name) = %s, want \"renamed\"", v)
 	}
 	comps = mustEval(t, in, `(components-of root)`)
-	if comps.Len() != 2 {
-		t.Fatalf("live (components-of root) = %s, want two components", comps)
+	kid2, _ := mustEval(t, in, `kid2`).AsRef()
+	if refs := comps.Refs(nil); len(refs) != 1 || refs[0] != kid2 {
+		t.Fatalf("live (components-of root) = %s, want (kid2)", comps)
+	}
+	if v := mustEval(t, in, `(child-of kid root)`); !v.Equal(value.Bool(false)) {
+		t.Fatalf("live (child-of kid root) = %s, want nil", v)
 	}
 	if v := mustEval(t, in, `(snapshot release)`); !v.Equal(value.Bool(false)) {
 		t.Fatalf("double release = %s, want false", v)

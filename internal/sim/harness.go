@@ -524,7 +524,7 @@ func (h *harness) crash(i int) *Failure {
 
 // check fully compares engine and model: object count, per-class extents,
 // Tag values, ordered forward reference lists, reverse references with
-// D/X flags, the cached partition sets, and per-object topology rules.
+// D/X flags, the partition sets, and per-object topology rules.
 // Reading every object also forces the engine's deferred-evolution replay,
 // keeping its lazily-repaired state aligned with the eager model.
 func (h *harness) check(i int, op Op) *Failure {

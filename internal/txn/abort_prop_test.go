@@ -44,8 +44,8 @@ func abortPropManager(t *testing.T) *Manager {
 
 // engineDump captures everything observable about the engine: the byte
 // encoding of every object (attributes, reverse references with flags,
-// CC stamp), the cached partition sets, and the results of the cached
-// composite queries ComponentsOf and AncestorsOf.
+// CC stamp), the partition sets, and the results of the composite
+// queries ComponentsOf and AncestorsOf.
 type engineDump struct {
 	objects    map[uid.UID][]byte
 	partitions map[uid.UID]string
