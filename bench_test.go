@@ -10,7 +10,6 @@ package repro
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,154 +338,6 @@ func clusteringRun(b *testing.B, clustered bool) {
 
 func BenchmarkClusteringOn(b *testing.B)  { clusteringRun(b, true) }
 func BenchmarkClusteringOff(b *testing.B) { clusteringRun(b, false) }
-
-// ---------------------------------------------------------------------
-// Clustering policy bake-off (tentpole): first-parent vs class vs usage
-// ---------------------------------------------------------------------
-
-// placementDB opens a database with the given clustering policy, a
-// 4-page buffer pool (locality matters), and 64 Doc composites of 8
-// Paras each. Payloads are ~400 bytes, so a unit (9 records) spans
-// pages unless clustered. Creation order is the workload knob: top-down
-// builds each Doc and its Paras together (§2.3's favorable case);
-// interleaved round-robins one Para per Doc, scattering every unit
-// across the class extent at birth.
-func placementDB(b *testing.B, policy string, interleaved bool, hotMisses int) (*db.DB, [][]uid.UID) {
-	b.Helper()
-	d, err := db.Open(db.Options{
-		Placement:          policy,
-		PoolPages:          4,
-		ReclusterHotMisses: hotMisses,
-		ReclusterBatch:     64,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { d.Close() })
-	if _, err := d.DefineClass(schema.ClassDef{Name: "Para", Attributes: []schema.AttrSpec{
-		schema.NewAttr("Text", schema.StringDomain),
-	}}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := d.DefineClass(schema.ClassDef{Name: "Doc", Attributes: []schema.AttrSpec{
-		schema.NewCompositeSetAttr("Paras", "Para"),
-	}}); err != nil {
-		b.Fatal(err)
-	}
-	const nDocs, fanout = 64, 8
-	payload := value.Str(strings.Repeat("x", 400))
-	units := make([][]uid.UID, nDocs)
-	makeDoc := func(i int) {
-		doc, err := d.Make("Doc", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		units[i] = []uid.UID{doc.UID()}
-	}
-	makePara := func(i int) {
-		p, err := d.Make("Para", map[string]value.Value{"Text": payload},
-			core.ParentSpec{Parent: units[i][0], Attr: "Paras"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		units[i] = append(units[i], p.UID())
-	}
-	if interleaved {
-		for i := range units {
-			makeDoc(i)
-		}
-		for f := 0; f < fanout; f++ {
-			for i := range units {
-				makePara(i)
-			}
-		}
-	} else {
-		for i := range units {
-			makeDoc(i)
-			for f := 0; f < fanout; f++ {
-				makePara(i)
-			}
-		}
-	}
-	return d, units
-}
-
-// coldTraverse reads every record of n successive units straight from
-// the store (cycling over all units, so the 4-page pool never keeps a
-// working set) and returns the buffer-pool misses per unit traversal.
-func coldTraverse(b *testing.B, d *db.DB, units [][]uid.UID, n int) float64 {
-	b.Helper()
-	miss0 := d.Observability().Counter("storage_pool_misses_total").Load()
-	for i := 0; i < n; i++ {
-		for _, id := range units[i%len(units)] {
-			if _, err := d.Store().Get(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	misses := d.Observability().Counter("storage_pool_misses_total").Load() - miss0
-	return float64(misses) / float64(n)
-}
-
-// BenchmarkColdTraversalPlacement is the bake-off: page I/O to scan one
-// whole composite object cold, per placement policy, under both creation
-// orders. Top-down creation lets first-parent (and even class placement,
-// accidentally — records land in creation order) stay contiguous.
-// Interleaved creation is the separator: class scatters every unit,
-// first-parent degrades too (the hinted pages fill — §2.3 clustering is
-// best-effort), while usage starts scattered, earns heat from the very
-// misses being measured, and converges via the online reclusterer.
-func BenchmarkColdTraversalPlacement(b *testing.B) {
-	for _, creation := range []string{"topdown", "interleaved"} {
-		for _, policy := range []string{
-			storage.PlacementFirstParent, storage.PlacementClass, storage.PlacementUsage,
-		} {
-			b.Run(fmt.Sprintf("creation=%s/policy=%s", creation, policy), func(b *testing.B) {
-				d, units := placementDB(b, policy, creation == "interleaved", 8)
-				if policy == storage.PlacementUsage {
-					// Usage-driven convergence: cold traversals charge each
-					// unit's misses, then reclustering consumes the heat.
-					coldTraverse(b, d, units, 2*len(units))
-					if _, err := d.ReclusterNow(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				pages := coldTraverse(b, d, units, b.N)
-				b.StopTimer()
-				b.ReportMetric(pages, "pages/traversal")
-				b.ReportMetric(float64(d.ReclusterStatus().Migrations), "recluster-migrations")
-			})
-		}
-	}
-}
-
-// BenchmarkReclusterSkewedHot shows the online reclusterer paying off on
-// a skewed-hot workload: class placement scatters every unit at birth, 4
-// of 64 units take every read, and one recluster pass (fed by the heat
-// those reads charged) collapses the hot units' page I/O. The threshold
-// (32) sits above each unit's write-activity heat (8 creations) and
-// below the hot units' read-miss heat, so exactly the read-hot units
-// migrate. The before/after miss rates and the migration count are the
-// reported win.
-func BenchmarkReclusterSkewedHot(b *testing.B) {
-	d, units := placementDB(b, storage.PlacementClass, true, 32)
-	hot := units[:4]
-	before := coldTraverse(b, d, hot, 8*len(hot))
-	moved, err := d.ReclusterNow()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if moved != len(hot) {
-		b.Fatalf("migrated %d units, want the %d read-hot ones", moved, len(hot))
-	}
-	b.ResetTimer()
-	after := coldTraverse(b, d, hot, b.N)
-	b.StopTimer()
-	b.ReportMetric(after, "pages/traversal")
-	b.ReportMetric(before, "pages/traversal-before")
-	b.ReportMetric(float64(moved), "recluster-migrations")
-}
 
 // ---------------------------------------------------------------------
 // Schema evolution (§4.3): immediate vs deferred flag rewriting

@@ -22,13 +22,11 @@ import (
 
 // Result is one parsed benchmark line. The cache hit rate, buffer-pool
 // eviction count, fsyncs-per-commit ratio, the MVCC reader/writer
-// isolation metrics (snapshot read latency, writer p99 stall), the
+// isolation metrics (snapshot read latency, writer p99 stall), and the
 // profiling costs (profile overhead percentage, flight-recorder append
-// latency), and the clustering bake-off numbers (pages per cold
-// traversal, reclusterer migration count) — reported by the benches from
-// the observability registry snapshot — are promoted to typed fields
-// (pointers, so a true zero survives omitempty); any other custom units
-// land in Metrics.
+// latency) — reported by the benches from the observability registry
+// snapshot — are promoted to typed fields (pointers, so a true zero
+// survives omitempty); any other custom units land in Metrics.
 type Result struct {
 	Name               string             `json:"name"`
 	Procs              int                `json:"procs"`
@@ -41,8 +39,6 @@ type Result struct {
 	WriterStallNs      *float64           `json:"writer_stall_ns,omitempty"`
 	ProfileOverheadPct *float64           `json:"profile_overhead_pct,omitempty"`
 	FlightRecordNs     *float64           `json:"flight_record_ns,omitempty"`
-	PagesPerTraversal  *float64           `json:"pages_per_traversal,omitempty"`
-	ReclusterMigs      *float64           `json:"recluster_migrations,omitempty"`
 	Metrics            map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -108,14 +104,6 @@ func parseLine(line string) (Result, bool) {
 		case "flight-record-ns":
 			fr := v
 			r.FlightRecordNs = &fr
-			continue
-		case "pages/traversal":
-			pt := v
-			r.PagesPerTraversal = &pt
-			continue
-		case "recluster-migrations":
-			rm := v
-			r.ReclusterMigs = &rm
 			continue
 		}
 		if r.Metrics == nil {

@@ -67,14 +67,6 @@ func TestParseLine(t *testing.T) {
 	if r.FlightRecordNs == nil || *r.FlightRecordNs != 145.6 {
 		t.Fatalf("flight record ns not promoted: %+v", r)
 	}
-	// Clustering bake-off metrics promote too.
-	r, ok = parseLine("BenchmarkColdTraversalPlacement/creation=interleaved/policy=usage-4 100 3265 ns/op 0.9900 pages/traversal 64.00 recluster-migrations")
-	if !ok || r.PagesPerTraversal == nil || *r.PagesPerTraversal != 0.99 {
-		t.Fatalf("pages/traversal not promoted: %+v, ok=%v", r, ok)
-	}
-	if r.ReclusterMigs == nil || *r.ReclusterMigs != 64 {
-		t.Fatalf("recluster migrations not promoted: %+v", r)
-	}
 	for _, bad := range []string{
 		"goos: linux",
 		"PASS",

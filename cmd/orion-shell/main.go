@@ -13,8 +13,6 @@
 //	-f FILE         evaluate the file (then drop into the REPL unless -e/-q)
 //	-q              quit after -f/-e instead of starting the REPL
 //	-metrics ADDR   serve /metrics, /metrics.json, /trace, /slow on ADDR
-//	-placement P    clustering policy: first-parent (default), class, usage
-//	-recluster DUR  run the background reclusterer on this interval
 //
 // Besides s-expressions the REPL accepts meta-commands: `stats` prints
 // the metrics snapshot, `trace on|off|dump|clear` controls operation
@@ -28,10 +26,6 @@
 // from the pinned commit boundary — immune to concurrent writers and
 // free of lock acquisitions — until (snapshot release); (snapshot
 // status) shows the pinned sequence number.
-//
-// (placement) names the active clustering policy; (recluster status)
-// reports the online reclusterer's counters and (recluster now) runs
-// one migration pass by hand.
 package main
 
 import (
@@ -54,11 +48,9 @@ func main() {
 	file := flag.String("f", "", "file to load")
 	quit := flag.Bool("q", false, "exit after -e/-f")
 	metrics := flag.String("metrics", "", "address to serve /metrics on (empty = off)")
-	placement := flag.String("placement", "", "clustering policy: first-parent, class, usage")
-	recluster := flag.Duration("recluster", 0, "background recluster interval (0 = off)")
 	flag.Parse()
 
-	d, err := db.Open(db.Options{Dir: *dir, Placement: *placement, ReclusterInterval: *recluster})
+	d, err := db.Open(db.Options{Dir: *dir})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)

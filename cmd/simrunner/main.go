@@ -6,7 +6,6 @@
 //	go run ./cmd/simrunner -seeds 100 -ops 2000 -evolution -durable -crash
 //	go run ./cmd/simrunner -replay failure.trace -seed 1
 //	go run ./cmd/simrunner -net -workers 8 -ops 500 -durable
-//	go run ./cmd/simrunner -workers 4 -recluster -ops 1000 -durable
 //
 // On failure it prints the seed, the failing step and op, and the
 // minimized trace (replayable with -replay), then exits 1. On success
@@ -35,7 +34,6 @@ type options struct {
 	workers    int
 	readers    int
 	net        bool
-	recluster  bool
 }
 
 func parseFlags(args []string) (options, error) {
@@ -53,7 +51,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "run the concurrent harness with this many writer goroutines (0 = sequential)")
 	fs.IntVar(&o.readers, "readers", 0, "add this many snapshot-reader goroutines to the concurrent harness (requires -workers)")
 	fs.BoolVar(&o.net, "net", false, "drive the concurrent harness through TCP clients against an in-process server (requires -workers)")
-	fs.BoolVar(&o.recluster, "recluster", false, "run the background reclusterer under the concurrent harness (requires -workers)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -65,9 +62,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.net && o.workers == 0 {
 		return o, fmt.Errorf("-net requires -workers")
-	}
-	if o.recluster && o.workers == 0 {
-		return o, fmt.Errorf("-recluster requires -workers")
 	}
 	return o, nil
 }
@@ -104,14 +98,13 @@ func run(o options, out io.Writer) (*sim.Failure, error) {
 		seed := o.seed + int64(i)
 		if o.workers > 0 {
 			res := sim.RunConcurrent(sim.ConcurrentConfig{
-				Seed:      seed,
-				Workers:   o.workers,
-				Readers:   o.readers,
-				Ops:       o.ops,
-				Durable:   o.durable,
-				Dir:       o.dir,
-				Net:       o.net,
-				Recluster: o.recluster,
+				Seed:    seed,
+				Workers: o.workers,
+				Readers: o.readers,
+				Ops:     o.ops,
+				Durable: o.durable,
+				Dir:     o.dir,
+				Net:     o.net,
 			})
 			if res.Failure != nil {
 				return res.Failure, nil
@@ -120,8 +113,8 @@ func run(o options, out io.Writer) (*sim.Failure, error) {
 			if o.net {
 				mode = "net"
 			}
-			fmt.Fprintf(out, "seed=%d mode=%s workers=%d readers=%d ops=%d committed=%d aborted=%d deadlock-retries=%d snapshot-reads=%d recluster-migrations=%d ok\n",
-				seed, mode, o.workers, o.readers, o.ops, res.Committed, res.Aborted, res.DeadlockRetries, res.SnapshotReads, res.ReclusterMigrations)
+			fmt.Fprintf(out, "seed=%d mode=%s workers=%d readers=%d ops=%d committed=%d aborted=%d deadlock-retries=%d snapshot-reads=%d ok\n",
+				seed, mode, o.workers, o.readers, o.ops, res.Committed, res.Aborted, res.DeadlockRetries, res.SnapshotReads)
 			continue
 		}
 		if fail := sim.Run(o.config(seed)); fail != nil {

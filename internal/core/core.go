@@ -64,18 +64,6 @@ type Hook interface {
 	OnDelete(tx TxnID, id uid.UID) error
 }
 
-// PlacementHook is an optional Hook extension for persistence layers
-// running a clustering policy. When the hook implements it, the engine
-// calls OnWritePlaced instead of OnWrite, additionally passing the
-// object's placement root (the top of its first-parent chain, computed
-// while the engine latch is held — hooks must NOT call latched engine
-// methods like RootsOf from inside the notification). near keeps OnWrite's
-// meaning: the §2.3 first parent, valid only for the creating write.
-type PlacementHook interface {
-	Hook
-	OnWritePlaced(tx TxnID, o *object.Object, near, root uid.UID) error
-}
-
 // AutoCommitSyncer is an optional Hook extension. After an auto-commit
 // mutation (tx 0) finishes its write-through, the engine calls
 // SyncAutoCommit exactly once, outside the engine latch, so a durability
@@ -95,24 +83,6 @@ type MultiHook []Hook
 func (m MultiHook) OnWrite(tx TxnID, o *object.Object, near uid.UID) error {
 	for _, h := range m {
 		if err := h.OnWrite(tx, o, near); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnWritePlaced implements PlacementHook by forwarding the placement root
-// to every member that understands it and falling back to OnWrite for the
-// rest.
-func (m MultiHook) OnWritePlaced(tx TxnID, o *object.Object, near, root uid.UID) error {
-	for _, h := range m {
-		var err error
-		if ph, ok := h.(PlacementHook); ok {
-			err = ph.OnWritePlaced(tx, o, near, root)
-		} else {
-			err = h.OnWrite(tx, o, near)
-		}
-		if err != nil {
 			return err
 		}
 	}
@@ -549,7 +519,6 @@ func (e *Engine) notifyLocked(tx TxnID, d *dirtySet, created, near uid.UID, dele
 		return nil
 	}
 	if d != nil {
-		ph, placed := h.(PlacementHook)
 		for _, id := range d.ids.Slice() {
 			o, ok := e.objects[id]
 			if !ok {
@@ -559,13 +528,7 @@ func (e *Engine) notifyLocked(tx TxnID, d *dirtySet, created, near uid.UID, dele
 			if id == created {
 				hint = near
 			}
-			var err error
-			if placed {
-				err = ph.OnWritePlaced(tx, o, hint, e.placementRootLocked(id))
-			} else {
-				err = h.OnWrite(tx, o, hint)
-			}
-			if err != nil {
+			if err := h.OnWrite(tx, o, hint); err != nil {
 				return err
 			}
 		}

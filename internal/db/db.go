@@ -75,26 +75,6 @@ type Options struct {
 	// can still be armed later via Observability().Slow().SetThreshold,
 	// which the shell's `slow DUR` command does).
 	SlowOpThreshold time.Duration
-	// Placement selects the clustering policy applied to every creating
-	// write: "first-parent" (the paper's §2.3 choice, the default),
-	// "class" (plain class-segment append, the clustering-study baseline),
-	// or "usage" (DSTC/OPCF spirit: cluster members of units the buffer
-	// pool demonstrably misses on). See storage.NewPlacement.
-	Placement string
-	// ReclusterInterval is the cadence of the background reclusterer,
-	// which migrates hot composite units onto contiguous pages under the
-	// §7 unit-root lock. Zero or negative disables the background loop
-	// (DB.ReclusterNow remains callable).
-	ReclusterInterval time.Duration
-	// ReclusterHotMisses is the per-unit heat (pool misses + write
-	// activity attributed to the unit root) at which a unit qualifies for
-	// migration — and, under the usage policy, for eager clustering of
-	// new members. Zero selects storage.DefaultHotMisses.
-	ReclusterHotMisses int
-	// ReclusterBatch caps how many units one reclustering pass migrates
-	// (default 8): the pass holds no global locks, but bounding it keeps
-	// any single pass's WAL volume and lock footprint small.
-	ReclusterBatch int
 }
 
 // ErrClosed is returned when a closed DB is used.
@@ -141,12 +121,6 @@ type DB struct {
 	gcStop chan struct{} // closed to stop the background version GC
 	closed bool
 
-	// Clustering policy state (see recluster.go for the background loop).
-	place   storage.Placement
-	heat    *obs.UnitHeat
-	rec     reclusterObs
-	recStop chan struct{} // closed to stop the background reclusterer
-
 	// Profiling instruments, bound at Open so the query_profile_* family
 	// is present in the exposition before the first (profile ...) runs.
 	profRuns *obs.Counter
@@ -179,12 +153,6 @@ func Open(opts Options) (*DB, error) {
 	// concurrently: the /metrics endpoint then exposes core, storage,
 	// lock, and txn families side by side.
 	d.engine.SetObservability(d.reg)
-	d.bindReclusterObs()
-	d.heat = obs.NewUnitHeat(d.rec.heatTouches, d.rec.unitsTracked)
-	var perr error
-	if d.place, perr = storage.NewPlacement(opts.Placement, d.heat, uint64(opts.ReclusterHotMisses)); perr != nil {
-		return nil, perr
-	}
 	d.commits = d.reg.Counter("storage_shard_local_commit_total")
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -209,7 +177,6 @@ func Open(opts Options) (*DB, error) {
 	d.pool = storage.NewBufferPool(d.dev, opts.PoolPages)
 	d.pool.SetObservability(d.reg)
 	d.store = storage.NewStore(d.pool)
-	d.store.SetHeat(d.heat, d.engine.PlacementRootOf)
 	d.vers = version.NewManager(d.engine)
 	d.auth = authz.NewStore(d.engine)
 	d.txm = txn.NewManager(d.engine) // picks up d.reg via the engine
@@ -247,10 +214,6 @@ func Open(opts Options) (*DB, error) {
 		}
 		d.gcStop = make(chan struct{})
 		go d.versionGCLoop(interval, d.gcStop)
-	}
-	if opts.ReclusterInterval > 0 {
-		d.recStop = make(chan struct{})
-		go d.reclusterLoop(opts.ReclusterInterval, d.recStop)
 	}
 	return d, nil
 }
@@ -385,7 +348,7 @@ func (d *DB) replay() (uint64, error) {
 		case storage.OpAbort:
 			delete(pending, rec.Txn)
 			return nil
-		case storage.OpPut, storage.OpDelete, storage.OpMove:
+		case storage.OpPut, storage.OpDelete:
 			if rec.Txn != 0 {
 				pending[rec.Txn] = append(pending[rec.Txn], rec)
 				return nil
@@ -415,29 +378,11 @@ func (d *DB) applyRecord(ckptSegs storage.SegmentID, rec storage.WALRecord) erro
 			}
 		}
 		return d.store.Put(seg, rec.UID, rec.Data, rec.Near)
-	case storage.OpDelete:
+	default: // storage.OpDelete
 		if err := d.store.Delete(rec.UID); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return err
 		}
 		return nil
-	default: // storage.OpMove
-		// A reclusterer migration. The target segment travels by NAME:
-		// move targets are usually created after the last checkpoint, so
-		// their numeric IDs are not replay-stable. Skip moves of objects
-		// that don't exist at this log position (their creating
-		// transaction was discarded as an uncommitted tail).
-		if !d.store.Has(rec.UID) {
-			return nil
-		}
-		name := string(rec.Data)
-		if name == "" {
-			return fmt.Errorf("db: OpMove for %v without a segment name", rec.UID)
-		}
-		seg, err := d.segmentNamed(name)
-		if err != nil {
-			return err
-		}
-		return d.store.Move(seg, rec.UID, rec.Near)
 	}
 }
 
@@ -592,31 +537,17 @@ func (d *DB) syncLog() error {
 	}
 }
 
-// OnWrite implements core.Hook for callers that carry no placement root
-// (none in practice — the engine sees the hook as a PlacementHook through
-// the MultiHook and always calls OnWritePlaced).
+// OnWrite implements core.Hook. near is the §2.3 first parent on the
+// creating write and Nil otherwise; the WAL records it, so replay
+// reproduces the clustering.
 func (h *hook) OnWrite(tx core.TxnID, o *object.Object, near uid.UID) error {
-	return h.OnWritePlaced(tx, o, near, uid.Nil)
-}
-
-// OnWritePlaced implements core.PlacementHook. The clustering policy maps
-// the write's context (§2.3 first parent, placement root) to the neighbor
-// hint actually applied — and the WAL records the TRANSFORMED hint, so
-// replay reproduces every placement decision without consulting the
-// policy. Write activity also feeds per-unit heat: a unit under active
-// construction is a unit a cold traversal will soon read.
-func (h *hook) OnWritePlaced(tx core.TxnID, o *object.Object, near, root uid.UID) error {
 	d := h.d
 	seg, err := d.segmentForClass(o.Class())
 	if err != nil {
 		return err
 	}
-	hint := d.place.Hint(o.UID(), near, root)
-	if !root.IsNil() && root != o.UID() {
-		d.heat.Touch(storage.UnitHeatKey(root))
-	}
 	return h.record(tx, storage.WALRecord{
-		Op: storage.OpPut, Txn: uint64(tx), UID: o.UID(), Seg: seg, Near: hint, Data: encoding.EncodeObject(o),
+		Op: storage.OpPut, Txn: uint64(tx), UID: o.UID(), Seg: seg, Near: near, Data: encoding.EncodeObject(o),
 	})
 }
 
@@ -845,10 +776,6 @@ func (d *DB) closeLocked() error {
 		close(d.gcStop)
 		d.gcStop = nil
 	}
-	if d.recStop != nil {
-		close(d.recStop)
-		d.recStop = nil
-	}
 	var firstErr error
 	if d.wal != nil {
 		firstErr = d.wal.Close()
@@ -882,10 +809,7 @@ func (d *DB) Store() *storage.Store { return d.store }
 
 // CheckPlacement verifies the store's exactly-one-location invariant
 // (every object readable, no stale duplicate slot) under d.mu, which
-// excludes an in-flight reclusterer move phase and checkpoints — the
-// store's own scan latches segments one at a time, so calling it raw
-// while a migration is mid-unit can double-count a record that has
-// landed in its target segment but not yet left its source.
+// excludes checkpoints and Close. Call it only while writers are idle.
 func (d *DB) CheckPlacement() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,15 +167,22 @@ func TestOpenRefusesMultiShardManifest(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsReservedOp: op 7 is reserved, so a log carrying it
-// fails recovery as an unknown op rather than being misread.
+// TestReplayRejectsReservedOp: ops 6 and 7 are reserved, so a log
+// carrying either fails recovery as an unknown op rather than being
+// misread.
 func TestReplayRejectsReservedOp(t *testing.T) {
+	for _, op := range []storage.WALOp{6, 7} {
+		t.Run(fmt.Sprintf("op%d", op), func(t *testing.T) { testReplayRejectsOp(t, op) })
+	}
+}
+
+func testReplayRejectsOp(t *testing.T, op storage.WALOp) {
 	dir := t.TempDir()
 	w, err := storage.OpenWAL(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(storage.WALRecord{Op: 7, Txn: 1, Data: []byte{0}}); err != nil {
+	if err := w.Append(storage.WALRecord{Op: op, Txn: 1, Data: []byte{0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -183,9 +191,9 @@ func TestReplayRejectsReservedOp(t *testing.T) {
 	d, err := Open(Options{Dir: dir})
 	if err == nil {
 		d.Close()
-		t.Fatal("Open replayed a log with op 7")
+		t.Fatalf("Open replayed a log with op %d", op)
 	}
-	if !strings.Contains(err.Error(), "unknown WAL op 7") {
+	if want := fmt.Sprintf("unknown WAL op %d", op); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error = %v, want an unknown-op failure", err)
 	}
 }

@@ -179,9 +179,6 @@ func init() {
 		"profile": evalProfile,
 		"flight":  evalFlight,
 
-		"placement": evalPlacement,
-		"recluster": evalRecluster,
-
 		"components-of": evalComponentsOf,
 		"parents-of":    evalParentsOf,
 		"ancestors-of":  evalAncestorsOf,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/lock"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/uid"
 	"repro/internal/value"
 )
@@ -80,24 +79,16 @@ type ConcurrentConfig struct {
 	// the loop. The server is killed before the crash so recovery also
 	// covers sessions dying mid-flight.
 	Net bool
-	// Recluster runs the background reclusterer (usage placement, a
-	// milliseconds-scale tick, a low heat threshold) underneath the
-	// workers, so online unit migrations race real transactions. Every
-	// quiescent check then also verifies the store's exactly-one-location
-	// invariant, and on durable runs the crash finale covers recovery of
-	// a log full of interleaved mutations and OpMove records.
-	Recluster bool
 }
 
 // ConcurrentResult reports one concurrent run.
 type ConcurrentResult struct {
-	Committed           int    // transactions committed
-	Aborted             int    // deliberate aborts (rollback under concurrency)
-	DeadlockRetries     int    // transactions retried after a deadlock abort
-	SnapshotReads       int    // snapshot views verified against the commit history
-	ReclusterMigrations uint64 // units migrated by the background reclusterer
-	Failure             *Failure
-	Trace               []Op // commit-order trace, sequentially replayable
+	Committed       int // transactions committed
+	Aborted         int // deliberate aborts (rollback under concurrency)
+	DeadlockRetries int // transactions retried after a deadlock abort
+	SnapshotReads   int // snapshot views verified against the commit history
+	Failure         *Failure
+	Trace           []Op // commit-order trace, sequentially replayable
 }
 
 // execRec is one live-executed operation with everything needed to
@@ -298,9 +289,6 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 	res.Aborted = int(h.aborted.Load())
 	res.DeadlockRetries = int(h.retries.Load())
 	res.SnapshotReads = int(h.snapReads.Load())
-	if cfg.Recluster {
-		res.ReclusterMigrations = h.d.ReclusterStatus().Migrations
-	}
 	res.Trace = h.trace
 	if f := h.failure(); f != nil {
 		f.Trace = h.trace
@@ -323,12 +311,9 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 		if msg := compareState(h.d.Engine(), h.model); msg != "" {
 			return fail("post-recovery divergence: " + msg)
 		}
-		if cfg.Recluster {
-			// The crash finale's log interleaves mutations with OpMove
-			// records; recovery must land every object in one place.
-			if err := h.d.CheckPlacement(); err != nil {
-				return fail("post-recovery placement: " + err.Error())
-			}
+		// Recovery must land every object in exactly one place.
+		if err := h.d.CheckPlacement(); err != nil {
+			return fail("post-recovery placement: " + err.Error())
 		}
 	}
 	if err := h.d.Close(); err != nil {
@@ -350,14 +335,6 @@ func (h *charness) open() error {
 	if h.cfg.Durable {
 		opts.Dir = h.dir
 		opts.SyncWAL = true
-	}
-	if h.cfg.Recluster {
-		// Aggressive knobs on purpose: a near-zero threshold and a
-		// milliseconds tick make migrations race the workers constantly,
-		// which is the point of the soak.
-		opts.Placement = storage.PlacementUsage
-		opts.ReclusterInterval = time.Millisecond
-		opts.ReclusterHotMisses = 2
 	}
 	d, err := db.Open(opts)
 	if err != nil {
@@ -612,8 +589,10 @@ func compareSnapshotState(snap *core.Snapshot, view *Model) string {
 	return ""
 }
 
-// quiescentCheck runs with no worker active: full state compare plus the
-// engine-wide integrity scan.
+// quiescentCheck runs with no worker active: full state compare, the
+// engine-wide integrity scan, and the store's exactly-one-location check
+// (a record that outgrew its page relocates, and must leave no stale
+// duplicate behind).
 func (h *charness) quiescentCheck() *Failure {
 	if msg := compareState(h.d.Engine(), h.model); msg != "" {
 		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "quiescent divergence: " + msg}
@@ -621,13 +600,8 @@ func (h *charness) quiescentCheck() *Failure {
 	if v := h.d.Engine().Integrity(); len(v) != 0 {
 		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: fmt.Sprintf("integrity violations: %v", v)}
 	}
-	if h.cfg.Recluster {
-		// Zero lost objects: however many units the background reclusterer
-		// has migrated (or is migrating — the check serializes with the
-		// move phase), every object is readable from exactly one location.
-		if err := h.d.CheckPlacement(); err != nil {
-			return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "placement check: " + err.Error()}
-		}
+	if err := h.d.CheckPlacement(); err != nil {
+		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "placement check: " + err.Error()}
 	}
 	return nil
 }

@@ -56,41 +56,6 @@ func TestConcurrentHarnessWithReaders(t *testing.T) {
 	}
 }
 
-// TestConcurrentHarnessWithRecluster soaks the online reclusterer under
-// real concurrency: workers mutate shared composite hierarchies while the
-// background loop migrates hot units on a milliseconds tick. Every
-// quiescent round asserts model equivalence AND the store's
-// exactly-one-location invariant; the durable variant ends with a crash
-// whose log interleaves transaction groups with OpMove records.
-func TestConcurrentHarnessWithRecluster(t *testing.T) {
-	for seed := int64(31); seed <= 32; seed++ {
-		res := RunConcurrent(ConcurrentConfig{Seed: seed, Workers: 4, Ops: 150, Recluster: true})
-		if res.Failure != nil {
-			t.Fatalf("seed %d: %s", seed, res.Failure.Report())
-		}
-		if res.Committed == 0 {
-			t.Fatalf("seed %d: no transactions committed", seed)
-		}
-		t.Logf("seed %d: %d commits, %d unit migrations", seed, res.Committed, res.ReclusterMigrations)
-	}
-}
-
-func TestConcurrentHarnessWithReclusterDurable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("durable recluster soak skipped in -short")
-	}
-	res := RunConcurrent(ConcurrentConfig{Seed: 37, Workers: 4, Ops: 120,
-		Durable: true, Dir: t.TempDir(), Recluster: true})
-	if res.Failure != nil {
-		t.Fatal(res.Failure.Report())
-	}
-	if res.Committed == 0 {
-		t.Fatal("no transactions committed")
-	}
-	t.Logf("%d commits, %d unit migrations survived the crash finale",
-		res.Committed, res.ReclusterMigrations)
-}
-
 // TestConcurrentSingleWorkerMatchesSequentialSemantics: with one worker
 // the harness still goes through the full admission/commit machinery;
 // any divergence here indicts the checker rather than a race.

@@ -279,17 +279,6 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	return &fr.page, nil
 }
 
-// Contains reports whether the page is currently resident, without
-// affecting LRU order or pin counts. A false answer means a Fetch would
-// miss and read the device — the signal per-unit heat attribution keys on.
-func (bp *BufferPool) Contains(id PageID) bool {
-	s := bp.shardFor(id)
-	s.mu.Lock()
-	_, ok := s.frames[id]
-	s.mu.Unlock()
-	return ok
-}
-
 // Unpin releases one pin on the page, marking it dirty if the caller
 // modified it. When the pin count reaches zero the page becomes evictable.
 func (bp *BufferPool) Unpin(id PageID, dirty bool) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/uid"
 )
 
@@ -55,14 +54,6 @@ type Store struct {
 	dir       map[uid.UID]RID
 	segOf     map[uid.UID]SegmentID
 	nextSeg   SegmentID
-
-	// heat, when set, receives per-composite-unit miss attribution: a Get
-	// whose page is not resident charges one touch to the unit root that
-	// rootOf resolves for the object. This is the access signal the
-	// usage-driven placement policy and the background reclusterer
-	// consume. Both fields are set once before concurrent use.
-	heat   *obs.UnitHeat
-	rootOf func(uid.UID) uid.UID
 }
 
 // NewStore returns an empty store over the pool.
@@ -80,16 +71,6 @@ func NewStore(pool *BufferPool) *Store {
 
 // Pool returns the store's buffer pool (for stats in benches).
 func (s *Store) Pool() *BufferPool { return s.pool }
-
-// SetHeat installs per-unit miss attribution: cold Gets charge one touch
-// to the unit root rootOf resolves for the object. rootOf must be safe to
-// call from Get (it may take the engine read latch — Get is never called
-// while the engine latch is held). Call before concurrent use; nil
-// disables attribution.
-func (s *Store) SetHeat(heat *obs.UnitHeat, rootOf func(uid.UID) uid.UID) {
-	s.heat = heat
-	s.rootOf = rootOf
-}
 
 // CreateSegment registers a new segment.
 func (s *Store) CreateSegment(name string) (SegmentID, error) {
@@ -168,10 +149,8 @@ func (s *Store) PageOf(id uid.UID) (PageID, bool) {
 }
 
 // Put inserts or updates the record for id. seg selects the segment for a
-// NEW object; an existing object is updated wherever it currently lives,
-// which may differ from seg after the reclusterer migrated it (the
-// class→segment assignment names the default home, not a constraint). For
-// a new object, near (when non-nil, present, and in the same segment)
+// NEW object; an existing object is updated wherever it currently lives.
+// For a new object, near (when non-nil, present, and in the same segment)
 // requests clustered placement on the same page as near, falling back to
 // any page in the segment with room, then to a fresh page. Updates rewrite
 // in place when the record fits and relocate within the segment otherwise.
@@ -191,10 +170,9 @@ func (s *Store) Put(seg SegmentID, id uid.UID, rec []byte, near uid.UID) error {
 			return fmt.Errorf("segment %d: %w", seg, ErrNoSegment)
 		}
 		latch.Lock()
-		// Re-read under the latch. Directory entries for this segment's
-		// objects only change under its latch, with one exception: a Move
-		// may have relocated the object to another segment between the
-		// lookup and the latch acquisition — retry against its new home.
+		// Re-read under the latch: directory entries for this segment's
+		// objects only change under its latch, so what the lookup saw may
+		// be stale — retry against the object's current home.
 		s.mu.RLock()
 		rid, exists := s.dir[id]
 		cur, curOK := s.segOf[id]
@@ -217,99 +195,6 @@ func (s *Store) Put(seg SegmentID, id uid.UID, rec []byte, near uid.UID) error {
 		}
 		latch.Unlock()
 		return err
-	}
-}
-
-// Move relocates id into segment seg, clustered next to near (the
-// reclusterer's primitive: near chains unit members onto contiguous
-// pages). The directory is repointed only after the record is readable at
-// its new location, and the old slot is freed after, so a concurrent Get
-// always finds the object in exactly one place. Callers serialize moves
-// against logical writers externally (the reclusterer holds the §7
-// unit-root X lock); Move itself holds both segment latches, ordered by
-// ID, so page operations never race.
-func (s *Store) Move(seg SegmentID, id uid.UID, near uid.UID) error {
-	if id.IsNil() {
-		return fmt.Errorf("storage: move of nil uid")
-	}
-	for {
-		s.mu.RLock()
-		cur, ok := s.segOf[id]
-		dst := s.segs[seg]
-		curLatch := s.latches[cur]
-		dstLatch := s.latches[seg]
-		s.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("%v: %w", id, ErrNotFound)
-		}
-		if dst == nil {
-			return fmt.Errorf("segment %d: %w", seg, ErrNoSegment)
-		}
-		// Latch source and destination in segment-ID order (one latch when
-		// reclustering within a segment).
-		first, second := curLatch, dstLatch
-		if cur == seg {
-			second = nil
-		} else if seg < cur {
-			first, second = dstLatch, curLatch
-		}
-		first.Lock()
-		if second != nil {
-			second.Lock()
-		}
-		unlock := func() {
-			if second != nil {
-				second.Unlock()
-			}
-			first.Unlock()
-		}
-		s.mu.RLock()
-		rid, exists := s.dir[id]
-		nowCur := s.segOf[id]
-		s.mu.RUnlock()
-		if !exists {
-			unlock()
-			return fmt.Errorf("%v: %w", id, ErrNotFound)
-		}
-		if nowCur != cur {
-			unlock() // moved concurrently; retry against its new home
-			continue
-		}
-		p, err := s.pool.Fetch(rid.Page)
-		if err != nil {
-			unlock()
-			return err
-		}
-		rec, err := p.Read(rid.Slot)
-		if err != nil {
-			s.pool.Unpin(rid.Page, false)
-			unlock()
-			return err
-		}
-		rec = append([]byte(nil), rec...)
-		s.pool.Unpin(rid.Page, false)
-		// Insert at the new location first (repoints the directory), then
-		// free the old slot: no window where the object is unreadable.
-		if err := s.insertLatched(dst, id, rec, near); err != nil {
-			unlock()
-			return err
-		}
-		s.mu.RLock()
-		newRID := s.dir[id]
-		s.mu.RUnlock()
-		if newRID == rid && cur == seg {
-			unlock() // re-inserted into its own slot's page/slot: nothing to free
-			return nil
-		}
-		p, err = s.pool.Fetch(rid.Page)
-		if err != nil {
-			unlock()
-			return err
-		}
-		derr := p.Delete(rid.Slot)
-		s.pool.Unpin(rid.Page, derr == nil)
-		unlock()
-		return derr
 	}
 }
 
@@ -412,23 +297,9 @@ func (s *Store) Get(id uid.UID) ([]byte, error) {
 	s.mu.RLock()
 	sgid, ok := s.segOf[id]
 	latch := s.latches[sgid]
-	preRID := s.dir[id]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%v: %w", id, ErrNotFound)
-	}
-	if s.heat != nil && !s.pool.Contains(preRID.Page) {
-		// Cold read: the page must come off the device. Attribute the miss
-		// to the composite unit the object belongs to — this is the access
-		// signal usage-driven placement and the reclusterer act on. Runs
-		// before the latch acquisition because rootOf takes the engine read
-		// latch, and engine→segment is the established lock order (the
-		// write-through hook holds the engine latch when it calls Put).
-		// Best-effort by nature: the page may relocate before the latched
-		// re-read below, slightly over- or under-counting a unit.
-		if root := s.rootOf(id); !root.IsNil() {
-			s.heat.Touch(UnitHeatKey(root))
-		}
 	}
 	latch.RLock()
 	defer latch.RUnlock()
@@ -526,24 +397,12 @@ func (s *Store) ScanSegment(seg SegmentID, fn func(id uid.UID, rec []byte) error
 	return nil
 }
 
-// SegmentName returns the name a segment was created under. The
-// reclusterer logs move targets by name (numeric IDs are not stable
-// across recovery).
-func (s *Store) SegmentName(seg SegmentID) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sg, ok := s.segs[seg]
-	if !ok {
-		return "", false
-	}
-	return sg.Name, true
-}
-
-// CheckPlacement verifies the physical invariant migrations must
+// CheckPlacement verifies the physical invariant relocations must
 // preserve: every directory entry reads back from its recorded location,
 // and the total number of live slots across all segment pages equals the
 // directory size — i.e. every object is readable from exactly one
-// location, with no stale duplicate left behind by a half-finished move.
+// location, with no stale duplicate left behind by a record that outgrew
+// its page.
 // Intended for tests and the sim harness's quiescent checks; it takes
 // every segment latch shared, so call it only when writers are idle.
 func (s *Store) CheckPlacement() error {

@@ -142,9 +142,9 @@ func TestStoreUpdateRelocation(t *testing.T) {
 }
 
 func TestStorePutRoutesToCurrentSegment(t *testing.T) {
-	// An update names the class's default segment, but the object may have
-	// been migrated elsewhere by the reclusterer: Put must route the update
-	// to wherever the object currently lives, never duplicate it.
+	// An update may name a segment other than the object's own: Put must
+	// route the update to wherever the object currently lives, never
+	// duplicate it.
 	s := newTestStore(t, 8)
 	segA, _ := s.CreateSegment("a")
 	segB, _ := s.CreateSegment("b")

@@ -29,20 +29,10 @@ const (
 	OpBegin  WALOp = 3 // first record of a transaction (marker)
 	OpCommit WALOp = 4 // transaction committed; buffered records apply
 	OpAbort  WALOp = 5 // transaction aborted; buffered records discard (older logs only)
-	// OpMove records a physical relocation by the reclusterer: UID moves
-	// into the segment named by Data, clustered next to Near. Seg carries
-	// the segment's numeric ID at log time, but replay resolves the
-	// segment BY NAME (recreating it if needed): move targets are usually
-	// created after the last checkpoint, so their numeric IDs are not
-	// stable across recovery. Moves are always auto-commit (Txn 0) — the
-	// reclusterer holds the §7 unit-root X lock, so a move can never
-	// interleave with an uncommitted transaction touching the same unit,
-	// and replaying each move at its log position lands every object in
-	// exactly one location no matter where a crash truncates the log.
-	OpMove WALOp = 6
-	// 7 is reserved: earlier releases used it for the prepare record of a
-	// multi-log commit. Replay rejects it as an unknown op, so such a log
-	// fails loudly instead of being misread.
+	// 6 and 7 are reserved: earlier releases used 6 for a reclusterer's
+	// relocation of an object into another segment, and 7 for the prepare
+	// record of a multi-log commit. Replay rejects both as unknown ops, so
+	// such a log fails loudly instead of being misread.
 )
 
 // WALRecord is one logical change. Txn tags the record with the
