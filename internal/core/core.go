@@ -163,6 +163,7 @@ func NewEngine(cat *schema.Catalog) *Engine {
 	}
 	e.mvcc.pending = make(map[TxnID]map[uid.UID]*versionNode)
 	e.mvcc.active = make(map[uint64]int)
+	e.mvcc.pinned = make(map[uid.UID]struct{})
 	e.bindObs(obs.NewRegistry())
 	return e
 }

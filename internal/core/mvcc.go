@@ -31,11 +31,13 @@
 // Garbage collection is low-watermark based: the watermark is the oldest
 // active snapshot sequence (or the clock when none is active), and every
 // chain node strictly older than the newest node at-or-below the
-// watermark is unreachable by any current or future snapshot. Pruning
-// runs opportunistically on every install (so a churned chain stays at
-// O(1) nodes without any background help) plus via VersionGC, which the
-// db facade drives from a background ticker to reclaim chains that are
-// no longer being written.
+// watermark is unreachable by any current or future snapshot. A version
+// is reclaimed when its last possible reader goes: installLocked prunes
+// every chain it writes right after publishing, so with no snapshot open
+// each chain holds exactly its head and a deleted object holds no chain;
+// a chain a snapshot still pins is remembered in the pinned set, and
+// Snapshot.Release prunes that set against the watermark its release
+// leaves. No sweep ever walks the whole store.
 package core
 
 import (
@@ -70,6 +72,11 @@ type mvccState struct {
 	clock  atomic.Uint64 // sequence of the newest fully published boundary
 
 	installMu sync.Mutex
+	// pinned holds the UIDs whose chains kept more than a plain head
+	// after their last prune (an older version, or a tombstone head)
+	// because a snapshot could still read it; Release prunes exactly
+	// these. Guarded by installMu.
+	pinned map[uid.UID]struct{}
 
 	// pending accumulates the per-transaction write sets between the
 	// first tagged write and CommitVersions/AbortVersions: each UID maps
@@ -81,7 +88,8 @@ type mvccState struct {
 	// active holds a refcount per registered snapshot sequence; its
 	// minimum is the GC low-watermark. snapMu also guards the clock read
 	// in BeginSnapshot so registration cannot race a concurrent watermark
-	// computation into pruning a version the new snapshot needs.
+	// computation into pruning a version the new snapshot needs. Lock
+	// order: installMu, then snapMu.
 	snapMu sync.Mutex
 	active map[uint64]int
 }
@@ -142,14 +150,20 @@ func (e *Engine) takePending(tx TxnID) map[uid.UID]*versionNode {
 // its chain under the next sequence number, and the clock is advanced
 // only after every node is in place. Caller holds e.mu (read or write),
 // which keeps the objects quiescent while they are cloned.
+//
+// Only then does it read the watermark and prune the chains it wrote, so
+// with no snapshot open each keeps just the new head and a tombstone
+// takes its chain with it. This cannot cut a version a snapshot needs: a
+// snapshot registered before the clock store is in active and holds the
+// watermark at or below its sequence; one registered after it reads a
+// clock of at least seq, and every chain written here still has its
+// newest node at or below seq.
 func (e *Engine) installLocked(ids []uid.UID) {
 	if len(ids) == 0 {
 		return
 	}
-	wm := e.versionWatermark()
 	e.mvcc.installMu.Lock()
 	seq := e.mvcc.clock.Load() + 1
-	pruned := 0
 	for _, id := range ids {
 		var obj *object.Object
 		if o, ok := e.objects[id]; ok {
@@ -160,16 +174,17 @@ func (e *Engine) installLocked(ids []uid.UID) {
 		n := &versionNode{seq: seq, obj: obj}
 		n.next.Store(ch.head.Load())
 		ch.head.Store(n)
-		pruned += e.pruneChain(id, ch, wm)
 	}
 	e.mvcc.clock.Store(seq)
+	wm := e.versionWatermark()
+	pruned := 0
+	for _, id := range ids {
+		pruned += e.pruneLocked(id, wm)
+	}
 	e.mvcc.installMu.Unlock()
 	e.o.mvccInstalls.Add(uint64(len(ids)))
-	e.o.mvccVersionsLive.Add(int64(len(ids) - pruned))
-	if pruned > 0 {
-		e.o.mvccGCReclaimed.Add(uint64(pruned))
-	}
-	e.updateSnapshotAge()
+	e.o.mvccVersionsLive.Add(int64(len(ids)))
+	e.reclaimed(pruned)
 }
 
 // CommitVersions publishes the transaction's accumulated write set as
@@ -245,82 +260,90 @@ func (e *Engine) AbortVersions(tx TxnID) error {
 // a sequence at least as new as the clock read here.
 func (e *Engine) versionWatermark() uint64 {
 	e.mvcc.snapMu.Lock()
-	wm := e.mvcc.clock.Load()
+	defer e.mvcc.snapMu.Unlock()
+	return e.watermarkLocked()
+}
+
+// watermarkLocked computes the watermark and refreshes the
+// mvcc_snapshot_age gauge: how many commit boundaries behind the clock
+// the oldest active snapshot reads (0 with none active). Caller holds
+// snapMu.
+func (e *Engine) watermarkLocked() uint64 {
+	clock := e.mvcc.clock.Load()
+	wm := clock
 	for s := range e.mvcc.active {
 		if s < wm {
 			wm = s
 		}
 	}
-	e.mvcc.snapMu.Unlock()
+	e.o.mvccSnapshotAge.Set(int64(clock - wm))
 	return wm
 }
 
-// pruneChain cuts the unreachable tail of one chain: everything strictly
-// older than the newest node with seq <= wm. When that node is the head
-// and a tombstone, no snapshot can see the object at all and the whole
-// chain is removed from the map (old nodes stay intact for any reader
-// already walking them — they are merely unreachable from the map).
-// Returns the number of nodes reclaimed. Caller holds installMu.
-func (e *Engine) pruneChain(id uid.UID, ch *versionChain, wm uint64) int {
-	n := ch.head.Load()
+// pruneLocked cuts the unreachable tail of id's chain: everything
+// strictly older than the newest node with seq <= wm. When that node is
+// the head and a tombstone, no snapshot can see the object at all and the
+// whole chain is removed from the map (old nodes stay intact for any
+// reader already walking them — they are merely unreachable from the
+// map). A chain left with more than a live head is recorded as pinned,
+// any other dropped from the pinned set. Returns the number of nodes
+// reclaimed. Caller holds installMu.
+func (e *Engine) pruneLocked(id uid.UID, wm uint64) int {
+	ci, ok := e.mvcc.chains.Load(id)
+	if !ok {
+		return 0
+	}
+	ch := ci.(*versionChain)
+	head := ch.head.Load()
+	n := head
 	for n != nil && n.seq > wm {
 		n = n.next.Load()
 	}
-	if n == nil {
-		return 0
-	}
 	cut := 0
-	for t := n.next.Load(); t != nil; t = t.next.Load() {
-		cut++
+	if n != nil {
+		for t := n.next.Load(); t != nil; t = t.next.Load() {
+			cut++
+		}
+		if cut > 0 {
+			n.next.Store(nil)
+		}
+		if n == head && n.obj == nil {
+			e.mvcc.chains.Delete(id)
+			delete(e.mvcc.pinned, id)
+			return cut + 1
+		}
 	}
-	if cut > 0 {
-		n.next.Store(nil)
-	}
-	if ch.head.Load() == n && n.obj == nil {
-		e.mvcc.chains.Delete(id)
-		cut++
+	if head.obj == nil || head.next.Load() != nil {
+		e.mvcc.pinned[id] = struct{}{}
+	} else {
+		delete(e.mvcc.pinned, id)
 	}
 	return cut
 }
 
-// VersionGC sweeps every chain against the current low-watermark and
-// returns the number of version nodes reclaimed. Install-time pruning
-// already bounds chains that keep being written; the sweep reclaims the
-// stale tails of chains that stopped changing after the snapshots that
-// pinned them were released.
-func (e *Engine) VersionGC() int {
-	wm := e.versionWatermark()
+// reclaimPinned prunes the pinned chains against the current watermark.
+// Snapshot.Release calls it after unregistering, so the watermark may
+// have risen; the work is bounded by the writes made while snapshots
+// were open, not by the size of the store.
+func (e *Engine) reclaimPinned() {
 	e.mvcc.installMu.Lock()
-	total := 0
-	e.mvcc.chains.Range(func(k, v any) bool {
-		total += e.pruneChain(k.(uid.UID), v.(*versionChain), wm)
-		return true
-	})
-	e.mvcc.installMu.Unlock()
-	if total > 0 {
-		e.o.mvccGCReclaimed.Add(uint64(total))
-		e.o.mvccVersionsLive.Add(-int64(total))
+	wm := e.versionWatermark()
+	pruned := 0
+	for id := range e.mvcc.pinned {
+		pruned += e.pruneLocked(id, wm)
 	}
-	e.updateSnapshotAge()
-	return total
+	e.mvcc.installMu.Unlock()
+	e.reclaimed(pruned)
+}
+
+// reclaimed accounts n pruned version nodes in the mvcc gauges.
+func (e *Engine) reclaimed(n int) {
+	if n > 0 {
+		e.o.mvccGCReclaimed.Add(uint64(n))
+		e.o.mvccVersionsLive.Add(-int64(n))
+	}
 }
 
 // VersionsLive returns the mvcc_versions_live gauge (0 with a nil
 // registry), for tests and the sim soak's plateau check.
 func (e *Engine) VersionsLive() int64 { return e.o.mvccVersionsLive.Load() }
-
-// updateSnapshotAge refreshes the mvcc_snapshot_age gauge: how many
-// commit boundaries behind the clock the oldest active snapshot reads
-// (0 when no snapshot is active).
-func (e *Engine) updateSnapshotAge() {
-	e.mvcc.snapMu.Lock()
-	clock := e.mvcc.clock.Load()
-	oldest := clock
-	for s := range e.mvcc.active {
-		if s < oldest {
-			oldest = s
-		}
-	}
-	e.mvcc.snapMu.Unlock()
-	e.o.mvccSnapshotAge.Set(int64(clock - oldest))
-}

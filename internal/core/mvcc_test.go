@@ -287,7 +287,6 @@ func TestSnapshotTombstonePruned(t *testing.T) {
 	if _, err := e.Delete(leaf); err != nil {
 		t.Fatal(err)
 	}
-	e.VersionGC()
 	snap := e.BeginSnapshot()
 	defer snap.Release()
 	if snap.Exists(leaf) {
@@ -298,11 +297,45 @@ func TestSnapshotTombstonePruned(t *testing.T) {
 	}
 }
 
-// TestVersionGCPlateau: churning one object with only short-lived
-// snapshots holds the live-version gauge at a plateau (install-time
-// pruning), while a pinned snapshot grows the chain and Release +
-// VersionGC collapses it back.
-func TestVersionGCPlateau(t *testing.T) {
+// TestDeleteReclaimsChainAtOnce: with no snapshot open, deleting a
+// committed object reclaims its whole version chain in the delete's own
+// commit — no sweep runs — and a later snapshot does not see it.
+func TestDeleteReclaimsChainAtOnce(t *testing.T) {
+	e := mvccEngine(t)
+	mvccChain(t, e)
+	before := e.VersionsLive()
+	o, err := e.New("Part", map[string]value.Value{"Name": value.Str("doomed")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := o.UID()
+	if err := e.Set(id, "Name", value.Str("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if live := e.VersionsLive(); live != before+1 {
+		t.Fatalf("mvcc_versions_live = %d after create+rewrite, want %d", live, before+1)
+	}
+	if _, err := e.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if e.chainHead(id) != nil {
+		t.Fatal("deleted object still has a version chain")
+	}
+	if live := e.VersionsLive(); live != before {
+		t.Fatalf("mvcc_versions_live = %d after delete, want %d", live, before)
+	}
+	snap := e.BeginSnapshot()
+	defer snap.Release()
+	if snap.Exists(id) {
+		t.Fatal("snapshot after the delete sees the object")
+	}
+}
+
+// TestReleaseReclaimsPinnedVersions: churning one object with only
+// short-lived snapshots holds the live-version gauge at a plateau
+// (publish-time pruning), while a pinned snapshot grows the chain and its
+// Release alone collapses it back — no sweep runs.
+func TestReleaseReclaimsPinnedVersions(t *testing.T) {
 	e := mvccEngine(t)
 	o, err := e.New("Part", nil)
 	if err != nil {
@@ -323,8 +356,9 @@ func TestVersionGCPlateau(t *testing.T) {
 	}
 	// One live object, no active snapshot: the store should hold ~one
 	// version per object, not thousands.
-	if live := e.VersionsLive(); live > int64(e.Len())+4 {
-		t.Fatalf("mvcc_versions_live = %d after churn with short-lived snapshots (objects: %d)", live, e.Len())
+	churned := e.VersionsLive()
+	if churned > int64(e.Len())+4 {
+		t.Fatalf("mvcc_versions_live = %d after churn with short-lived snapshots (objects: %d)", churned, e.Len())
 	}
 
 	// A pinned snapshot grows the chain...
@@ -334,18 +368,21 @@ func TestVersionGCPlateau(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if live := e.VersionsLive(); live < 200 {
-		t.Fatalf("mvcc_versions_live = %d while a snapshot pins the watermark, want >= 200", live)
+	pinned := e.VersionsLive()
+	if pinned < 200 {
+		t.Fatalf("mvcc_versions_live = %d while a snapshot pins the watermark, want >= 200", pinned)
 	}
-	// ...and releasing it lets the sweep reclaim the tail.
+	// ...and releasing it reclaims the tail.
+	reclaimedBefore := e.o.mvccGCReclaimed.Load()
 	pin.Release()
-	reclaimed := e.VersionGC()
-	if reclaimed < 200 {
-		t.Fatalf("VersionGC reclaimed %d nodes after release, want >= 200", reclaimed)
+	if reclaimed := e.o.mvccGCReclaimed.Load() - reclaimedBefore; reclaimed < 200 {
+		t.Fatalf("Release reclaimed %d nodes, want >= 200", reclaimed)
 	}
 	if live := e.VersionsLive(); live > int64(e.Len())+4 {
-		t.Fatalf("mvcc_versions_live = %d after release+GC (objects: %d)", live, e.Len())
+		t.Fatalf("mvcc_versions_live = %d after release (objects: %d)", live, e.Len())
 	}
+	t.Logf("objects %d: versions live %d after churn, %d while pinned, %d after Release; Release reclaimed %d",
+		e.Len(), churned, pinned, e.VersionsLive(), e.o.mvccGCReclaimed.Load()-reclaimedBefore)
 }
 
 // TestSnapshotSeesSchemaDeletions: the objects a schema change deletes

@@ -34,7 +34,7 @@ import (
 // answers with the schema AND the data that were live at Seq.
 //
 // Release must be called when done: an unreleased snapshot pins the GC
-// low-watermark and version chains grow behind it.
+// low-watermark and the chains written after it grow until Release.
 type Snapshot struct {
 	e        *Engine
 	seq      uint64
@@ -54,10 +54,10 @@ func (e *Engine) BeginSnapshot() *Snapshot {
 	e.mvcc.snapMu.Lock()
 	seq := e.mvcc.clock.Load()
 	e.mvcc.active[seq]++
+	e.watermarkLocked() // refreshes mvcc_snapshot_age
 	e.mvcc.snapMu.Unlock()
 	e.o.mvccSnapshotBegins.Inc()
 	e.o.mvccSnapshotsActive.Add(1)
-	e.updateSnapshotAge()
 	return &Snapshot{e: e, seq: seq, cat: e.catalogView()}
 }
 
@@ -86,8 +86,8 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // visited and version-chain nodes walked to p.
 func (s *Snapshot) SetProf(p *obs.ProfCtx) { s.prof = p }
 
-// Release unregisters the snapshot, unpinning its sequence for the
-// version GC. Idempotent.
+// Release unregisters the snapshot and reclaims the versions only it
+// still pinned. Idempotent.
 func (s *Snapshot) Release() {
 	if s.released {
 		return
@@ -102,7 +102,7 @@ func (s *Snapshot) Release() {
 	}
 	e.mvcc.snapMu.Unlock()
 	e.o.mvccSnapshotsActive.Add(-1)
-	e.updateSnapshotAge()
+	e.reclaimPinned()
 }
 
 // object resolves id at the snapshot boundary: the newest version at or

@@ -63,12 +63,6 @@ type Options struct {
 	// from internal/faultfs. When nil, Open uses a MemDevice for
 	// in-memory databases and a FileDevice on Dir/pages.db otherwise.
 	Device storage.Device
-	// MVCCGCInterval is the cadence of the background version garbage
-	// collector, which sweeps stale version-chain tails left behind
-	// released snapshots (install-time pruning already bounds chains that
-	// keep being written). Zero selects the 2s default; negative disables
-	// the background sweep (Engine.VersionGC remains callable).
-	MVCCGCInterval time.Duration
 	// SlowOpThreshold arms the slow-op log from the start: operations at
 	// or above this duration are recorded in the ring and trigger a
 	// throttled flight-recorder dump. Zero leaves the log disabled (it
@@ -118,7 +112,6 @@ type DB struct {
 	idx    *index.Manager
 	idxDef [][2]string // persisted (class, attr) index definitions
 	reg    *obs.Registry
-	gcStop chan struct{} // closed to stop the background version GC
 	closed bool
 
 	// Profiling instruments, bound at Open so the query_profile_* family
@@ -207,34 +200,7 @@ func Open(opts Options) (*DB, error) {
 	// the layers that carry no per-operation context (pool, WAL, lock
 	// manager); see Txn.Profile and DB.AttachProf.
 	d.txm.SetProfHooks(d.AttachProf, func(*obs.ProfCtx) { d.AttachProf(nil) })
-	if opts.MVCCGCInterval >= 0 {
-		interval := opts.MVCCGCInterval
-		if interval == 0 {
-			interval = 2 * time.Second
-		}
-		d.gcStop = make(chan struct{})
-		go d.versionGCLoop(interval, d.gcStop)
-	}
 	return d, nil
-}
-
-// versionGCLoop drives the background version garbage collector until
-// Close or Abandon. Each tick sweeps the version chains against the
-// low-watermark of active snapshot sequences; with no long-lived
-// snapshot the store converges to one version per live object.
-// The stop channel is passed in rather than read from the struct: Close
-// and Abandon nil the field under d.mu, which this goroutine doesn't hold.
-func (d *DB) versionGCLoop(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			d.engine.VersionGC()
-		}
-	}
 }
 
 // shardsFile is the manifest in which earlier releases pinned the shard
@@ -768,14 +734,10 @@ func (d *DB) Abandon() error {
 	return d.closeLocked()
 }
 
-// closeLocked marks the database closed, stops the background loops and
-// releases the WAL and device handles; the first error wins.
+// closeLocked marks the database closed and releases the WAL and device
+// handles; the first error wins.
 func (d *DB) closeLocked() error {
 	d.closed = true
-	if d.gcStop != nil {
-		close(d.gcStop)
-		d.gcStop = nil
-	}
 	var firstErr error
 	if d.wal != nil {
 		firstErr = d.wal.Close()

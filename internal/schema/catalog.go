@@ -326,39 +326,38 @@ func (c *Catalog) attributesLocked(name string, visiting map[string]bool) ([]Att
 	return out, nil
 }
 
-// Attribute returns the effective attribute attr of class name.
+// Attribute returns the effective attribute attr of class name: the
+// one Attributes would list, found without building the list.
 func (c *Catalog) Attribute(name, attr string) (AttrSpec, error) {
-	attrs, err := c.Attributes(name)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, a, err := c.definingClassLocked(name, attr)
 	if err != nil {
 		return AttrSpec{}, err
 	}
-	for _, a := range attrs {
-		if a.Name == attr {
-			return a, nil
-		}
-	}
-	return AttrSpec{}, fmt.Errorf("%q.%q: %w", name, attr, ErrNoAttr)
+	return *a, nil
 }
 
-// definingClass returns the class (name itself or an ancestor) whose Own
-// list carries attr, following the same conflict-resolution order as
-// Attributes. Caller holds at least the read lock.
-func (c *Catalog) definingClassLocked(name, attr string) (*Class, error) {
+// definingClassLocked returns the class (name itself or an ancestor)
+// whose Own list carries attr, and that entry, following the same
+// conflict-resolution order as Attributes. Caller holds at least the
+// read lock.
+func (c *Catalog) definingClassLocked(name, attr string) (*Class, *AttrSpec, error) {
 	cl, err := c.classLocked(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := range cl.Own {
 		if cl.Own[i].Name == attr {
-			return cl, nil
+			return cl, &cl.Own[i], nil
 		}
 	}
 	for _, s := range cl.Superclasses {
-		if def, err := c.definingClassLocked(s, attr); err == nil {
-			return def, nil
+		if def, a, err := c.definingClassLocked(s, attr); err == nil {
+			return def, a, nil
 		}
 	}
-	return nil, fmt.Errorf("%q.%q: %w", name, attr, ErrNoAttr)
+	return nil, nil, fmt.Errorf("%q.%q: %w", name, attr, ErrNoAttr)
 }
 
 // Predicates of §3.2. Each takes an optional attribute name: with the

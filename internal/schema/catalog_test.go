@@ -210,6 +210,60 @@ func TestInheritanceAndConflictResolution(t *testing.T) {
 	}
 }
 
+// TestAttributeMatchesAttributes: Attribute resolves every (class,
+// attribute) pair to exactly the spec Attributes lists for the class —
+// own attributes shadowing inherited ones, earlier superclasses shadowing
+// later ones, through a diamond — and a missing attribute is ErrNoAttr.
+func TestAttributeMatchesAttributes(t *testing.T) {
+	c := NewCatalog()
+	for _, def := range []ClassDef{
+		{Name: "Part", Attributes: []AttrSpec{NewAttr("Tag", IntDomain)}},
+		{Name: "A", Attributes: []AttrSpec{
+			NewAttr("x", IntDomain), NewAttr("shared", IntDomain),
+			NewCompositeSetAttr("Parts", "Part"),
+		}},
+		{Name: "B", Attributes: []AttrSpec{
+			NewAttr("y", IntDomain), NewAttr("shared", StringDomain),
+			NewCompositeSetAttr("Parts", "Part").WithExclusive(false),
+		}},
+		{Name: "C", Superclasses: []string{"A", "B"}, Attributes: []AttrSpec{NewAttr("z", IntDomain)}},
+		{Name: "D", Superclasses: []string{"B", "A"}, Attributes: []AttrSpec{NewAttr("x", StringDomain)}},
+		{Name: "E", Superclasses: []string{"D", "C"}, Attributes: []AttrSpec{
+			NewCompositeAttr("Parts", "Part").WithDependent(false),
+		}},
+	} {
+		if _, err := c.DefineClass(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := 0
+	for _, class := range []string{"Part", "A", "B", "C", "D", "E"} {
+		attrs, err := c.Attributes(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range attrs {
+			got, err := c.Attribute(class, want.Name)
+			if err != nil {
+				t.Fatalf("Attribute(%s, %s): %v", class, want.Name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Attribute(%s, %s) = %+v, Attributes lists %+v", class, want.Name, got, want)
+			}
+			pairs++
+		}
+		if _, err := c.Attribute(class, "missing"); !errors.Is(err, ErrNoAttr) {
+			t.Fatalf("Attribute(%s, missing) = %v, want ErrNoAttr", class, err)
+		}
+	}
+	if pairs != 1+3+3+5+4+5 {
+		t.Fatalf("compared %d (class, attribute) pairs", pairs)
+	}
+	if _, err := c.Attribute("Nope", "x"); !errors.Is(err, ErrNoClass) {
+		t.Fatalf("Attribute of a missing class = %v, want ErrNoClass", err)
+	}
+}
+
 func TestIsAAndSubclasses(t *testing.T) {
 	c := NewCatalog()
 	c.DefineClass(ClassDef{Name: "Top"})

@@ -73,16 +73,9 @@ func (c *Catalog) ChangeAttributeType(name, attr string, kind ChangeKind, deferr
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.version.Add(1)
-	def, err := c.definingClassLocked(name, attr)
+	def, spec, err := c.definingClassLocked(name, attr)
 	if err != nil {
 		return LogEntry{}, err
-	}
-	var spec *AttrSpec
-	for i := range def.Own {
-		if def.Own[i].Name == attr {
-			spec = &def.Own[i]
-			break
-		}
 	}
 	if !spec.Composite {
 		return LogEntry{}, fmt.Errorf("schema: %s of non-composite %q.%q", kind, name, attr)
@@ -136,22 +129,17 @@ func (c *Catalog) UpdateAttributeFlags(name, attr string, composite, exclusive, 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.version.Add(1)
-	def, err := c.definingClassLocked(name, attr)
+	_, spec, err := c.definingClassLocked(name, attr)
 	if err != nil {
 		return err
 	}
-	for i := range def.Own {
-		if def.Own[i].Name == attr {
-			if composite && def.Own[i].Domain.Kind != DomainClass {
-				return fmt.Errorf("schema: %q.%q cannot become composite: primitive domain", name, attr)
-			}
-			def.Own[i].Composite = composite
-			def.Own[i].Exclusive = exclusive
-			def.Own[i].Dependent = dependent
-			return nil
-		}
+	if composite && spec.Domain.Kind != DomainClass {
+		return fmt.Errorf("schema: %q.%q cannot become composite: primitive domain", name, attr)
 	}
-	return fmt.Errorf("%q.%q: %w", name, attr, ErrNoAttr)
+	spec.Composite = composite
+	spec.Exclusive = exclusive
+	spec.Dependent = dependent
+	return nil
 }
 
 // CurrentCC returns the catalog-wide change counter. New instances are
@@ -282,7 +270,7 @@ func (c *Catalog) DropAttribute(name, attr string) (AttrSpec, error) {
 			return spec, nil
 		}
 	}
-	if _, err := c.definingClassLocked(name, attr); err == nil {
+	if _, _, err := c.definingClassLocked(name, attr); err == nil {
 		return AttrSpec{}, fmt.Errorf("%q.%q: %w", name, attr, ErrInherited)
 	}
 	return AttrSpec{}, fmt.Errorf("%q.%q: %w", name, attr, ErrNoAttr)
@@ -316,7 +304,7 @@ func (c *Catalog) RenameAttribute(name, attr, newName string) error {
 			return nil
 		}
 	}
-	if _, err := c.definingClassLocked(name, attr); err == nil {
+	if _, _, err := c.definingClassLocked(name, attr); err == nil {
 		return fmt.Errorf("%q.%q: %w", name, attr, ErrInherited)
 	}
 	return fmt.Errorf("%q.%q: %w", name, attr, ErrNoAttr)

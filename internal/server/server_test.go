@@ -291,32 +291,7 @@ func TestDrainFinishesInFlightAbortsIdle(t *testing.T) {
 func TestDeadlockVictimCanBeginImmediately(t *testing.T) {
 	d, srv := newServer(t, server.Config{})
 	c1, c2 := dial(t, srv), dial(t, srv)
-	w1 := mustDo(t, c1, "(make Widget :Tag 1)")
-	w2 := mustDo(t, c1, "(make Widget :Tag 2)")
-
-	// c1 begins first, so c2's transaction is younger — the designated
-	// victim once the cycle forms.
-	id1 := txID(t, mustDo(t, c1, "(begin)"))
-	id2 := txID(t, mustDo(t, c2, "(begin)"))
-	if id2 <= id1 {
-		t.Fatalf("txn ids not monotone: %d then %d", id1, id2)
-	}
-	mustDo(t, c1, "(set "+w1+" Tag 10)")
-	mustDo(t, c2, "(set "+w2+" Tag 20)")
-
-	// c2 blocks behind c1's X lock; c1's counter-request closes the cycle.
-	// The victim (c2) is woken from its own lock wait with the deadlock
-	// verdict, and the survivor's write proceeds.
-	if err := c2.Send("(set " + w1 + " Tag 21)"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let c2's eval reach the lock wait
-	mustDo(t, c1, "(set "+w2+" Tag 11)")
-
-	_, err := c2.Recv()
-	if !server.IsRemote(err, sexpr.CodeDeadlock) {
-		t.Fatalf("victim reply = %v, want typed %s error", err, sexpr.CodeDeadlock)
-	}
+	w1, id2 := deadlockVictim(t, c1, c2)
 
 	// The regression: the victim's transaction must already be detached.
 	if out := mustDo(t, c2, "(txn-status)"); out != "nil" {
@@ -339,6 +314,56 @@ func TestDeadlockVictimCanBeginImmediately(t *testing.T) {
 	if out := mustDo(t, c1, "(get "+w1+" Tag)"); out != "21" {
 		t.Fatalf("retried write lost: Tag = %q, want 21", out)
 	}
+}
+
+// TestDeadlockRetryCounted: the (begin N) a deadlock victim retries with
+// is a deadlock retry, and txn_deadlock_retries_total counts it once.
+func TestDeadlockRetryCounted(t *testing.T) {
+	d, srv := newServer(t, server.Config{})
+	c1, c2 := dial(t, srv), dial(t, srv)
+	retries := d.Observability().Counter("txn_deadlock_retries_total")
+	_, id2 := deadlockVictim(t, c1, c2)
+	before := retries.Load()
+	mustDo(t, c2, fmt.Sprintf("(begin %d)", id2))
+	if n := retries.Load() - before; n != 1 {
+		t.Fatalf("(begin %d) moved txn_deadlock_retries_total by %d, want 1", id2, n)
+	}
+	mustDo(t, c1, "(commit)")
+	mustDo(t, c2, "(commit)")
+}
+
+// deadlockVictim makes c2's transaction the victim of a deadlock with
+// c1's and returns the first widget and the victim's identity. c1's
+// transaction survives, still open, holding X locks on both widgets.
+func deadlockVictim(t *testing.T, c1, c2 *client.Client) (w1 string, id2 lock.TxID) {
+	t.Helper()
+	w1 = mustDo(t, c1, "(make Widget :Tag 1)")
+	w2 := mustDo(t, c1, "(make Widget :Tag 2)")
+
+	// c1 begins first, so c2's transaction is younger — the designated
+	// victim once the cycle forms.
+	id1 := txID(t, mustDo(t, c1, "(begin)"))
+	id2 = txID(t, mustDo(t, c2, "(begin)"))
+	if id2 <= id1 {
+		t.Fatalf("txn ids not monotone: %d then %d", id1, id2)
+	}
+	mustDo(t, c1, "(set "+w1+" Tag 10)")
+	mustDo(t, c2, "(set "+w2+" Tag 20)")
+
+	// c2 blocks behind c1's X lock; c1's counter-request closes the cycle.
+	// The victim (c2) is woken from its own lock wait with the deadlock
+	// verdict, and the survivor's write proceeds.
+	if err := c2.Send("(set " + w1 + " Tag 21)"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let c2's eval reach the lock wait
+	mustDo(t, c1, "(set "+w2+" Tag 11)")
+
+	_, err := c2.Recv()
+	if !server.IsRemote(err, sexpr.CodeDeadlock) {
+		t.Fatalf("victim reply = %v, want typed %s error", err, sexpr.CodeDeadlock)
+	}
+	return w1, id2
 }
 
 // TestSnapshotZeroLocksOverWire pins the §7/§MVCC split across the wire:

@@ -21,7 +21,8 @@ import (
 // a client retrying after a deadlock abort passes the id its first
 // (begin) returned, so the lock manager's youngest-victim policy cannot
 // starve a retrier that keeps losing to fresher transactions (the same
-// identity-retention contract as txn.Manager.BeginAt).
+// identity-retention contract as txn.Manager.BeginAt). It is a retry, so
+// it counts in txn_deadlock_retries_total (txn.Manager.BeginRetry).
 
 // InTxn reports whether the session has an open explicit transaction.
 func (in *Interp) InTxn() bool { return in.tx != nil }
@@ -82,7 +83,7 @@ func evalBegin(in *Interp, args []Node) (value.Value, error) {
 		if args[0].Kind != NInt || args[0].Int <= 0 {
 			return value.Nil, fmt.Errorf("usage: (begin [txn-id]): %w", ErrEval)
 		}
-		in.tx = in.DB.Txns().BeginAt(lock.TxID(args[0].Int))
+		in.tx = in.DB.Txns().BeginRetry(lock.TxID(args[0].Int))
 	default:
 		return value.Nil, fmt.Errorf("usage: (begin [txn-id]): %w", ErrEval)
 	}

@@ -284,6 +284,11 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 
 	close(stopReaders)
 	readerWG.Wait()
+	if h.failure() == nil {
+		if f := h.versionCheck(); f != nil {
+			h.setFailure(f)
+		}
+	}
 
 	res.Committed = int(h.committed.Load())
 	res.Aborted = int(h.aborted.Load())
@@ -590,9 +595,10 @@ func compareSnapshotState(snap *core.Snapshot, view *Model) string {
 }
 
 // quiescentCheck runs with no worker active: full state compare, the
-// engine-wide integrity scan, and the store's exactly-one-location check
+// engine-wide integrity scan, the store's exactly-one-location check
 // (a record that outgrew its page relocates, and must leave no stale
-// duplicate behind).
+// duplicate behind) and, when no reader can hold a snapshot open, the
+// version-store check.
 func (h *charness) quiescentCheck() *Failure {
 	if msg := compareState(h.d.Engine(), h.model); msg != "" {
 		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "quiescent divergence: " + msg}
@@ -602,6 +608,21 @@ func (h *charness) quiescentCheck() *Failure {
 	}
 	if err := h.d.CheckPlacement(); err != nil {
 		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "placement check: " + err.Error()}
+	}
+	if h.cfg.Readers == 0 {
+		return h.versionCheck()
+	}
+	return nil
+}
+
+// versionCheck runs with no writer and no snapshot active: every version
+// a snapshot could have read is gone, so the version store holds exactly
+// one version per live object and no tombstone chain.
+func (h *charness) versionCheck() *Failure {
+	e := h.d.Engine()
+	if live, n := e.VersionsLive(), e.Len(); live != int64(n) {
+		return &Failure{Seed: h.cfg.Seed, Step: -1,
+			Msg: fmt.Sprintf("version store: %d versions live for %d objects", live, n)}
 	}
 	return nil
 }

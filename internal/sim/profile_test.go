@@ -194,8 +194,7 @@ func TestProfilePoolAndWALAttribution(t *testing.T) {
 // committed rewrites of one object must walk exactly N+1 versions to
 // resolve it, and the profile must say so.
 func TestProfileSnapshotVersionWalk(t *testing.T) {
-	// GC disabled so the version chain keeps every rewrite.
-	h := newProfHarness(t, db.Options{MVCCGCInterval: -1})
+	h := newProfHarness(t, db.Options{})
 	obj := h.mk(t, "Leaf", 1)
 
 	snap := h.d.BeginSnapshot()

@@ -1,10 +1,14 @@
 package txn
 
 import (
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/schema"
 	"repro/internal/uid"
 	"repro/internal/value"
 )
@@ -190,5 +194,152 @@ func TestSnapshotZeroLocks(t *testing.T) {
 	}
 	if d := waits.Load() - waitBefore; d != 0 {
 		t.Fatalf("snapshot queries waited on %d §7 locks, want 0", d)
+	}
+}
+
+// unitEngine is docEngine with a Section level between Document and
+// Paragraph, every composite attribute dependent exclusive.
+func unitEngine(t *testing.T) *core.Engine {
+	t.Helper()
+	cat := schema.NewCatalog()
+	for _, def := range []schema.ClassDef{
+		{Name: "Paragraph", Attributes: []schema.AttrSpec{schema.NewAttr("Text", schema.StringDomain)}},
+		{Name: "Section", Attributes: []schema.AttrSpec{schema.NewCompositeSetAttr("Paras", "Paragraph")}},
+		{Name: "Document", Attributes: []schema.AttrSpec{
+			schema.NewAttr("Title", schema.StringDomain),
+			schema.NewCompositeSetAttr("Sections", "Section"),
+		}},
+	} {
+		if _, err := cat.DefineClass(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return core.NewEngine(cat)
+}
+
+// TestCascadeDeleteLeavesOneVersionPerObject: a transaction builds a
+// 1 x 8 x 16 composite (137 objects) and commits; a second deletes its
+// root — the Deletion Rule cascades to all 137 — and commits. With no
+// snapshot open the version store is then back to one version per live
+// object, without any sweep.
+func TestCascadeDeleteLeavesOneVersionPerObject(t *testing.T) {
+	e := unitEngine(t)
+	m := NewManager(e)
+	keep, err := e.New("Document", map[string]value.Value{"Title": value.Str("keep")})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	build := m.Begin()
+	doc, err := build.New("Document", map[string]value.Value{"Title": value.Str("unit")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		sec, err := build.New("Section", nil, core.ParentSpec{Parent: doc.UID(), Attr: "Sections"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 16; j++ {
+			if _, err := build.New("Paragraph", map[string]value.Value{"Text": value.Str("p")},
+				core.ParentSpec{Parent: sec.UID(), Attr: "Paras"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := build.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if live, n := e.VersionsLive(), e.Len(); n != 138 || live != int64(n) {
+		t.Fatalf("after the build: %d versions live for %d objects, want 138 for 138", live, n)
+	}
+
+	del := m.Begin()
+	gone, err := del.Delete(doc.UID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gone) != 137 {
+		t.Fatalf("cascade deleted %d objects, want 137", len(gone))
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if live, n := e.VersionsLive(), e.Len(); n != 1 || live != int64(n) {
+		t.Fatalf("after the cascade: %d versions live for %d objects, want 1 for 1", live, n)
+	}
+	snap := m.BeginSnapshot()
+	defer snap.Release()
+	if snap.Len() != 1 || !snap.Exists(keep.UID()) {
+		t.Fatalf("snapshot after the cascade: Len = %d, want only %v", snap.Len(), keep.UID())
+	}
+}
+
+// TestSnapshotsUnderAutoCommitChurn: snapshots begin and release while an
+// auto-commit writer rewrites one object. The writer stores each
+// commit's own sequence number in the object, so a snapshot at sequence
+// S must read exactly S: publish-time and release-time pruning may never
+// cut the version a snapshot needs. Once everything is released the
+// store is back to one version per object.
+func TestSnapshotsUnderAutoCommitChurn(t *testing.T) {
+	e := docEngine(t)
+	m := NewManager(e)
+	doc, err := e.New("Document", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := doc.UID()
+	write := func() error {
+		// The only writer: the next boundary is this Set's own.
+		return e.Set(id, "Title", value.Str(strconv.FormatUint(e.CommitSeq()+1, 10)))
+	}
+	if err := write(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	errs := make(chan string, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := m.BeginSnapshot()
+				o, err := snap.Get(id)
+				var got string
+				if err == nil {
+					got, _ = o.Get("Title").AsString()
+				}
+				if want := strconv.FormatUint(snap.Seq(), 10); got != want {
+					errs <- "snapshot at " + want + " read " + strconv.Quote(got)
+					snap.Release()
+					return
+				}
+				snap.Release()
+				reads.Add(1)
+			}
+		}()
+	}
+	// Keep writing until the readers have overlapped the churn.
+	for i := 0; i < 2000 || (reads.Load() < 200 && len(errs) == 0); i++ {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if live, n := e.VersionsLive(), e.Len(); live != int64(n) {
+		t.Fatalf("after every snapshot released: %d versions live for %d objects", live, n)
 	}
 }

@@ -146,6 +146,14 @@ func (m *Manager) BeginAt(id lock.TxID) *Txn {
 	}
 }
 
+// BeginRetry restarts a deadlock victim under its original identity (see
+// BeginAt) and counts the retry in txn_deadlock_retries_total. Run's
+// retries and the wire session's (begin N) both come through here.
+func (m *Manager) BeginRetry(id lock.TxID) *Txn {
+	m.o.deadlockRetries.Inc()
+	return m.BeginAt(id)
+}
+
 // BeginSnapshot starts a read-only snapshot transaction: its snapshot
 // sequence — the MVCC analogue of a TxID — is assigned at begin, and
 // every query on the returned handle reads the committed state at
@@ -425,14 +433,15 @@ func (t *Txn) Abort() error {
 }
 
 // Run executes fn in a transaction, committing on nil and aborting on
-// error or panic. Deadlock victims are retried up to three times,
-// keeping their original identity (see BeginAt) so a retry is not
+// error or panic. A deadlock victim gets up to three attempts in all,
+// each retry keeping its original identity (see BeginAt) so a retry is not
 // re-victimized as the perpetual youngest.
 func (m *Manager) Run(fn func(*Txn) error) error {
 	var lastErr error
 	id := lock.TxID(m.next.Add(1))
+	begin := m.BeginAt
 	for attempt := 0; attempt < 3; attempt++ {
-		t := m.BeginAt(id)
+		t := begin(id)
 		err := func() (err error) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -449,8 +458,8 @@ func (m *Manager) Run(fn func(*Txn) error) error {
 		if !errors.Is(err, lock.ErrDeadlock) {
 			return err
 		}
-		m.o.deadlockRetries.Inc()
 		lastErr = err
+		begin = m.BeginRetry
 		// Back off before retrying: an immediate retry can re-acquire its
 		// locks and re-form the same cycle before the parked survivor has
 		// even been scheduled, burning every attempt against one victim.
