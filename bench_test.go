@@ -366,7 +366,7 @@ func evolutionRun(b *testing.B, deferred bool, nRefs, accessed int) {
 			children[j] = c.UID()
 		}
 		start := time.Now()
-		if err := e.ChangeAttributeType("Cp", "A", schema.ChangeToShared, deferred); err != nil {
+		if err := e.ChangeAttributeType(0, "Cp", "A", schema.ChangeToShared, deferred); err != nil {
 			b.Fatal(err)
 		}
 		for j := 0; j < accessed; j++ {
@@ -563,35 +563,35 @@ func versionFixture(b *testing.B) (*core.Engine, *version.Manager, uid.UID, uid.
 	}})
 	e := core.NewEngine(cat)
 	m := version.NewManager(e)
-	_, dv, err := m.CreateVersionable("D", nil)
+	_, dv, err := m.CreateVersionable(e, "D", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, cv, err := m.CreateVersionable("C", map[string]value.Value{"Name": value.Str("x")})
+	g, cv, err := m.CreateVersionable(e, "C", map[string]value.Value{"Name": value.Str("x")})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := m.Attach(cv, "A", dv); err != nil {
+	if err := m.Attach(e, cv, "A", dv); err != nil {
 		b.Fatal(err)
 	}
 	return e, m, g, cv
 }
 
 func BenchmarkDeriveVersion(b *testing.B) {
-	_, m, _, cv := versionFixture(b)
+	e, m, _, cv := versionFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Derive(cv); err != nil {
+		if _, err := m.Derive(e, cv); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkDynamicBind(b *testing.B) {
-	_, m, g, _ := versionFixture(b)
+	e, m, g, _ := versionFixture(b)
 	for i := 0; i < 10; i++ {
 		info, _ := m.Info(g)
-		if _, err := m.Derive(info.Versions[len(info.Versions)-1]); err != nil {
+		if _, err := m.Derive(e, info.Versions[len(info.Versions)-1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,10 +89,10 @@ func figure1() string {
 
 	// Independent exclusive.
 	e, m := cdSetup(true, false)
-	gd, dk := must2(m.CreateVersionable("D", nil))
-	_, ci := must2(m.CreateVersionable("C", nil))
-	check(m.Attach(ci, "A", dk))
-	cj := must(m.Derive(ci))
+	gd, dk := must2(m.CreateVersionable(e, "D", nil))
+	_, ci := must2(m.CreateVersionable(e, "C", nil))
+	check(m.Attach(e, ci, "A", dk))
+	cj := must(m.Derive(e, ci))
 	ciObj := must(e.Get(ci))
 	cjObj := must(e.Get(cj))
 	fmt.Fprintf(&b, "independent exclusive:\n")
@@ -101,10 +101,10 @@ func figure1() string {
 
 	// Dependent exclusive.
 	e2, m2 := cdSetup(true, true)
-	_, dk2 := must2(m2.CreateVersionable("D", nil))
-	_, ci2 := must2(m2.CreateVersionable("C", nil))
-	check(m2.Attach(ci2, "A", dk2))
-	cj2 := must(m2.Derive(ci2))
+	_, dk2 := must2(m2.CreateVersionable(e2, "D", nil))
+	_, ci2 := must2(m2.CreateVersionable(e2, "C", nil))
+	check(m2.Attach(e2, ci2, "A", dk2))
+	cj2 := must(m2.Derive(e2, ci2))
 	cj2Obj := must(e2.Get(cj2))
 	fmt.Fprintf(&b, "dependent exclusive:\n")
 	fmt.Fprintf(&b, "  c-j.A = %s   (dependent reference set to Nil)\n", cj2Obj.Get("A"))
@@ -124,26 +124,26 @@ func figure2() string {
 	b.WriteString("Paper: different version instances of g-c may hold exclusive\n" +
 		"references to different version instances of g-d.\n\n")
 	e, m := cdSetup(true, false)
-	_, d0 := must2(m.CreateVersionable("D", nil))
-	d1 := must(m.Derive(d0))
-	_, c0 := must2(m.CreateVersionable("C", nil))
-	c1 := must(m.Derive(c0))
-	check(m.Attach(c0, "A", d0))
+	_, d0 := must2(m.CreateVersionable(e, "D", nil))
+	d1 := must(m.Derive(e, d0))
+	_, c0 := must2(m.CreateVersionable(e, "C", nil))
+	c1 := must(m.Derive(e, c0))
+	check(m.Attach(e, c0, "A", d0))
 	// Derive rewrote c1.A to the generic; clear it, then bind to d1.
 	c1Obj := must(e.Get(c1))
 	if r, ok := c1Obj.Get("A").AsRef(); ok {
-		check(m.Detach(c1, "A", r))
+		check(m.Detach(e, c1, "A", r))
 	}
-	check(m.Attach(c1, "A", d1))
+	check(m.Attach(e, c1, "A", d1))
 	fmt.Fprintf(&b, "  c.v0.A -> %s (d.v0)\n", must(e.Get(c0)).Get("A"))
 	fmt.Fprintf(&b, "  c.v1.A -> %s (d.v1)\n", must(e.Get(c1)).Get("A"))
 	// The forbidden case: a second exclusive reference to d0.
-	c2 := must(m.Derive(c0))
+	c2 := must(m.Derive(e, c0))
 	c2Obj := must(e.Get(c2))
 	if r, ok := c2Obj.Get("A").AsRef(); ok {
-		check(m.Detach(c2, "A", r))
+		check(m.Detach(e, c2, "A", r))
 	}
-	err := m.Attach(c2, "A", d0)
+	err := m.Attach(e, c2, "A", d0)
 	fmt.Fprintf(&b, "  c.v2.A -> d.v0 rejected: %v\n", err != nil)
 	return b.String()
 }
@@ -155,12 +155,12 @@ func figure3() string {
 		"composite generic reference b1 -> a1 with ref-count 2; removing the\n" +
 		"version-level references decrements it and removes it at zero.\n\n")
 	e, m := cdSetup(true, false)
-	b1, b1v0 := must2(m.CreateVersionable("D", nil))
-	b1v1 := must(m.Derive(b1v0))
-	a1, a1v0 := must2(m.CreateVersionable("C", nil))
-	a1v1 := must(m.Derive(a1v0))
-	check(m.Attach(a1v0, "A", b1v0))
-	check(m.Attach(a1v1, "A", b1v1))
+	b1, b1v0 := must2(m.CreateVersionable(e, "D", nil))
+	b1v1 := must(m.Derive(e, b1v0))
+	a1, a1v0 := must2(m.CreateVersionable(e, "C", nil))
+	a1v1 := must(m.Derive(e, a1v0))
+	check(m.Attach(e, a1v0, "A", b1v0))
+	check(m.Attach(e, a1v1, "A", b1v1))
 	show := func(when string) {
 		gObj := must(e.Get(b1))
 		i := gObj.FindReverse(a1)
@@ -173,9 +173,9 @@ func figure3() string {
 	show("after both references:")
 	parents := must(e.ParentsOf(b1, core.QueryOpts{}))
 	fmt.Fprintf(&b, "  (parents-of b1) = %v   (answers a1 though all refs are static)\n", parents)
-	check(m.Detach(a1v0, "A", b1v0))
+	check(m.Detach(e, a1v0, "A", b1v0))
 	show("after removing a1.v0->b1.v0:")
-	check(m.Detach(a1v1, "A", b1v1))
+	check(m.Detach(e, a1v1, "A", b1v1))
 	show("after removing a1.v1->b1.v1:")
 	return b.String()
 }

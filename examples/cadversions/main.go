@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/schema"
+	"repro/internal/txn"
 	"repro/internal/uid"
 	"repro/internal/value"
 )
@@ -45,26 +46,33 @@ func main() {
 		}
 	}
 	vm := d.Versions()
+	// Each version statement writes through a transaction of its own, as
+	// it does over the wire.
+	must := func(fn func(t *txn.Txn) error) {
+		if err := d.Run(fn); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	// v0 of the gripper.
-	gGrip, grip0, err := vm.CreateVersionable("Gripper", map[string]value.Value{
-		"Fingers": value.Int(2), "MaxLoadKg": value.Real(1.5),
+	var gGrip, grip0 uid.UID
+	must(func(t *txn.Txn) (err error) {
+		gGrip, grip0, err = vm.CreateVersionable(t, "Gripper", map[string]value.Value{
+			"Fingers": value.Int(2), "MaxLoadKg": value.Real(1.5),
+		})
+		return err
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("gripper generic %v, v0 %v (2 fingers, 1.5 kg)\n", gGrip, grip0)
 
 	// The arm binds DYNAMICALLY: its reference targets the generic.
-	_, arm0, err := vm.CreateVersionable("Arm", map[string]value.Value{
-		"Name": value.Str("arm-A"),
+	var arm0 uid.UID
+	must(func(t *txn.Txn) (err error) {
+		_, arm0, err = vm.CreateVersionable(t, "Arm", map[string]value.Value{
+			"Name": value.Str("arm-A"),
+		})
+		return err
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := vm.Attach(arm0, "EndEffector", gGrip); err != nil {
-		log.Fatal(err)
-	}
+	must(func(t *txn.Txn) error { return vm.Attach(t, arm0, "EndEffector", gGrip) })
 	resolve := func(armV uid.UID) uid.UID {
 		o, _ := d.Get(armV)
 		ref, _ := o.Get("EndEffector").AsRef()
@@ -77,9 +85,10 @@ func main() {
 	fmt.Printf("arm v0 dynamically binds EndEffector -> resolves to %v\n", resolve(arm0))
 
 	// Design iteration: derive gripper v1 (3 fingers) and v2 (higher load).
-	grip1, _ := vm.Derive(grip0)
+	var grip1, grip2 uid.UID
+	must(func(t *txn.Txn) (err error) { grip1, err = vm.Derive(t, grip0); return err })
 	d.Set(grip1, "Fingers", value.Int(3))
-	grip2, _ := vm.Derive(grip1)
+	must(func(t *txn.Txn) (err error) { grip2, err = vm.Derive(t, grip1); return err })
 	d.Set(grip2, "MaxLoadKg", value.Real(4.0))
 	fmt.Printf("derived gripper v1 %v and v2 %v; derivation hierarchy:\n", grip1, grip2)
 	info, _ := vm.Info(gGrip)
@@ -97,14 +106,13 @@ func main() {
 	// Release: derive arm v1 and freeze it on a specific gripper version
 	// (static binding). Deriving rewrote the independent exclusive
 	// reference to the generic (Figure 1); rebind statically.
-	arm1, _ := vm.Derive(arm0)
+	var arm1 uid.UID
+	must(func(t *txn.Txn) (err error) { arm1, err = vm.Derive(t, arm0); return err })
 	armObj, _ := d.Get(arm1)
 	if ref, ok := armObj.Get("EndEffector").AsRef(); ok {
-		vm.Detach(arm1, "EndEffector", ref)
+		must(func(t *txn.Txn) error { return vm.Detach(t, arm1, "EndEffector", ref) })
 	}
-	if err := vm.Attach(arm1, "EndEffector", grip1); err != nil {
-		log.Fatal(err)
-	}
+	must(func(t *txn.Txn) error { return vm.Attach(t, arm1, "EndEffector", grip1) })
 	fmt.Printf("arm v1 statically bound to gripper %v (frozen for release)\n", resolve(arm1))
 
 	// Later design work moves the default; the release stays frozen.
@@ -114,7 +122,11 @@ func main() {
 
 	// Rule CV-2X at work: a second arm hierarchy cannot exclusively grab
 	// the same generic gripper.
-	_, armB, _ := vm.CreateVersionable("Arm", map[string]value.Value{"Name": value.Str("arm-B")})
-	err = vm.Attach(armB, "EndEffector", gGrip)
+	var armB uid.UID
+	must(func(t *txn.Txn) (err error) {
+		_, armB, err = vm.CreateVersionable(t, "Arm", map[string]value.Value{"Name": value.Str("arm-B")})
+		return err
+	})
+	err = d.Run(func(t *txn.Txn) error { return vm.Attach(t, armB, "EndEffector", gGrip) })
 	fmt.Printf("arm-B exclusively referencing the same generic gripper: rejected = %v\n", err != nil)
 }

@@ -66,7 +66,7 @@ func main() {
 
 	// I2 (immediate): exclusive -> shared. Both the spec and the X flags
 	// in existing reverse references change.
-	if err := e.ChangeAttributeType("Product", "Manuals", schema.ChangeToShared, false); err != nil {
+	if err := d.ChangeAttributeType("Product", "Manuals", schema.ChangeToShared, false); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after I2 (immediate): Product.Manuals is %s\n", kind())
@@ -79,7 +79,7 @@ func main() {
 	// I3 (deferred): dependent -> independent. The spec changes now; the
 	// D flags in instances are rewritten lazily via the operation log and
 	// change counts (§4.3) when each object is next accessed.
-	if err := e.ChangeAttributeType("Product", "Manuals", schema.ChangeToIndependent, true); err != nil {
+	if err := d.ChangeAttributeType("Product", "Manuals", schema.ChangeToIndependent, true); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after I3 (deferred): Product.Manuals is %s\n", kind())
@@ -99,7 +99,7 @@ func main() {
 	if err := d.Set(p3, "SeeAlso", value.RefSet(m1)); err != nil {
 		log.Fatal(err)
 	}
-	if err := e.MakeComposite("Product", "SeeAlso", false, false); err != nil {
+	if err := d.MakeComposite("Product", "SeeAlso", false, false); err != nil {
 		log.Fatal(err)
 	}
 	a, _ := cat.Attribute("Product", "SeeAlso")
@@ -113,12 +113,12 @@ func main() {
 	if err := d.Attach(p4, "Manuals", m1); err != nil {
 		log.Fatal(err)
 	}
-	err = e.MakeExclusive("Product", "SeeAlso")
+	err = d.MakeExclusive("Product", "SeeAlso")
 	fmt.Printf("D3 with two composite parents on the manual: rejected (%v)\n", err != nil)
 	if err := d.Detach(p4, "Manuals", m1); err != nil {
 		log.Fatal(err)
 	}
-	if err := e.MakeExclusive("Product", "SeeAlso"); err != nil {
+	if err := d.MakeExclusive("Product", "SeeAlso"); err != nil {
 		log.Fatal(err)
 	}
 	a, _ = cat.Attribute("Product", "SeeAlso")
@@ -126,10 +126,10 @@ func main() {
 
 	// Finally §4.1: dropping a composite attribute cascades per the
 	// Deletion Rule — make SeeAlso dependent first (I4), then drop it.
-	if err := e.ChangeAttributeType("Product", "SeeAlso", schema.ChangeToDependent, false); err != nil {
+	if err := d.ChangeAttributeType("Product", "SeeAlso", schema.ChangeToDependent, false); err != nil {
 		log.Fatal(err)
 	}
-	deleted, err := e.DropAttribute("Product", "SeeAlso")
+	deleted, err := d.DropAttribute("Product", "SeeAlso")
 	if err != nil {
 		log.Fatal(err)
 	}

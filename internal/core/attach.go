@@ -268,14 +268,22 @@ func (e *Engine) AttachTx(tx TxnID, parent uid.UID, attr string, child uid.UID) 
 // responsibility for the topology rules).
 func (e *Engine) AttachWithCheck(parent uid.UID, attr string, child uid.UID,
 	check func(child *object.Object, spec schema.AttrSpec) error) error {
+	return e.AttachWithCheckTx(0, parent, attr, child, check)
+}
+
+// AttachWithCheckTx is AttachWithCheck tagged with the transaction
+// performing the link.
+func (e *Engine) AttachWithCheckTx(tx TxnID, parent uid.UID, attr string, child uid.UID,
+	check func(child *object.Object, spec schema.AttrSpec) error) error {
 	e.mu.Lock()
 	dirty := newDirtySet()
 	if err := e.attachCheckedLocked(parent, attr, child, dirty, check); err != nil {
 		e.mu.Unlock()
 		return err
 	}
+	e.noteWritesLocked(tx, dirty, nil)
 	e.mu.Unlock()
-	return e.writeThrough(0, dirty, uid.Nil, uid.Nil, nil)
+	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
 }
 
 // Detach removes the reference from parent.attr to child, unlinking the

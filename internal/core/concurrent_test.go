@@ -249,7 +249,7 @@ func TestDeferredEvolutionVisibleToQueries(t *testing.T) {
 	}
 	// Deferred I2 (exclusive -> shared): the note's reverse reference flag
 	// is rewritten lazily, on the next read.
-	if err := e.ChangeAttributeType("Document", "Annotations", schema.ChangeToShared, true); err != nil {
+	if err := e.ChangeAttributeType(0, "Document", "Annotations", schema.ChangeToShared, true); err != nil {
 		t.Fatal(err)
 	}
 	p, err := e.Partitions(f.note)
@@ -261,7 +261,7 @@ func TestDeferredEvolutionVisibleToQueries(t *testing.T) {
 	}
 	// Deferred drop-composite: the reverse reference itself goes away, so
 	// the ancestor set shrinks on next access.
-	if err := e.ChangeAttributeType("Document", "Annotations", schema.ChangeDropComposite, true); err != nil {
+	if err := e.ChangeAttributeType(0, "Document", "Annotations", schema.ChangeDropComposite, true); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := e.AncestorsOf(f.note, QueryOpts{}); len(got) != 0 {

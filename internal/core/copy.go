@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/uid"
-	"repro/internal/value"
 )
 
 // CopyComposite copies the composite object rooted at root, following the
@@ -21,31 +20,36 @@ import (
 //     semantics and may dangle or be shared freely).
 //
 // It returns the UID of the new root and a mapping original -> copy for
-// every deep-copied object.
-func (e *Engine) CopyComposite(root uid.UID) (uid.UID, map[uid.UID]uid.UID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.legacy {
-		return uid.Nil, nil, fmt.Errorf("core: copy-composite: %w", ErrLegacyRestriction)
-	}
-	if _, err := e.get(root); err != nil {
-		return uid.Nil, nil, err
-	}
+// every deep-copied object. tx tags the writes.
+func (e *Engine) CopyComposite(tx TxnID, root uid.UID) (uid.UID, map[uid.UID]uid.UID, error) {
 	mapping := make(map[uid.UID]uid.UID)
-	dirty := newDirtySet()
-	copyID, err := e.copyLocked(root, mapping, dirty)
-	if err != nil {
-		// Undo partial work: evict every copy made so far, and invalidate
-		// readers of the shared children that briefly gained a parent.
-		for _, c := range mapping {
-			delete(e.objects, c)
-			if ext := e.extents[c.Class]; ext != nil {
-				ext.Remove(c)
-			}
+	var copyID uid.UID
+	_, err := e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		if e.legacy {
+			return nil, fmt.Errorf("core: copy-composite: %w", ErrLegacyRestriction)
 		}
-		return uid.Nil, nil, err
-	}
-	if err := e.flush(dirty, nil); err != nil {
+		if _, err := e.get(root); err != nil {
+			return nil, err
+		}
+		var err error
+		if copyID, err = e.copyLocked(root, mapping, dirty); err != nil {
+			// Undo partial work: evict every copy made so far, and drop the
+			// reverse references the shared children briefly gained.
+			for _, c := range mapping {
+				e.evictLocked(c)
+			}
+			for _, id := range dirty.ids.Slice() {
+				if o, ok := e.objects[id]; ok {
+					for _, c := range mapping {
+						o.RemoveReverse(c)
+					}
+				}
+			}
+			return nil, err
+		}
+		return nil, nil
+	})
+	if err != nil {
 		return uid.Nil, nil, err
 	}
 	return copyID, mapping, nil
@@ -117,18 +121,4 @@ func (e *Engine) copyLocked(id uid.UID, mapping map[uid.UID]uid.UID, dirty *dirt
 		}
 	}
 	return cp.UID(), nil
-}
-
-// CopiedValue is a helper for tests: the value of attr on the copy of id
-// under the given mapping.
-func CopiedValue(e *Engine, mapping map[uid.UID]uid.UID, id uid.UID, attr string) (value.Value, error) {
-	c, ok := mapping[id]
-	if !ok {
-		return value.Nil, fmt.Errorf("%v was not copied: %w", id, ErrNoObject)
-	}
-	o, err := e.Get(c)
-	if err != nil {
-		return value.Nil, err
-	}
-	return o.Get(attr), nil
 }

@@ -18,7 +18,7 @@ func TestCopyCompositeDeepCopiesExclusive(t *testing.T) {
 		"Body":  value.Ref(body.UID()),
 		"Tires": value.RefSet(t1.UID()),
 	})
-	copyID, mapping, err := e.CopyComposite(veh.UID())
+	copyID, mapping, err := e.CopyComposite(0, veh.UID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCopyCompositeSharesShared(t *testing.T) {
 		"Title":    value.Str("orig"),
 		"Sections": value.RefSet(sec.UID()),
 	})
-	copyID, mapping, err := e.CopyComposite(doc.UID())
+	copyID, mapping, err := e.CopyComposite(0, doc.UID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCopyCompositeMixed(t *testing.T) {
 		"Figures":     value.RefSet(img.UID()),
 		"Annotations": value.RefSet(note.UID()),
 	})
-	copyID, mapping, err := e.CopyComposite(doc.UID())
+	copyID, mapping, err := e.CopyComposite(0, doc.UID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCopyCompositeWeakRefsCopiedAsIs(t *testing.T) {
 	veh := mustNew(t, e, "Vehicle", map[string]value.Value{
 		"Manufacturer": value.Ref(co.UID()),
 	})
-	copyID, _, err := e.CopyComposite(veh.UID())
+	copyID, _, err := e.CopyComposite(0, veh.UID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCopyCompositeDeepHierarchy(t *testing.T) {
 		}
 		level = next
 	}
-	copyID, mapping, err := e.CopyComposite(root.UID())
+	copyID, mapping, err := e.CopyComposite(0, root.UID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +191,12 @@ func TestCopyCompositeDeepHierarchy(t *testing.T) {
 
 func TestCopyCompositeErrors(t *testing.T) {
 	e := vehicleEngine(t)
-	if _, _, err := e.CopyComposite(uid.UID{Class: 1, Serial: 404}); err == nil {
+	if _, _, err := e.CopyComposite(0, uid.UID{Class: 1, Serial: 404}); err == nil {
 		t.Fatal("copy of ghost succeeded")
 	}
 	e.SetLegacy(true)
 	v := mustNew(t, e, "Vehicle", nil)
-	if _, _, err := e.CopyComposite(v.UID()); err == nil {
+	if _, _, err := e.CopyComposite(0, v.UID()); err == nil {
 		t.Fatal("copy in legacy mode succeeded")
 	}
 }

@@ -23,34 +23,50 @@ func (e *Engine) instancesOf(class string) []uid.UID {
 	return out
 }
 
+// rewrite runs a schema change or a copy under the exclusive latch, notes
+// its write set (the objects fn marks dirty, and the ones it returns as
+// deleted) for tx, and writes it through as every other mutation does. It
+// returns the deleted UIDs in UID order. What fn changed before failing
+// is noted and written too, so the transaction's abort puts it back.
+func (e *Engine) rewrite(tx TxnID, fn func(dirty *dirtySet) ([]uid.UID, error)) ([]uid.UID, error) {
+	e.mu.Lock()
+	dirty := newDirtySet()
+	deleted, err := fn(dirty)
+	e.noteWritesLocked(tx, dirty, deleted)
+	e.mu.Unlock()
+	sort.Slice(deleted, func(i, j int) bool { return deleted[i].Less(deleted[j]) })
+	if werr := e.writeThrough(tx, dirty, uid.Nil, uid.Nil, deleted); err == nil {
+		err = werr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return deleted, nil
+}
+
 // DropAttribute implements §4.1 change 1: drop attribute attr from class.
 // Every instance of the class (and of its subclasses, which lose the
 // inherited attribute) loses its value for attr; objects referenced
 // through a composite attr are unlinked, and deleted in accordance with
 // the Deletion Rule when the reference was dependent. It returns the UIDs
-// of objects deleted by the cascade.
-func (e *Engine) DropAttribute(class, attr string) ([]uid.UID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	spec, err := e.cat.DropAttribute(class, attr)
-	if err != nil {
-		return nil, err
-	}
-	deleted, err := e.dropAttrValuesLocked(class, spec)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]uid.UID(nil), deleted.Slice()...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+// of objects deleted by the cascade. tx tags the rewrite, as on every
+// schema change below.
+func (e *Engine) DropAttribute(tx TxnID, class, attr string) ([]uid.UID, error) {
+	return e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		spec, err := e.cat.DropAttribute(class, attr)
+		if err != nil {
+			return nil, err
+		}
+		deleted := uid.NewSet()
+		e.dropAttrValuesLocked(class, spec, dirty, deleted)
+		return deleted.Slice(), nil
+	})
 }
 
 // dropAttrValuesLocked clears the value of spec from every instance of
 // class (and subclasses), unlinking and reaping components. Caller holds
 // e.mu and has already removed the attribute from the catalog.
-func (e *Engine) dropAttrValuesLocked(class string, spec schema.AttrSpec) (*uid.Set, error) {
-	dirty := newDirtySet()
-	deleted := uid.NewSet()
+func (e *Engine) dropAttrValuesLocked(class string, spec schema.AttrSpec, dirty *dirtySet, deleted *uid.Set) {
 	for _, id := range e.instancesOf(class) {
 		o, ok := e.objects[id]
 		if !ok || deleted.Contains(id) {
@@ -70,91 +86,73 @@ func (e *Engine) dropAttrValuesLocked(class string, spec schema.AttrSpec) (*uid.
 			dirty.add(id)
 		}
 	}
-	if err := e.flush(dirty, deleted.Slice()); err != nil {
-		return nil, err
-	}
-	return deleted, nil
 }
 
 // RemoveSuperclass implements §4.1 change 3: remove super from class's
 // superclass list. Attributes the class thereby loses are dropped from its
 // instances as in DropAttribute, with composite cascades. It returns the
 // UIDs deleted.
-func (e *Engine) RemoveSuperclass(class, super string) ([]uid.UID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	lost, err := e.cat.RemoveSuperclass(class, super)
-	if err != nil {
-		return nil, err
-	}
-	all := uid.NewSet()
-	for _, spec := range lost {
-		deleted, err := e.dropAttrValuesLocked(class, spec)
+func (e *Engine) RemoveSuperclass(tx TxnID, class, super string) ([]uid.UID, error) {
+	return e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		lost, err := e.cat.RemoveSuperclass(class, super)
 		if err != nil {
 			return nil, err
 		}
-		for _, d := range deleted.Slice() {
-			all.Add(d)
+		deleted := uid.NewSet()
+		for _, spec := range lost {
+			e.dropAttrValuesLocked(class, spec, dirty, deleted)
 		}
-	}
-	out := append([]uid.UID(nil), all.Slice()...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+		return deleted.Slice(), nil
+	})
 }
 
 // DropClass implements §4.1 change 4: delete every instance of the class
 // (cascading per the Deletion Rule through its composite attributes), then
 // remove the class, re-parenting its subclasses to its superclasses. It
 // returns the UIDs deleted.
-func (e *Engine) DropClass(class string) ([]uid.UID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.cat.CanDropClass(class); err != nil {
-		return nil, err
-	}
-	cl, err := e.cat.Class(class)
-	if err != nil {
-		return nil, err
-	}
-	dirty := newDirtySet()
-	deleted := uid.NewSet()
-	for _, id := range append([]uid.UID(nil), e.extents[cl.ID].Slice()...) {
-		if !deleted.Contains(id) {
-			e.deleteLocked(id, deleted, dirty, 0)
+func (e *Engine) DropClass(tx TxnID, class string) ([]uid.UID, error) {
+	return e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		if err := e.cat.CanDropClass(class); err != nil {
+			return nil, err
 		}
-	}
-	if err := e.flush(dirty, deleted.Slice()); err != nil {
-		return nil, err
-	}
-	if _, err := e.cat.DropClass(class); err != nil {
-		return nil, err
-	}
-	delete(e.extents, cl.ID)
-	out := append([]uid.UID(nil), deleted.Slice()...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
+		cl, err := e.cat.Class(class)
+		if err != nil {
+			return nil, err
+		}
+		deleted := uid.NewSet()
+		for _, id := range append([]uid.UID(nil), e.extents[cl.ID].Slice()...) {
+			if !deleted.Contains(id) {
+				e.deleteLocked(id, deleted, dirty, 0)
+			}
+		}
+		if _, err := e.cat.DropClass(class); err != nil {
+			return deleted.Slice(), err
+		}
+		delete(e.extents, cl.ID)
+		return deleted.Slice(), nil
+	})
 }
 
 // RenameAttribute renames class.attr in the catalog and moves the stored
 // values in every instance of the class and its subclasses. Reverse
 // composite references are unaffected (they do not record the attribute
 // name, §2.4).
-func (e *Engine) RenameAttribute(class, attr, newName string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.cat.RenameAttribute(class, attr, newName); err != nil {
-		return err
-	}
-	dirty := newDirtySet()
-	for _, id := range e.instancesOf(class) {
-		o, ok := e.objects[id]
-		if !ok || !o.Has(attr) {
-			continue
+func (e *Engine) RenameAttribute(tx TxnID, class, attr, newName string) error {
+	_, err := e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		if err := e.cat.RenameAttribute(class, attr, newName); err != nil {
+			return nil, err
 		}
-		o.RenameAttr(attr, newName)
-		dirty.add(id)
-	}
-	return e.flush(dirty, nil)
+		for _, id := range e.instancesOf(class) {
+			o, ok := e.objects[id]
+			if !ok || !o.Has(attr) {
+				continue
+			}
+			o.RenameAttr(attr, newName)
+			dirty.add(id)
+		}
+		return nil, nil
+	})
+	return err
 }
 
 // ChangeAttributeType performs a state-independent attribute-type change
@@ -163,9 +161,15 @@ func (e *Engine) RenameAttribute(class, attr, newName string) error {
 // now (§4.3 "immediate"); with deferred=true the rewrite is logged in the
 // domain class's operation log and applied when each object is next
 // accessed (§4.3 "deferred").
-func (e *Engine) ChangeAttributeType(class, attr string, kind schema.ChangeKind, deferred bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *Engine) ChangeAttributeType(tx TxnID, class, attr string, kind schema.ChangeKind, deferred bool) error {
+	_, err := e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		return nil, e.changeAttributeTypeLocked(class, attr, kind, deferred, dirty)
+	})
+	return err
+}
+
+// changeAttributeTypeLocked is ChangeAttributeType's rewrite. Caller holds e.mu for writing.
+func (e *Engine) changeAttributeTypeLocked(class, attr string, kind schema.ChangeKind, deferred bool, dirty *dirtySet) error {
 	entry, err := e.cat.ChangeAttributeType(class, attr, kind, deferred)
 	if err != nil {
 		return err
@@ -181,7 +185,6 @@ func (e *Engine) ChangeAttributeType(class, attr string, kind schema.ChangeKind,
 	if err != nil && kind != schema.ChangeDropComposite {
 		return err
 	}
-	dirty := newDirtySet()
 	for _, pid := range e.instancesOf(entry.OwnerClass) {
 		p, ok := e.objects[pid]
 		if !ok {
@@ -201,7 +204,7 @@ func (e *Engine) ChangeAttributeType(class, attr string, kind schema.ChangeKind,
 			dirty.add(childID)
 		}
 	}
-	return e.flush(dirty, nil)
+	return nil
 }
 
 // MakeComposite performs the state-dependent changes D1 (weak ->
@@ -211,9 +214,15 @@ func (e *Engine) ChangeAttributeType(class, attr string, kind schema.ChangeKind,
 // new reference kind, then records the new specification and inserts the
 // reverse composite references. State-dependent changes can never be
 // deferred (§4.3: they require immediate verification of the X flags).
-func (e *Engine) MakeComposite(class, attr string, exclusive, dependent bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *Engine) MakeComposite(tx TxnID, class, attr string, exclusive, dependent bool) error {
+	_, err := e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		return nil, e.makeCompositeLocked(class, attr, exclusive, dependent, dirty)
+	})
+	return err
+}
+
+// makeCompositeLocked is MakeComposite's rewrite. Caller holds e.mu for writing.
+func (e *Engine) makeCompositeLocked(class, attr string, exclusive, dependent bool, dirty *dirtySet) error {
 	spec, err := e.cat.Attribute(class, attr)
 	if err != nil {
 		return err
@@ -264,13 +273,12 @@ func (e *Engine) MakeComposite(class, attr string, exclusive, dependent bool) er
 	if err := e.cat.UpdateAttributeFlags(class, attr, true, exclusive, dependent); err != nil {
 		return err
 	}
-	dirty := newDirtySet()
 	newSpec, _ := e.cat.Attribute(class, attr)
 	for _, l := range links {
 		linkChild(e.objects[l.child], l.parent, newSpec)
 		dirty.add(l.child)
 	}
-	return e.flush(dirty, nil)
+	return nil
 }
 
 // MakeExclusive performs the state-dependent change D3 of §4.2 (shared
@@ -279,9 +287,15 @@ func (e *Engine) MakeComposite(class, attr string, exclusive, dependent bool) er
 // (§4.3: "more than one reverse composite reference, at least one from an
 // instance of the class C'"); otherwise the X flag is turned on in the
 // reverse references from instances of class.
-func (e *Engine) MakeExclusive(class, attr string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *Engine) MakeExclusive(tx TxnID, class, attr string) error {
+	_, err := e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+		return nil, e.makeExclusiveLocked(class, attr, dirty)
+	})
+	return err
+}
+
+// makeExclusiveLocked is MakeExclusive's rewrite. Caller holds e.mu for writing.
+func (e *Engine) makeExclusiveLocked(class, attr string, dirty *dirtySet) error {
 	spec, err := e.cat.Attribute(class, attr)
 	if err != nil {
 		return err
@@ -314,7 +328,6 @@ func (e *Engine) MakeExclusive(class, attr string) error {
 	if err := e.cat.UpdateAttributeFlags(class, attr, true, true, spec.Dependent); err != nil {
 		return err
 	}
-	dirty := newDirtySet()
 	for _, childID := range children {
 		child := e.objects[childID]
 		for _, r := range child.Reverse() {
@@ -322,5 +335,5 @@ func (e *Engine) MakeExclusive(class, attr string) error {
 		}
 		dirty.add(childID)
 	}
-	return e.flush(dirty, nil)
+	return nil
 }

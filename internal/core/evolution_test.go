@@ -21,7 +21,7 @@ func TestDropCompositeAttributeCascades(t *testing.T) {
 	}
 
 	// Dropping the dependent exclusive Annotations attribute kills notes.
-	deleted, err := e.DropAttribute("Document", "Annotations")
+	deleted, err := e.DropAttribute(0, "Document", "Annotations")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestDropCompositeAttributeCascades(t *testing.T) {
 	}
 
 	// Dropping the independent Figures attribute unlinks but keeps images.
-	deleted, err = e.DropAttribute("Document", "Figures")
+	deleted, err = e.DropAttribute(0, "Document", "Figures")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDropSharedDependentAttributeLastParentRule(t *testing.T) {
 	_ = doc
 	// The paragraph is held only by the section. Dropping Section.Content
 	// deletes all paragraphs held solely through it.
-	deleted, err := e.DropAttribute("Section", "Content")
+	deleted, err := e.DropAttribute(0, "Section", "Content")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRemoveSuperclassCascades(t *testing.T) {
 	memo := mustNew(t, e, "Memo", map[string]value.Value{"Body": value.Str("x")})
 	note := mustNew(t, e, "Attachment", nil, ParentSpec{Parent: memo.UID(), Attr: "Notes"})
 
-	deleted, err := e.RemoveSuperclass("Memo", "Annotated")
+	deleted, err := e.RemoveSuperclass(0, "Memo", "Annotated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDropClassDeletesInstances(t *testing.T) {
 	note := mustNew(t, e, "Paragraph", nil, ParentSpec{Parent: doc.UID(), Attr: "Annotations"})
 	doc2 := mustNew(t, e, "Document", nil)
 
-	deleted, err := e.DropClass("Document")
+	deleted, err := e.DropClass(0, "Document")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDropClassDeletesInstances(t *testing.T) {
 func TestDropClassRejectedWhenDomain(t *testing.T) {
 	e := documentEngine(t)
 	sec := mustNew(t, e, "Section", nil)
-	if _, err := e.DropClass("Section"); err == nil {
+	if _, err := e.DropClass(0, "Section"); err == nil {
 		t.Fatal("dropped a class used as a domain")
 	}
 	// The instance must be untouched by the failed drop.
@@ -154,7 +154,7 @@ func TestImmediateChangeI2RewritesFlags(t *testing.T) {
 		t.Fatalf("precondition: DX = %v", no.DX())
 	}
 	// I2 immediate: Annotations becomes shared; the note's X flag is off.
-	if err := e.ChangeAttributeType("Document", "Annotations", schema.ChangeToShared, false); err != nil {
+	if err := e.ChangeAttributeType(0, "Document", "Annotations", schema.ChangeToShared, false); err != nil {
 		t.Fatal(err)
 	}
 	no, _ = e.Get(note.UID())
@@ -176,7 +176,7 @@ func TestImmediateChangeI1RemovesReverse(t *testing.T) {
 	if err := e.Attach(doc.UID(), "Figures", img.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ChangeAttributeType("Document", "Figures", schema.ChangeDropComposite, false); err != nil {
+	if err := e.ChangeAttributeType(0, "Document", "Figures", schema.ChangeDropComposite, false); err != nil {
 		t.Fatal(err)
 	}
 	io, _ := e.Get(img.UID())
@@ -196,7 +196,7 @@ func TestDeferredChangeAppliedOnAccess(t *testing.T) {
 	doc := mustNew(t, e, "Document", nil)
 	note := mustNew(t, e, "Paragraph", nil, ParentSpec{Parent: doc.UID(), Attr: "Annotations"})
 	// Deferred I3: Annotations dependent -> independent.
-	if err := e.ChangeAttributeType("Document", "Annotations", schema.ChangeToIndependent, true); err != nil {
+	if err := e.ChangeAttributeType(0, "Document", "Annotations", schema.ChangeToIndependent, true); err != nil {
 		t.Fatal(err)
 	}
 	// Access through Get applies the pending change.
@@ -224,7 +224,7 @@ func TestDeferredChangeAppliedDuringDeletion(t *testing.T) {
 	e := documentEngine(t)
 	doc := mustNew(t, e, "Document", nil)
 	note := mustNew(t, e, "Paragraph", nil, ParentSpec{Parent: doc.UID(), Attr: "Annotations"})
-	if err := e.ChangeAttributeType("Document", "Annotations", schema.ChangeToIndependent, true); err != nil {
+	if err := e.ChangeAttributeType(0, "Document", "Annotations", schema.ChangeToIndependent, true); err != nil {
 		t.Fatal(err)
 	}
 	deleted, err := e.Delete(doc.UID())
@@ -245,7 +245,7 @@ func TestD1WeakToExclusiveComposite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// D1: Manufacturer weak -> exclusive composite (independent).
-	if err := e.MakeComposite("Vehicle", "Manufacturer", true, false); err != nil {
+	if err := e.MakeComposite(0, "Vehicle", "Manufacturer", true, false); err != nil {
 		t.Fatal(err)
 	}
 	coObj, _ := e.Get(co.UID())
@@ -274,7 +274,7 @@ func TestD1RejectedWhenChildHasCompositeParent(t *testing.T) {
 	if err := e.Attach(v2.UID(), "Spare", body.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.MakeComposite("Vehicle", "Spare", true, false); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeComposite(0, "Vehicle", "Spare", true, false); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D1 over referenced-with-parent child: %v", err)
 	}
 	// Spec unchanged after rejection.
@@ -294,11 +294,11 @@ func TestD1RejectedOnSharedWeakTargets(t *testing.T) {
 	v2 := mustNew(t, e, "Vehicle", nil)
 	e.Attach(v1.UID(), "Manufacturer", co.UID())
 	e.Attach(v2.UID(), "Manufacturer", co.UID())
-	if err := e.MakeComposite("Vehicle", "Manufacturer", true, false); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeComposite(0, "Vehicle", "Manufacturer", true, false); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D1 with two referencing parents: %v", err)
 	}
 	// D2 (shared) succeeds on the same state.
-	if err := e.MakeComposite("Vehicle", "Manufacturer", false, false); err != nil {
+	if err := e.MakeComposite(0, "Vehicle", "Manufacturer", false, false); err != nil {
 		t.Fatalf("D2: %v", err)
 	}
 	coObj, _ := e.Get(co.UID())
@@ -318,7 +318,7 @@ func TestD2RejectedWhenChildHasExclusiveParent(t *testing.T) {
 	}
 	v2 := mustNew(t, e, "Vehicle", nil)
 	e.Attach(v2.UID(), "Spare", body.UID())
-	if err := e.MakeComposite("Vehicle", "Spare", false, false); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeComposite(0, "Vehicle", "Spare", false, false); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D2 over exclusively-held child: %v", err)
 	}
 	checkClean(t, e)
@@ -330,7 +330,7 @@ func TestD3SharedToExclusive(t *testing.T) {
 	img := mustNew(t, e, "Image", nil)
 	e.Attach(doc.UID(), "Figures", img.UID())
 	// Only one shared parent: D3 succeeds.
-	if err := e.MakeExclusive("Document", "Figures"); err != nil {
+	if err := e.MakeExclusive(0, "Document", "Figures"); err != nil {
 		t.Fatal(err)
 	}
 	io, _ := e.Get(img.UID())
@@ -351,7 +351,7 @@ func TestD3RejectedOnMultipleParents(t *testing.T) {
 	img := mustNew(t, e, "Image", nil)
 	e.Attach(doc1.UID(), "Figures", img.UID())
 	e.Attach(doc2.UID(), "Figures", img.UID())
-	if err := e.MakeExclusive("Document", "Figures"); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeExclusive(0, "Document", "Figures"); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D3 with two parents: %v", err)
 	}
 	// Spec unchanged.
@@ -364,16 +364,16 @@ func TestD3RejectedOnMultipleParents(t *testing.T) {
 
 func TestD3WrongKindRejected(t *testing.T) {
 	e := documentEngine(t)
-	if err := e.MakeExclusive("Document", "Annotations"); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeExclusive(0, "Document", "Annotations"); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D3 of already-exclusive: %v", err)
 	}
-	if err := e.MakeExclusive("Document", "Title"); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeExclusive(0, "Document", "Title"); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D3 of non-composite: %v", err)
 	}
-	if err := e.MakeComposite("Document", "Sections", true, true); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeComposite(0, "Document", "Sections", true, true); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D1 of already-composite: %v", err)
 	}
-	if err := e.MakeComposite("Document", "Title", true, true); !errors.Is(err, ErrChangeRejected) {
+	if err := e.MakeComposite(0, "Document", "Title", true, true); !errors.Is(err, ErrChangeRejected) {
 		t.Fatalf("D1 of primitive: %v", err)
 	}
 }
@@ -391,10 +391,10 @@ func TestImmediateVsDeferredEquivalence(t *testing.T) {
 	eImm, noteImm := build()
 	eDef, noteDef := build()
 	for _, k := range []schema.ChangeKind{schema.ChangeToShared, schema.ChangeToIndependent} {
-		if err := eImm.ChangeAttributeType("Document", "Annotations", k, false); err != nil {
+		if err := eImm.ChangeAttributeType(0, "Document", "Annotations", k, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := eDef.ChangeAttributeType("Document", "Annotations", k, true); err != nil {
+		if err := eDef.ChangeAttributeType(0, "Document", "Annotations", k, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,7 +416,7 @@ func TestImmediateVsDeferredEquivalence(t *testing.T) {
 func TestRenameAttribute(t *testing.T) {
 	e := documentEngine(t)
 	doc := mustNew(t, e, "Document", map[string]value.Value{"Title": value.Str("x")})
-	if err := e.RenameAttribute("Document", "Title", "Heading"); err != nil {
+	if err := e.RenameAttribute(0, "Document", "Title", "Heading"); err != nil {
 		t.Fatal(err)
 	}
 	o, _ := e.Get(doc.UID())
@@ -432,7 +432,7 @@ func TestRenameAttribute(t *testing.T) {
 	// Renaming a composite attribute keeps the graph consistent (reverse
 	// refs don't name attributes).
 	note := mustNew(t, e, "Paragraph", nil, ParentSpec{Parent: doc.UID(), Attr: "Annotations"})
-	if err := e.RenameAttribute("Document", "Annotations", "Notes"); err != nil {
+	if err := e.RenameAttribute(0, "Document", "Annotations", "Notes"); err != nil {
 		t.Fatal(err)
 	}
 	checkClean(t, e)
@@ -441,10 +441,10 @@ func TestRenameAttribute(t *testing.T) {
 		t.Fatalf("dependent semantics broken by rename: %v", deleted)
 	}
 	// Errors: duplicate and missing names.
-	if err := e.RenameAttribute("Document", "Sections", "Figures"); !errors.Is(err, schema.ErrDupAttr) {
+	if err := e.RenameAttribute(0, "Document", "Sections", "Figures"); !errors.Is(err, schema.ErrDupAttr) {
 		t.Fatalf("dup rename: %v", err)
 	}
-	if err := e.RenameAttribute("Document", "Ghost", "X"); !errors.Is(err, schema.ErrNoAttr) {
+	if err := e.RenameAttribute(0, "Document", "Ghost", "X"); !errors.Is(err, schema.ErrNoAttr) {
 		t.Fatalf("ghost rename: %v", err)
 	}
 }

@@ -1,9 +1,9 @@
 // MVCC version store: copy-on-write multi-versioning over the engine's
 // object graph, keyed by a commit-sequence clock.
 //
-// Every mutation path already funnels its write set through writeThrough
-// (or flush, for schema evolution). The version store piggybacks on that
-// funnel: an auto-commit mutation (tx 0) publishes an immutable clone of
+// Every mutation path, schema evolution and copy included, funnels its
+// write set through writeThrough. The version store piggybacks on that
+// funnel: an engine-direct mutation (tx 0) publishes an immutable clone of
 // each object it touched as one commit boundary; a transactional
 // mutation only notes the touched UIDs, and the whole accumulated write
 // set is published as a single boundary when the transaction layer calls
@@ -102,7 +102,8 @@ func (e *Engine) CommitSeq() uint64 { return e.mvcc.clock.Load() }
 // the transaction's pending set, noting each UID's chain head at its
 // first write. The caller holds e.mu for writing, so no install runs
 // between the splice and the note: the head is the last committed
-// version. A no-op for auto-commit (tx 0), which installs instead.
+// version. A no-op for an engine-direct write (tx 0), which installs
+// instead.
 func (e *Engine) noteWritesLocked(tx TxnID, d *dirtySet, deleted []uid.UID) {
 	if tx == 0 {
 		return
@@ -208,12 +209,10 @@ func (e *Engine) CommitVersions(tx TxnID) {
 
 // AbortVersions rolls the transaction back: every object it wrote gets a
 // clone of its version at the transaction's first write, and every object
-// it created is evicted. Strict 2PL kept other transactions off them.
-// Where an auto-commit install (Mutate, a schema-evolution flush) pushed
-// a newer head meanwhile, the restoration is published as a new boundary
-// and sent to the hook as an auto-commit; an auto-commit deletion
-// (DropClass) stands. The rest goes to the hook under tx, for the
-// indexes; the persistence hook drops tx's group at OnAbort.
+// it created is evicted. Strict 2PL kept every other writer off them, so
+// that version still heads each chain. The restorations go to the hook
+// under tx, for the indexes; the persistence hook drops tx's group at
+// OnAbort.
 func (e *Engine) AbortVersions(tx TxnID) error {
 	firsts := e.takePending(tx)
 	if len(firsts) == 0 {
@@ -221,36 +220,19 @@ func (e *Engine) AbortVersions(tx TxnID) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var restored, superseded struct {
-		d    *dirtySet
-		gone []uid.UID
-	}
-	restored.d, superseded.d = newDirtySet(), newDirtySet()
-	var moved []uid.UID
+	restored := newDirtySet()
+	var gone []uid.UID
 	for id, n := range firsts {
-		head := e.chainHead(id)
-		if head != n && (head == nil || head.obj == nil) {
-			n = head
-		}
-		set := &restored
-		if head != n {
-			set = &superseded
-			moved = append(moved, id)
-		}
 		if n == nil || n.obj == nil {
 			e.evictLocked(id)
-			set.gone = append(set.gone, id)
+			gone = append(gone, id)
 		} else {
 			e.objects[id] = n.obj.Clone()
 			e.extentFor(id.Class).Add(id)
-			set.d.add(id)
+			restored.add(id)
 		}
 	}
-	e.installLocked(moved)
-	if err := e.notifyLocked(tx, restored.d, uid.Nil, uid.Nil, restored.gone); err != nil {
-		return err
-	}
-	return e.notifyLocked(0, superseded.d, uid.Nil, uid.Nil, superseded.gone)
+	return e.notifyLocked(tx, restored, uid.Nil, uid.Nil, gone)
 }
 
 // versionWatermark returns the GC low-watermark: the oldest sequence any

@@ -57,7 +57,7 @@ func wantUIDs(t *testing.T, label string, got, want []uid.UID) {
 }
 
 // TestSnapshotIsolation: a snapshot keeps serving the commit boundary it
-// was begun at while auto-commit writers move the live state — including
+// was begun at while engine-direct writers move the live state — including
 // across deletes — and a snapshot begun later sees the new state.
 func TestSnapshotIsolation(t *testing.T) {
 	e := mvccEngine(t)
@@ -213,7 +213,7 @@ func TestSnapshotCatalogIsolation(t *testing.T) {
 	snap := e.BeginSnapshot()
 	defer snap.Release()
 
-	if _, err := e.DropAttribute("Part", "Subparts"); err != nil {
+	if _, err := e.DropAttribute(0, "Part", "Subparts"); err != nil {
 		t.Fatal(err)
 	}
 	// Live traversal: no composite attribute left to follow.
@@ -395,7 +395,7 @@ func TestSnapshotSeesSchemaDeletions(t *testing.T) {
 	note := mustNew(t, e, "Paragraph", nil, ParentSpec{Parent: doc.UID(), Attr: "Annotations"})
 	before := e.BeginSnapshot()
 	defer before.Release()
-	if _, err := e.DropClass("Document"); err != nil {
+	if _, err := e.DropClass(0, "Document"); err != nil {
 		t.Fatal(err)
 	}
 	after := e.BeginSnapshot()

@@ -344,7 +344,7 @@ func TestRecoverPrefersRecordSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Append a raw auto-commit OpPut that places an Alpha object in the
+	// Append a raw engine-direct (Txn 0) OpPut that places an Alpha object in the
 	// Beta segment — the record's segment, not the class default.
 	w, err := storage.OpenWAL(filepath.Join(dir, "wal.log"))
 	if err != nil {

@@ -198,29 +198,33 @@ func testReplayRejectsOp(t *testing.T, op storage.WALOp) {
 	}
 }
 
-// TestSyncAutoCommitSkipsCoveredFsync: the fsync watermark lets an
-// auto-commit boundary skip the fsync when an earlier sync already
-// covered every appended record.
-func TestSyncAutoCommitSkipsCoveredFsync(t *testing.T) {
-	d, err := Open(Options{Dir: t.TempDir(), SyncWAL: true})
+// TestStatementLogsAsTransaction: a facade write outside any transaction
+// runs as a one-statement transaction, so its records are bracketed by
+// OpBegin and OpCommit under one transaction ID.
+func TestStatementLogsAsTransaction(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	defineDocSchema(t, d)
-	fsyncs := d.Observability().Counter("wal_fsync_total")
-	before := fsyncs.Load()
 	if _, err := d.Make("Document", map[string]value.Value{"Title": value.Str("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsyncs.Load() - before; got != 1 {
-		t.Fatalf("auto-commit write fsynced %d times, want 1", got)
-	}
-	h := &hook{d: d}
-	if err := h.SyncAutoCommit(); err != nil {
+	if err := d.Abandon(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsyncs.Load() - before; got != 1 {
-		t.Fatalf("covered boundary fsynced again: %d fsyncs", got)
+	var ops []storage.WALOp
+	txns := map[uint64]bool{}
+	if err := storage.ReplayWAL(filepath.Join(dir, walFile), func(rec storage.WALRecord) error {
+		ops = append(ops, rec.Op)
+		txns[rec.Txn] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []storage.WALOp{storage.OpBegin, storage.OpPut, storage.OpCommit}
+	if fmt.Sprint(ops) != fmt.Sprint(want) || len(txns) != 1 || txns[0] {
+		t.Fatalf("logged ops %v under transactions %v, want %v under one nonzero ID", ops, txns, want)
 	}
 }

@@ -105,13 +105,19 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 
 	// --- versions on a bracket design ---
-	gB, bv0, err := d.Versions().CreateVersionable("Bracket", map[string]value.Value{
-		"Material": value.Str("titanium"),
+	var gB, bv1 uid.UID
+	err = d.Run(func(tx *txn.Txn) error {
+		var bv0 uid.UID
+		var err error
+		gB, bv0, err = d.Versions().CreateVersionable(tx, "Bracket", map[string]value.Value{
+			"Material": value.Str("titanium"),
+		})
+		if err != nil {
+			return err
+		}
+		bv1, err = d.Versions().Derive(tx, bv0)
+		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bv1, err := d.Versions().Derive(bv0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +126,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 
 	// --- schema evolution: Rig.Brackets becomes dependent (I4), deferred ---
-	if err := d.Engine().ChangeAttributeType("Rig", "Brackets", schema.ChangeToDependent, true); err != nil {
+	if err := d.ChangeAttributeType("Rig", "Brackets", schema.ChangeToDependent, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,7 +180,7 @@ func TestDeferredEvolutionSurvivesReopen(t *testing.T) {
 	defineDocSchema(t, d)
 	doc, _ := d.Make("Document", nil)
 	para, _ := d.Make("Paragraph", nil, core.ParentSpec{Parent: doc.UID(), Attr: "Paras"})
-	if err := d.Engine().ChangeAttributeType("Document", "Paras", schema.ChangeToIndependent, true); err != nil {
+	if err := d.ChangeAttributeType("Document", "Paras", schema.ChangeToIndependent, true); err != nil {
 		t.Fatal(err)
 	}
 	// Close WITHOUT accessing the paragraph: its flags are still stale on

@@ -3,6 +3,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,6 +66,10 @@ type granuleState struct {
 	waiters int
 	// parked holds the mode each parked transaction is waiting for.
 	parked map[TxID]Mode
+	// queue lists, in arrival order, the transactions parked through
+	// LockQueued. A request from a transaction that holds nothing on the
+	// granule waits behind every earlier entry.
+	queue []TxID
 }
 
 // Manager is a blocking lock manager with deadlock detection via a
@@ -282,6 +287,19 @@ func (m *Manager) abortVictim(tx TxID, key string, mode Mode, g Granule, waitSpa
 // to release its locks. Re-requesting a held mode is a no-op; requesting
 // an additional mode records both (lock conversion by accumulation).
 func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
+	return m.lock(tx, g, mode, false)
+}
+
+// LockQueued is Lock for a request that must not starve: grants do not
+// queue behind waits, so a stream of requests compatible with the
+// holders could overtake it forever. Once it parks, a request from any
+// transaction holding nothing on g waits behind it. A schema change's X
+// on a class granule (Protocol.LockSchema) is the one such request.
+func (m *Manager) LockQueued(tx TxID, g Granule, mode Mode) error {
+	return m.lock(tx, g, mode, true)
+}
+
+func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 	key := g.String()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -293,6 +311,7 @@ func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
 		if waited {
 			st.waiters--
 			delete(st.parked, tx)
+			st.queue = slices.DeleteFunc(st.queue, func(w TxID) bool { return w == tx })
 		}
 	}
 	for {
@@ -303,6 +322,14 @@ func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
 		blockers := st.blockers(tx, mode)
 		if w, ok := m.yieldTo[tx]; ok {
 			if pm, parked := st.parked[w]; parked && !Compatible(pm, mode) {
+				blockers = append(blockers, w)
+			}
+		}
+		if len(st.holders[tx]) == 0 {
+			for _, w := range st.queue {
+				if w == tx {
+					break
+				}
 				blockers = append(blockers, w)
 			}
 		}
@@ -341,6 +368,9 @@ func (m *Manager) Lock(tx TxID, g Granule, mode Mode) error {
 			waited = true
 			st.waiters++
 			st.parked[tx] = mode
+			if queued {
+				st.queue = append(st.queue, tx)
+			}
 			m.o.waits.Inc()
 			waitStart = time.Now()
 			if tr := m.o.tr; tr.Active() {

@@ -338,6 +338,21 @@ func (c *Catalog) Attribute(name, attr string) (AttrSpec, error) {
 	return *a, nil
 }
 
+// DefiningClass returns the class (name itself or an ancestor) whose own
+// attributes carry attr, or name when attr is empty.
+func (c *Catalog) DefiningClass(name, attr string) (string, error) {
+	if attr == "" {
+		return name, nil
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cl, _, err := c.definingClassLocked(name, attr)
+	if err != nil {
+		return name, err
+	}
+	return cl.Name, nil
+}
+
 // definingClassLocked returns the class (name itself or an ancestor)
 // whose Own list carries attr, and that entry, following the same
 // conflict-resolution order as Attributes. Caller holds at least the

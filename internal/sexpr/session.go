@@ -12,10 +12,13 @@ import (
 
 // Session-scoped transaction surface. A network session (one connection
 // of cmd/orion-server) is one Interp; (begin) opens an explicit §7
-// transaction on it and the mutation messages — make, set, attach,
-// detach, delete — route through the transaction until (commit) or
-// (abort). With no open transaction each mutation auto-commits through
-// the db facade exactly as before, so the embedded shell is unchanged.
+// transaction on it and the write messages — make, set, attach, detach,
+// delete, copy, make-versionable, derive, delete-version — route through
+// the transaction until (commit) or (abort). With no open transaction
+// each write runs as its own one-statement transaction, so it logs
+// OpBegin and OpCommit around its records like any other. Schema
+// statements always run as their own transaction, and are refused inside
+// (begin) (ErrSchemaInTxn).
 //
 // (begin N) reopens a transaction under a previously issued identity:
 // a client retrying after a deadlock abort passes the id its first

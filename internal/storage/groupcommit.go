@@ -26,8 +26,7 @@ const (
 //
 // The leader only waits when more committers are demonstrably en route
 // (they have entered Sync but not yet joined a batch), so a lone
-// committer — including an auto-commit write issued under the engine
-// latch — pays exactly one fsync and no artificial delay.
+// committer pays exactly one fsync and no artificial delay.
 type GroupCommitter struct {
 	wal      *WAL
 	maxWait  time.Duration

@@ -36,8 +36,8 @@ const (
 )
 
 // WALRecord is one logical change. Txn tags the record with the
-// transaction that produced it (0 = auto-commit: the record is its own
-// transaction and applies immediately on replay). For OpPut, Seg and
+// transaction that produced it (0 = an engine-direct write made outside
+// any transaction: the record applies immediately on replay). For OpPut, Seg and
 // Near carry the placement request so replay reproduces clustering
 // decisions; OpDelete records Seg too (the segment the object lived in)
 // while Near stays Nil — the clustering hint is only defined for the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -213,11 +214,11 @@ func TestAbortRestoresEngineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAbortRestoresFirstWriteVersion: an auto-commit install may push a
-// newer version over an object in an open transaction's write set (the
-// version layer's Mutate does, taking no §7 lock). Abort must restore
-// the version the object had at the transaction's first write of it,
-// not whatever heads its chain at abort time.
+// TestAbortRestoresFirstWriteVersion: a second writer of an object in
+// an open transaction's write set (here the version layer's Mutate, in a
+// transaction of its own) waits for the transaction's outcome. Abort must
+// restore the version the object had at the transaction's first write,
+// and the waiting writer must then find exactly that version.
 func TestAbortRestoresFirstWriteVersion(t *testing.T) {
 	m := abortPropManager(t)
 	e := m.Engine()
@@ -231,23 +232,46 @@ func TestAbortRestoresFirstWriteVersion(t *testing.T) {
 	if err := tx.WriteAttr(id, "Tag", value.Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Mutate(id, func(o *object.Object) { o.Set("Tag", value.Int(3)) }); err != nil {
-		t.Fatal(err)
+	waits := m.Observability().Counter("lock_wait_total")
+	waited := waits.Load()
+	var seen []byte
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Run(func(t2 *Txn) error {
+			return t2.Mutate(id, func(o *object.Object) {
+				seen = encoding.EncodeObject(o)
+				o.Set("Tag", value.Int(3))
+			})
+		})
+	}()
+	for waits.Load() == waited {
+		select {
+		case err := <-done:
+			t.Fatalf("second writer finished under the open transaction (err %v)", err)
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, seen) {
+		t.Fatalf("second writer found %q after the abort, want the pre-transaction %q", seen, before)
 	}
 	got, err := e.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := encoding.EncodeObject(got); !bytes.Equal(before, after) {
-		t.Fatalf("object after abort = %v, want its pre-transaction encoding", got.Get("Tag"))
+	if n, _ := got.Get("Tag").AsInt(); n != 3 {
+		t.Fatalf("Tag = %d, want the second writer's 3", n)
 	}
-	// A snapshot begun after the abort reads the restored version too.
+	// A snapshot begun now reads the committed live object.
 	s := e.BeginSnapshot()
 	defer s.Release()
-	if so, err := s.Get(id); err != nil || !bytes.Equal(before, encoding.EncodeObject(so)) {
-		t.Fatalf("snapshot after abort reads %v (err %v), want the pre-transaction version", so, err)
+	if so, err := s.Get(id); err != nil || !bytes.Equal(encoding.EncodeObject(got), encoding.EncodeObject(so)) {
+		t.Fatalf("snapshot reads %v (err %v), want the live object", so, err)
 	}
 }

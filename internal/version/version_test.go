@@ -34,7 +34,7 @@ func cdEngine(t *testing.T, exclusive, dependent bool) (*core.Engine, *Manager) 
 
 func TestCreateVersionable(t *testing.T) {
 	_, m := cdEngine(t, true, false)
-	g, v0, err := m.CreateVersionable("D", map[string]value.Value{"Payload": value.Str("p0")})
+	g, v0, err := m.CreateVersionable(m.Engine(), "D", map[string]value.Value{"Payload": value.Str("p0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,26 +69,26 @@ func TestCreateVersionableRequiresFlag(t *testing.T) {
 	cat := schema.NewCatalog()
 	cat.DefineClass(schema.ClassDef{Name: "Plain"})
 	m := NewManager(core.NewEngine(cat))
-	if _, _, err := m.CreateVersionable("Plain", nil); !errors.Is(err, ErrNotVersionable) {
+	if _, _, err := m.CreateVersionable(m.Engine(), "Plain", nil); !errors.Is(err, ErrNotVersionable) {
 		t.Fatalf("versionable of plain class: %v", err)
 	}
-	if _, _, err := m.CreateVersionable("Ghost", nil); !errors.Is(err, schema.ErrNoClass) {
+	if _, _, err := m.CreateVersionable(m.Engine(), "Ghost", nil); !errors.Is(err, schema.ErrNoClass) {
 		t.Fatalf("ghost class: %v", err)
 	}
 }
 
 func TestDeriveBuildsHierarchy(t *testing.T) {
 	_, m := cdEngine(t, true, false)
-	g, v0, _ := m.CreateVersionable("D", map[string]value.Value{"Payload": value.Str("p0")})
-	v1, err := m.Derive(v0)
+	g, v0, _ := m.CreateVersionable(m.Engine(), "D", map[string]value.Value{"Payload": value.Str("p0")})
+	v1, err := m.Derive(m.Engine(), v0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := m.Derive(v0)
+	v2, err := m.Derive(m.Engine(), v0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := m.Derive(v1)
+	v3, err := m.Derive(m.Engine(), v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +105,15 @@ func TestDeriveBuildsHierarchy(t *testing.T) {
 		t.Fatalf("derived Payload = %v", vo.Get("Payload"))
 	}
 	// Deriving from a non-version errors.
-	if _, err := m.Derive(g); !errors.Is(err, ErrNotVersion) {
+	if _, err := m.Derive(m.Engine(), g); !errors.Is(err, ErrNotVersion) {
 		t.Fatalf("derive from generic: %v", err)
 	}
 }
 
 func TestDefaultVersionTimestampAndPin(t *testing.T) {
 	_, m := cdEngine(t, true, false)
-	g, v0, _ := m.CreateVersionable("D", nil)
-	v1, _ := m.Derive(v0)
+	g, v0, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	v1, _ := m.Derive(m.Engine(), v0)
 	// System default: newest by creation.
 	d, err := m.DefaultVersion(g)
 	if err != nil || d != v1 {
@@ -141,7 +141,7 @@ func TestDefaultVersionTimestampAndPin(t *testing.T) {
 		t.Fatalf("default after clear = %v", d)
 	}
 	// Pinning a foreign version fails.
-	g2, _, _ := m.CreateVersionable("D", nil)
+	g2, _, _ := m.CreateVersionable(m.Engine(), "D", nil)
 	if err := m.SetDefault(g2, v0); !errors.Is(err, ErrNotVersion) {
 		t.Fatalf("foreign pin: %v", err)
 	}
@@ -152,12 +152,12 @@ func TestFigure1IndependentExclusiveRewrite(t *testing.T) {
 	// instance d-k; deriving c-j rewrites the reference to the generic
 	// instance g-d.
 	_, m := cdEngine(t, true, false) // A independent exclusive
-	gd, dk, _ := m.CreateVersionable("D", nil)
-	_, ci, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(ci, "A", dk); err != nil {
+	gd, dk, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	_, ci, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), ci, "A", dk); err != nil {
 		t.Fatal(err)
 	}
-	cj, err := m.Derive(ci)
+	cj, err := m.Derive(m.Engine(), ci)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestFigure1DependentExclusiveNil(t *testing.T) {
 	// Figure 1 variant: a dependent exclusive reference is set to Nil in
 	// the new copy.
 	_, m := cdEngine(t, true, true) // A dependent exclusive
-	_, dk, _ := m.CreateVersionable("D", nil)
-	_, ci, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(ci, "A", dk); err != nil {
+	_, dk, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	_, ci, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), ci, "A", dk); err != nil {
 		t.Fatal(err)
 	}
-	cj, err := m.Derive(ci)
+	cj, err := m.Derive(m.Engine(), ci)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +194,12 @@ func TestFigure1DependentExclusiveNil(t *testing.T) {
 
 func TestFigure1SharedCopiesAsIs(t *testing.T) {
 	_, m := cdEngine(t, false, false) // A independent shared
-	_, dk, _ := m.CreateVersionable("D", nil)
-	_, ci, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(ci, "A", dk); err != nil {
+	_, dk, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	_, ci, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), ci, "A", dk); err != nil {
 		t.Fatal(err)
 	}
-	cj, err := m.Derive(ci)
+	cj, err := m.Derive(m.Engine(), ci)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,29 +218,29 @@ func TestFigure2DifferentVersionsDifferentTargets(t *testing.T) {
 	// Figure 2: version instances of g-c may reference different version
 	// instances of g-d, each exclusively.
 	_, m := cdEngine(t, true, false)
-	_, dk, _ := m.CreateVersionable("D", nil)
-	dj, err := m.Derive(dk)
+	_, dk, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	dj, err := m.Derive(m.Engine(), dk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ci, _ := m.CreateVersionable("C", nil)
-	cj, _ := m.Derive(ci)
-	if err := m.Attach(ci, "A", dk); err != nil {
+	_, ci, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	cj, _ := m.Derive(m.Engine(), ci)
+	if err := m.Attach(m.Engine(), ci, "A", dk); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Attach(cj, "A", dj); err != nil {
+	if err := m.Attach(m.Engine(), cj, "A", dj); err != nil {
 		t.Fatal(err)
 	}
 	// But a second exclusive reference to the SAME version instance is
 	// rejected (CV-2X sentence 1).
-	ck, _ := m.Derive(ci) // derive rewrites to generic, so clear it first
+	ck, _ := m.Derive(m.Engine(), ci) // derive rewrites to generic, so clear it first
 	ckObj, _ := m.Engine().Get(ck)
 	if !ckObj.Get("A").IsNil() {
-		if err := m.Detach(ck, "A", mustRef(t, ckObj.Get("A"))); err != nil {
+		if err := m.Detach(m.Engine(), ck, "A", mustRef(t, ckObj.Get("A"))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Attach(ck, "A", dk); !errors.Is(err, core.ErrTopologyViolation) {
+	if err := m.Attach(m.Engine(), ck, "A", dk); !errors.Is(err, core.ErrTopologyViolation) {
 		t.Fatalf("second exclusive ref to version instance: %v", err)
 	}
 }
@@ -258,24 +258,24 @@ func TestCV2XGenericMultipleExclusiveSameHierarchy(t *testing.T) {
 	// CV-2X sentence 2: a generic instance may have several exclusive
 	// references, but only from the same version-derivation hierarchy.
 	_, m := cdEngine(t, true, false)
-	gd, _, _ := m.CreateVersionable("D", nil)
-	_, ci, _ := m.CreateVersionable("C", nil)
-	cj, _ := m.Derive(ci)
+	gd, _, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	_, ci, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	cj, _ := m.Derive(m.Engine(), ci)
 
-	if err := m.Attach(ci, "A", gd); err != nil {
+	if err := m.Attach(m.Engine(), ci, "A", gd); err != nil {
 		t.Fatal(err)
 	}
 	// Same hierarchy (cj derived from ci): allowed.
 	cjObj, _ := m.Engine().Get(cj)
 	if r, ok := cjObj.Get("A").AsRef(); ok {
-		m.Detach(cj, "A", r)
+		m.Detach(m.Engine(), cj, "A", r)
 	}
-	if err := m.Attach(cj, "A", gd); err != nil {
+	if err := m.Attach(m.Engine(), cj, "A", gd); err != nil {
 		t.Fatalf("same-hierarchy exclusive ref to generic rejected: %v", err)
 	}
 	// Different hierarchy: rejected.
-	_, cx, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(cx, "A", gd); !errors.Is(err, ErrCV2X) {
+	_, cx, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), cx, "A", gd); !errors.Is(err, ErrCV2X) {
 		t.Fatalf("cross-hierarchy exclusive ref to generic: %v", err)
 	}
 }
@@ -287,15 +287,15 @@ func TestFigure3RefCounts(t *testing.T) {
 	// version-level references decrements it, and the entry disappears at
 	// zero.
 	_, m := cdEngine(t, true, false)
-	b1, b1v0, _ := m.CreateVersionable("D", nil)
-	b1v1, _ := m.Derive(b1v0)
-	a1, a1v0, _ := m.CreateVersionable("C", nil)
-	a1v1, _ := m.Derive(a1v0)
+	b1, b1v0, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	b1v1, _ := m.Derive(m.Engine(), b1v0)
+	a1, a1v0, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	a1v1, _ := m.Derive(m.Engine(), a1v0)
 
-	if err := m.Attach(a1v0, "A", b1v0); err != nil {
+	if err := m.Attach(m.Engine(), a1v0, "A", b1v0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Attach(a1v1, "A", b1v1); err != nil {
+	if err := m.Attach(m.Engine(), a1v1, "A", b1v1); err != nil {
 		t.Fatal(err)
 	}
 	// Generic b1 carries one generic-level entry keyed by generic a1 with
@@ -319,7 +319,7 @@ func TestFigure3RefCounts(t *testing.T) {
 		t.Fatalf("parents-of(b1) = %v, want [a1]", parents)
 	}
 	// Remove a1.v0 -> b1.v0: count drops to 1, entry survives.
-	if err := m.Detach(a1v0, "A", b1v0); err != nil {
+	if err := m.Detach(m.Engine(), a1v0, "A", b1v0); err != nil {
 		t.Fatal(err)
 	}
 	b1Obj, _ = m.Engine().Get(b1)
@@ -328,7 +328,7 @@ func TestFigure3RefCounts(t *testing.T) {
 		t.Fatalf("after first removal: %v", b1Obj.Reverse())
 	}
 	// Remove a1.v1 -> b1.v1: count hits zero, entry removed.
-	if err := m.Detach(a1v1, "A", b1v1); err != nil {
+	if err := m.Detach(m.Engine(), a1v1, "A", b1v1); err != nil {
 		t.Fatal(err)
 	}
 	b1Obj, _ = m.Engine().Get(b1)
@@ -341,14 +341,14 @@ func TestDeleteVersionCascadesAndLastVersionDeletesGeneric(t *testing.T) {
 	// CV-4X: deleting a version cascades through dependent static refs;
 	// deleting the last version deletes the generic.
 	_, m := cdEngine(t, true, true) // dependent exclusive
-	gd, dv, _ := m.CreateVersionable("D", nil)
-	gc, cv, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(cv, "A", dv); err != nil {
+	gd, dv, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	gc, cv, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), cv, "A", dv); err != nil {
 		t.Fatal(err)
 	}
 	// Deleting c's only version: d's version dies too (dependent), and
 	// both generics die (their last versions are gone).
-	if err := m.DeleteVersion(cv); err != nil {
+	if err := m.DeleteVersion(m.Engine(), cv); err != nil {
 		t.Fatal(err)
 	}
 	e := m.Engine()
@@ -372,9 +372,9 @@ func TestDeleteVersionCascadesAndLastVersionDeletesGeneric(t *testing.T) {
 
 func TestDeleteVersionKeepsGenericWhileVersionsRemain(t *testing.T) {
 	_, m := cdEngine(t, true, false)
-	g, v0, _ := m.CreateVersionable("D", nil)
-	v1, _ := m.Derive(v0)
-	if err := m.DeleteVersion(v0); err != nil {
+	g, v0, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	v1, _ := m.Derive(m.Engine(), v0)
+	if err := m.DeleteVersion(m.Engine(), v0); err != nil {
 		t.Fatal(err)
 	}
 	if !m.IsGeneric(g) || !m.IsVersion(v1) {
@@ -394,12 +394,12 @@ func TestDeleteGenericRecursesThroughDependentGenerics(t *testing.T) {
 	// CV-4X: deleting g-c recursively deletes generics it references
 	// exclusively and dependently (tracked via generic-level entries).
 	_, m := cdEngine(t, true, true) // dependent exclusive
-	gd, dv, _ := m.CreateVersionable("D", nil)
-	gc, cv, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(cv, "A", dv); err != nil {
+	gd, dv, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	gc, cv, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), cv, "A", dv); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DeleteGeneric(gc); err != nil {
+	if err := m.DeleteGeneric(m.Engine(), gc); err != nil {
 		t.Fatal(err)
 	}
 	e := m.Engine()
@@ -414,9 +414,9 @@ func TestDynamicBindingReference(t *testing.T) {
 	// An object may reference the generic (dynamic binding); resolution
 	// returns the default version.
 	_, m := cdEngine(t, true, false)
-	gd, v0, _ := m.CreateVersionable("D", map[string]value.Value{"Payload": value.Str("zero")})
-	_, ci, _ := m.CreateVersionable("C", nil)
-	if err := m.Attach(ci, "A", gd); err != nil {
+	gd, v0, _ := m.CreateVersionable(m.Engine(), "D", map[string]value.Value{"Payload": value.Str("zero")})
+	_, ci, _ := m.CreateVersionable(m.Engine(), "C", nil)
+	if err := m.Attach(m.Engine(), ci, "A", gd); err != nil {
 		t.Fatal(err)
 	}
 	ciObj, _ := m.Engine().Get(ci)
@@ -426,7 +426,7 @@ func TestDynamicBindingReference(t *testing.T) {
 		t.Fatalf("resolved = %v, %v", resolved, err)
 	}
 	// Deriving a new version moves the dynamic binding automatically.
-	v1, _ := m.Derive(v0)
+	v1, _ := m.Derive(m.Engine(), v0)
 	resolved, _ = m.Resolve(bound)
 	if resolved != v1 {
 		t.Fatalf("resolved after derive = %v, want %v", resolved, v1)
@@ -435,8 +435,8 @@ func TestDynamicBindingReference(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	e, m := cdEngine(t, true, false)
-	g, v0, _ := m.CreateVersionable("D", nil)
-	v1, _ := m.Derive(v0)
+	g, v0, _ := m.CreateVersionable(m.Engine(), "D", nil)
+	v1, _ := m.Derive(m.Engine(), v0)
 	m.SetDefault(g, v0)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -455,5 +455,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	info, _ := m2.Info(g)
 	if info.DerivedFrom[v1] != v0 {
 		t.Fatal("derivation hierarchy lost")
+	}
+}
+
+func TestHookCleansBookkeepingOnDirectEngineDelete(t *testing.T) {
+	e, m := cdEngine(t, true, false)
+	e.SetHook(m) // version manager as the engine hook
+	g, v0, _ := m.CreateVersionable(e, "D", nil)
+	v1, _ := m.Derive(e, v0)
+	// Bypass DeleteVersion: delete the version straight through the engine.
+	if _, err := e.Delete(v0); err != nil {
+		t.Fatal(err)
+	}
+	if m.IsVersion(v0) {
+		t.Fatal("bookkeeping survived direct engine delete")
+	}
+	info, _ := m.Info(g)
+	if len(info.Versions) != 1 || info.Versions[0] != v1 {
+		t.Fatalf("Versions = %v", info.Versions)
+	}
+	// DeleteVersion through the manager still deletes the last version's
+	// generic with the hook installed.
+	if err := m.DeleteVersion(e, v1); err != nil {
+		t.Fatal(err)
+	}
+	if m.IsGeneric(g) || e.Exists(g) {
+		t.Fatal("generic survived the deletion of its last version")
 	}
 }
