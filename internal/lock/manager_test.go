@@ -276,3 +276,44 @@ func parkedOn(m *Manager, gr Granule) int {
 	}
 	return 0
 }
+
+// TestQueuedRequestIsNotOvertaken: a parked LockQueued request makes a
+// later compatible request from a transaction holding nothing on the
+// granule wait behind it (a plain Lock would be granted at once and, with
+// a stream of such requests, could starve the X forever), while the
+// holder's own requests still pass.
+func TestQueuedRequestIsNotOvertaken(t *testing.T) {
+	m := NewManager()
+	if err := m.Lock(1, g("C"), IX); err != nil {
+		t.Fatal(err)
+	}
+	order := make(chan TxID, 2)
+	go func() {
+		if err := m.LockQueued(2, g("C"), X); err == nil {
+			order <- 2
+			m.ReleaseAll(2)
+		}
+	}()
+	for parkedOn(m, g("C")) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		if err := m.Lock(3, g("C"), IX); err == nil {
+			order <- 3
+			m.ReleaseAll(3)
+		}
+	}()
+	for deadline := time.Now().Add(2 * time.Second); parkedOn(m, g("C")) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the later IX did not wait behind the queued X")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.Lock(1, g("C"), IS); err != nil {
+		t.Fatalf("holder's own request: %v", err)
+	}
+	m.ReleaseAll(1)
+	if first, second := <-order, <-order; first != 2 || second != 3 {
+		t.Fatalf("grant order %d, %d; want the queued X (2) before the later IX (3)", first, second)
+	}
+}

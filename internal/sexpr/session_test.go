@@ -198,3 +198,36 @@ func TestErrorCodeMapping(t *testing.T) {
 		t.Fatal("unknown errors should map to the generic code")
 	}
 }
+
+// TestAbortedVersionStatementsKeepBookkeeping: the version bookkeeping
+// follows the transaction's outcome, like the objects. An aborted
+// delete-version leaves the version listed, derivable and pinned; an
+// aborted deletion of the last version leaves the generic; an aborted
+// derive leaves no version behind.
+func TestAbortedVersionStatementsKeepBookkeeping(t *testing.T) {
+	in := newInterp(t)
+	mustEval(t, in, `(make-class 'Design :versionable true :attributes '((Name :domain string)))`)
+	gv := mustEval(t, in, `(make-versionable Design :Name "d0")`).Elems()
+	in.env["g"], in.env["v0"] = gv[0], gv[1]
+	mustEval(t, in, `(define v1 (derive v0)) (set-default g v1)`)
+	mustEval(t, in, "(begin) (delete-version v1) (abort)")
+	if n := mustEval(t, in, "(versions-of g)").Len(); n != 2 {
+		t.Fatalf("versions-of after aborted delete-version: %d versions, want 2", n)
+	}
+	if d := mustEval(t, in, "(default-version g)"); !d.Equal(in.env["v1"]) {
+		t.Fatalf("default after aborted delete-version = %v, want v1", d)
+	}
+	mustEval(t, in, "(derive v1)")
+
+	hv := mustEval(t, in, `(make-versionable Design :Name "h0")`).Elems()
+	in.env["h"], in.env["w0"] = hv[0], hv[1]
+	mustEval(t, in, "(begin) (delete-version w0) (abort)")
+	if r := mustEval(t, in, "(resolve h)"); !r.Equal(in.env["w0"]) {
+		t.Fatalf("(resolve h) after aborted last-version delete = %v, want w0", r)
+	}
+
+	mustEval(t, in, "(begin) (derive w0) (abort)")
+	if n := mustEval(t, in, "(versions-of h)").Len(); n != 1 {
+		t.Fatalf("versions-of after aborted derive: %d versions, want 1", n)
+	}
+}
