@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1287,4 +1288,65 @@ func BenchmarkLongScanWriterStall(b *testing.B) {
 			b.ReportMetric(float64(lat[idx].Nanoseconds()), "writer-stall-ns")
 		})
 	}
+}
+
+// BenchmarkHeapPerObject measures the memory one object costs once a
+// database is open: b.N units of the benchmark's write_small shape (a
+// Document, 4 Sections, 32 Paragraphs with 64-byte text, a Title index)
+// are built through db.Make, the database is closed and reopened, and
+// after a collection HeapAlloc over the object count is reported as
+// heap_B/object. ns/op is the build and reopen time and means little.
+func BenchmarkHeapPerObject(b *testing.B) {
+	dir := b.TempDir()
+	d, err := db.Open(db.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, def := range []schema.ClassDef{
+		{Name: "Paragraph", Attributes: []schema.AttrSpec{schema.NewAttr("Text", schema.StringDomain)}},
+		{Name: "Section", Attributes: []schema.AttrSpec{
+			schema.NewAttr("Heading", schema.StringDomain),
+			schema.NewCompositeSetAttr("Content", "Paragraph"),
+		}},
+		{Name: "Document", Attributes: []schema.AttrSpec{
+			schema.NewAttr("Title", schema.StringDomain),
+			schema.NewCompositeSetAttr("Sections", "Section"),
+		}},
+	} {
+		if _, err := d.DefineClass(def); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.CreateIndex("Document", "Title"); err != nil {
+		b.Fatal(err)
+	}
+	mk := func(class string, attrs map[string]value.Value, parents ...core.ParentSpec) uid.UID {
+		o, err := d.Make(class, attrs, parents...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return o.UID()
+	}
+	for u := 0; u < b.N; u++ {
+		doc := mk("Document", map[string]value.Value{"Title": value.Str(fmt.Sprintf("doc-%d", u))})
+		for s := 0; s < 4; s++ {
+			sec := mk("Section", map[string]value.Value{"Heading": value.Str(fmt.Sprintf("h%d", s))},
+				core.ParentSpec{Parent: doc, Attr: "Sections"})
+			for p := 0; p < 8; p++ {
+				mk("Paragraph", map[string]value.Value{"Text": value.Str(fmt.Sprintf("%064d", u*32+s*8+p))},
+					core.ParentSpec{Parent: sec, Attr: "Content"})
+			}
+		}
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if d, err = db.Open(db.Options{Dir: dir}); err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/float64(d.Engine().Len()), "heap_B/object")
 }

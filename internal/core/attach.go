@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/object"
@@ -43,9 +42,10 @@ func linkChild(child *object.Object, parent uid.UID, spec schema.AttrSpec) {
 	})
 }
 
-// setAttrLocked assigns v to attribute name of o, running composite
-// bookkeeping for every reference gained or lost. Caller holds e.mu.
-func (e *Engine) setAttrLocked(o *object.Object, name string, v value.Value, dirty *dirtySet) error {
+// setAttr assigns v to attribute name of o (the operation's own copy),
+// running composite bookkeeping for every reference gained or lost.
+func (w *op) setAttr(o *object.Object, name string, v value.Value) error {
+	e := w.e
 	cl, err := e.cat.ClassByID(o.Class())
 	if err != nil {
 		return err
@@ -59,7 +59,7 @@ func (e *Engine) setAttrLocked(o *object.Object, name string, v value.Value, dir
 	}
 	if !spec.Composite {
 		o.Set(name, v)
-		dirty.add(o.UID())
+		w.dirty.Add(o.UID())
 		return nil
 	}
 	// Composite attribute: diff the referenced sets.
@@ -80,43 +80,30 @@ func (e *Engine) setAttrLocked(o *object.Object, name string, v value.Value, dir
 		return fmt.Errorf("core: assembling existing objects through %s.%s (bottom-up creation): %w",
 			cl.Name, name, ErrLegacyRestriction)
 	}
-	// Validate every addition and resolve every removal before mutating
-	// anything, so a failing reference leaves the graph untouched.
-	children := make([]*object.Object, len(added))
-	for i, r := range added {
-		child, err := e.get(r)
-		if err != nil {
-			return err
-		}
+	for _, r := range added {
 		if r == o.UID() {
 			return fmt.Errorf("core: %v cannot be a component of itself: %w", r, ErrTopologyViolation)
+		}
+		child, err := w.get(r)
+		if err != nil {
+			return err
 		}
 		if err := makeComponentCheck(child, spec); err != nil {
 			return err
 		}
-		children[i] = child
-	}
-	dropped := make([]*object.Object, 0, len(removed))
-	for _, r := range removed {
-		child, err := e.get(r)
-		if err != nil {
-			if errors.Is(err, ErrNoObject) {
-				continue // dropping a dangling reference is always fine
-			}
-			return err
-		}
-		dropped = append(dropped, child)
-	}
-	for _, child := range dropped {
-		child.RemoveReverse(o.UID())
-		dirty.add(child.UID())
-	}
-	for _, child := range children {
 		linkChild(child, o.UID(), spec)
-		dirty.add(child.UID())
+		w.dirty.Add(r)
+	}
+	for _, r := range removed {
+		child, err := w.get(r)
+		if err != nil {
+			continue // dropping a dangling reference is always fine
+		}
+		child.RemoveReverse(o.UID())
+		w.dirty.Add(r)
 	}
 	o.Set(name, v)
-	dirty.add(o.UID())
+	w.dirty.Add(o.UID())
 	return nil
 }
 
@@ -129,24 +116,18 @@ func (e *Engine) Set(id uid.UID, attr string, v value.Value) error {
 
 // SetTx is Set tagged with the transaction performing the update.
 func (e *Engine) SetTx(tx TxnID, id uid.UID, attr string, v value.Value) error {
-	e.mu.Lock()
-	o, err := e.get(id)
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	dirty := newDirtySet()
-	if err := e.setAttrLocked(o, attr, v, dirty); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.noteWritesLocked(tx, dirty, nil)
-	e.mu.Unlock()
-	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
+	_, err := e.write(tx, func(w *op) ([]uid.UID, error) {
+		o, err := w.get(id)
+		if err != nil {
+			return nil, err
+		}
+		return nil, w.setAttr(o, attr, v)
+	})
+	return err
 }
 
-// attachLocked makes child a part of parent through attr, implementing
-// the algorithm of §2.4:
+// attach makes child a part of parent through attr, implementing the
+// algorithm of §2.4:
 //
 //  1. Access object O (the child).
 //  2. If (A is shared and the X flag is set in some reverse reference of
@@ -154,17 +135,13 @@ func (e *Engine) SetTx(tx TxnID, id uid.UID, attr string, v value.Value) error {
 //  3. Insert in O a reverse composite reference to O' with the D flag set
 //     if A is dependent and the X flag set if A is exclusive.
 //
-// For a weak (non-composite) reference attribute, only the forward value
-// is updated. Caller holds e.mu.
-func (e *Engine) attachLocked(parent uid.UID, attr string, childID uid.UID, dirty *dirtySet) error {
-	return e.attachCheckedLocked(parent, attr, childID, dirty, makeComponentCheck)
-}
-
-// attachCheckedLocked is attachLocked with a custom (or nil = disabled)
-// Make-Component validation.
-func (e *Engine) attachCheckedLocked(parent uid.UID, attr string, childID uid.UID, dirty *dirtySet,
+// Step 2 is check, the Make-Component validation (nil = disabled). For a
+// weak (non-composite) reference attribute, only the forward value is
+// updated.
+func (w *op) attach(parent uid.UID, attr string, childID uid.UID,
 	check func(child *object.Object, spec schema.AttrSpec) error) error {
-	po, err := e.get(parent)
+	e := w.e
+	po, err := w.get(parent)
 	if err != nil {
 		return err
 	}
@@ -179,7 +156,7 @@ func (e *Engine) attachCheckedLocked(parent uid.UID, attr string, childID uid.UI
 	if err != nil {
 		return err
 	}
-	child, err := e.get(childID)
+	child, err := w.get(childID)
 	if err != nil {
 		return err
 	}
@@ -215,7 +192,7 @@ func (e *Engine) attachCheckedLocked(parent uid.UID, attr string, childID uid.UI
 			}
 		}
 		linkChild(child, parent, spec)
-		dirty.add(childID)
+		w.dirty.Add(childID)
 	}
 	if spec.SetOf {
 		if cur.IsNil() {
@@ -225,7 +202,7 @@ func (e *Engine) attachCheckedLocked(parent uid.UID, attr string, childID uid.UI
 	} else {
 		po.Set(attr, value.Ref(childID))
 	}
-	dirty.add(parent)
+	w.dirty.Add(parent)
 	e.o.attaches.Inc()
 	if tr := e.o.tr; tr.Active() {
 		tr.Point(0, "core.attach", obs.F("parent", parent), obs.F("attr", attr), obs.F("child", childID),
@@ -244,19 +221,13 @@ func (e *Engine) Attach(parent uid.UID, attr string, child uid.UID) error {
 
 // AttachTx is Attach tagged with the transaction performing the link.
 func (e *Engine) AttachTx(tx TxnID, parent uid.UID, attr string, child uid.UID) error {
-	e.mu.Lock()
-	if e.legacy {
-		e.mu.Unlock()
-		return fmt.Errorf("core: attach of existing object %v (bottom-up creation): %w", child, ErrLegacyRestriction)
-	}
-	dirty := newDirtySet()
-	if err := e.attachLocked(parent, attr, child, dirty); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.noteWritesLocked(tx, dirty, nil)
-	e.mu.Unlock()
-	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
+	_, err := e.write(tx, func(w *op) ([]uid.UID, error) {
+		if e.legacy {
+			return nil, fmt.Errorf("core: attach of existing object %v (bottom-up creation): %w", child, ErrLegacyRestriction)
+		}
+		return nil, w.attach(parent, attr, child, makeComponentCheck)
+	})
+	return err
 }
 
 // AttachWithCheck is Attach with a caller-supplied Make-Component
@@ -275,15 +246,10 @@ func (e *Engine) AttachWithCheck(parent uid.UID, attr string, child uid.UID,
 // performing the link.
 func (e *Engine) AttachWithCheckTx(tx TxnID, parent uid.UID, attr string, child uid.UID,
 	check func(child *object.Object, spec schema.AttrSpec) error) error {
-	e.mu.Lock()
-	dirty := newDirtySet()
-	if err := e.attachCheckedLocked(parent, attr, child, dirty, check); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.noteWritesLocked(tx, dirty, nil)
-	e.mu.Unlock()
-	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
+	_, err := e.write(tx, func(w *op) ([]uid.UID, error) {
+		return nil, w.attach(parent, attr, child, check)
+	})
+	return err
 }
 
 // Detach removes the reference from parent.attr to child, unlinking the
@@ -297,50 +263,45 @@ func (e *Engine) Detach(parent uid.UID, attr string, child uid.UID) error {
 
 // DetachTx is Detach tagged with the transaction performing the unlink.
 func (e *Engine) DetachTx(tx TxnID, parent uid.UID, attr string, child uid.UID) error {
-	dirty, err := e.detachLocked(tx, parent, attr, child)
+	_, err := e.write(tx, func(w *op) ([]uid.UID, error) {
+		return nil, w.detach(parent, attr, child)
+	})
+	return err
+}
+
+// detach performs the unlink.
+func (w *op) detach(parent uid.UID, attr string, child uid.UID) error {
+	e := w.e
+	if e.legacy {
+		return fmt.Errorf("core: detach of %v (component re-use): %w", child, ErrLegacyRestriction)
+	}
+	po, err := w.get(parent)
 	if err != nil {
 		return err
 	}
-	return e.writeThrough(tx, dirty, uid.Nil, uid.Nil, nil)
-}
-
-// detachLocked performs the unlink under the exclusive latch and notes
-// the write set for tx.
-func (e *Engine) detachLocked(tx TxnID, parent uid.UID, attr string, child uid.UID) (*dirtySet, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.legacy {
-		return nil, fmt.Errorf("core: detach of %v (component re-use): %w", child, ErrLegacyRestriction)
-	}
-	po, err := e.get(parent)
-	if err != nil {
-		return nil, err
-	}
 	pcl, err := e.cat.ClassByID(po.Class())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	spec, err := e.cat.Attribute(pcl.Name, attr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cur := po.Get(attr)
 	if !cur.ContainsRef(child) {
-		return nil, fmt.Errorf("core: %v.%s does not reference %v: %w", parent, attr, child, ErrNotReferenced)
+		return fmt.Errorf("core: %v.%s does not reference %v: %w", parent, attr, child, ErrNotReferenced)
 	}
-	dirty := newDirtySet()
 	po.Set(attr, cur.WithoutRef(child))
-	dirty.add(parent)
+	w.dirty.Add(parent)
 	if spec.Composite {
-		if co, err := e.get(child); err == nil {
+		if co, err := w.get(child); err == nil {
 			co.RemoveReverse(parent)
-			dirty.add(child)
+			w.dirty.Add(child)
 		}
 	}
 	e.o.detaches.Inc()
 	if tr := e.o.tr; tr.Active() {
 		tr.Point(0, "core.detach", obs.F("parent", parent), obs.F("attr", attr), obs.F("child", child))
 	}
-	e.noteWritesLocked(tx, dirty, nil)
-	return dirty, nil
+	return nil
 }

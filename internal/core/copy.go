@@ -24,30 +24,12 @@ import (
 func (e *Engine) CopyComposite(tx TxnID, root uid.UID) (uid.UID, map[uid.UID]uid.UID, error) {
 	mapping := make(map[uid.UID]uid.UID)
 	var copyID uid.UID
-	_, err := e.rewrite(tx, func(dirty *dirtySet) ([]uid.UID, error) {
+	_, err := e.write(tx, func(w *op) (_ []uid.UID, err error) {
 		if e.legacy {
 			return nil, fmt.Errorf("core: copy-composite: %w", ErrLegacyRestriction)
 		}
-		if _, err := e.get(root); err != nil {
-			return nil, err
-		}
-		var err error
-		if copyID, err = e.copyLocked(root, mapping, dirty); err != nil {
-			// Undo partial work: evict every copy made so far, and drop the
-			// reverse references the shared children briefly gained.
-			for _, c := range mapping {
-				e.evictLocked(c)
-			}
-			for _, id := range dirty.ids.Slice() {
-				if o, ok := e.objects[id]; ok {
-					for _, c := range mapping {
-						o.RemoveReverse(c)
-					}
-				}
-			}
-			return nil, err
-		}
-		return nil, nil
+		copyID, err = w.copy(root, mapping)
+		return nil, err
 	})
 	if err != nil {
 		return uid.Nil, nil, err
@@ -55,15 +37,16 @@ func (e *Engine) CopyComposite(tx TxnID, root uid.UID) (uid.UID, map[uid.UID]uid
 	return copyID, mapping, nil
 }
 
-// copyLocked deep-copies one object. mapping doubles as the visited set,
-// so cyclic exclusive hierarchies (legal only transiently) terminate.
-func (e *Engine) copyLocked(id uid.UID, mapping map[uid.UID]uid.UID, dirty *dirtySet) (uid.UID, error) {
+// copy deep-copies one object. mapping doubles as the visited set, so
+// cyclic exclusive hierarchies (legal only transiently) terminate.
+func (w *op) copy(id uid.UID, mapping map[uid.UID]uid.UID) (uid.UID, error) {
 	if c, ok := mapping[id]; ok {
 		return c, nil
 	}
-	src, err := e.get(id)
-	if err != nil {
-		return uid.Nil, err
+	e := w.e
+	src := w.peek(id)
+	if src == nil {
+		return uid.Nil, fmt.Errorf("%v: %w", id, ErrNoObject)
 	}
 	cl, err := e.cat.ClassByID(id.Class)
 	if err != nil {
@@ -72,9 +55,8 @@ func (e *Engine) copyLocked(id uid.UID, mapping map[uid.UID]uid.UID, dirty *dirt
 	cp := src.CloneAs(e.gen.Next(cl.ID))
 	cp.SetCC(e.cat.CurrentCC())
 	mapping[id] = cp.UID()
-	e.objects[cp.UID()] = cp
-	e.extentFor(cl.ID).Add(cp.UID())
-	dirty.add(cp.UID())
+	w.objs[cp.UID()] = cp
+	w.dirty.Add(cp.UID())
 
 	attrs, err := e.cat.Attributes(cl.Name)
 	if err != nil {
@@ -91,15 +73,14 @@ func (e *Engine) copyLocked(id uid.UID, mapping map[uid.UID]uid.UID, dirty *dirt
 		if spec.Exclusive {
 			// Deep copy every referenced component and rewrite the value.
 			for _, childID := range v.Refs(nil) {
-				childCopy, err := e.copyLocked(childID, mapping, dirty)
+				childCopy, err := w.copy(childID, mapping)
 				if err != nil {
 					return uid.Nil, err
 				}
 				v = v.ReplaceRef(childID, childCopy)
-				if child := e.objects[childCopy]; child != nil {
-					linkChild(child, cp.UID(), spec)
-					dirty.add(childCopy)
-				}
+				child, _ := w.get(childCopy)
+				linkChild(child, cp.UID(), spec)
+				w.dirty.Add(childCopy)
 			}
 			cp.Set(spec.Name, v)
 			continue
@@ -109,7 +90,7 @@ func (e *Engine) copyLocked(id uid.UID, mapping map[uid.UID]uid.UID, dirty *dirt
 		// exclusive parent (Topology Rule 3), so the Make-Component Rule
 		// is satisfied by construction — checked anyway for safety.
 		for _, childID := range v.Refs(nil) {
-			child, err := e.get(childID)
+			child, err := w.get(childID)
 			if err != nil {
 				return uid.Nil, err
 			}
@@ -117,7 +98,7 @@ func (e *Engine) copyLocked(id uid.UID, mapping map[uid.UID]uid.UID, dirty *dirt
 				return uid.Nil, err
 			}
 			linkChild(child, cp.UID(), spec)
-			dirty.add(childID)
+			w.dirty.Add(childID)
 		}
 	}
 	return cp.UID(), nil

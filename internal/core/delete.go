@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/uid"
 )
@@ -32,93 +34,73 @@ func (e *Engine) Delete(id uid.UID) ([]uid.UID, error) {
 // DeleteTx is Delete tagged with the transaction performing the removal;
 // every WAL record of the cascade (surviving-parent rewrites and the
 // per-casualty deletes) carries the tag, so replay applies the cascade
-// atomically or not at all.
+// atomically or not at all. Survivor rewrites are written through first,
+// then the casualty deletes: replaying the log must not resurrect a
+// reference to an object whose delete record precedes it.
 func (e *Engine) DeleteTx(tx TxnID, id uid.UID) ([]uid.UID, error) {
-	e.mu.Lock()
-	if _, ok := e.objects[id]; !ok {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
-	}
-	start := time.Now()
-	var sp uint64
-	if tr := e.o.tr; tr.Active() {
-		sp = tr.Begin(0, "core.delete", obs.F("uid", id))
-	}
-	dirty := newDirtySet()
-	deleted := uid.NewSet()
-	e.deleteLocked(id, deleted, dirty, sp)
-	n := len(deleted.Slice())
-	e.o.deletes.Inc()
-	if n > 1 {
-		e.o.deleteCascaded.Add(uint64(n - 1))
-	}
-	dur := time.Since(start)
-	e.o.deleteNs.Observe(int64(dur))
-	if e.o.slow.Active() {
-		e.o.slow.Observe("core.delete", dur, fmt.Sprintf("%v cascade=%d", id, n-1))
-	}
-	if tr := e.o.tr; tr.Active() {
-		tr.End(sp, "core.delete", obs.F("deleted", n))
-	}
-	out := append([]uid.UID(nil), deleted.Slice()...)
-	e.noteWritesLocked(tx, dirty, out)
-	e.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	// Survivor rewrites first, then the casualty deletes, matching the
-	// order the exclusive-latch path used: replaying the log must not
-	// resurrect a reference to an object whose delete record precedes it.
-	if err := e.writeThrough(tx, dirty, uid.Nil, uid.Nil, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.write(tx, func(w *op) ([]uid.UID, error) {
+		if w.peek(id) == nil {
+			return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
+		}
+		start := time.Now()
+		var sp uint64
+		if tr := e.o.tr; tr.Active() {
+			sp = tr.Begin(0, "core.delete", obs.F("uid", id))
+		}
+		deleted := uid.NewSet()
+		w.delete(id, deleted, sp)
+		n := deleted.Len()
+		e.o.deletes.Inc()
+		if n > 1 {
+			e.o.deleteCascaded.Add(uint64(n - 1))
+		}
+		dur := time.Since(start)
+		e.o.deleteNs.Observe(int64(dur))
+		if e.o.slow.Active() {
+			e.o.slow.Observe("core.delete", dur, fmt.Sprintf("%v cascade=%d", id, n-1))
+		}
+		if tr := e.o.tr; tr.Active() {
+			tr.End(sp, "core.delete", obs.F("deleted", n))
+		}
+		return append([]uid.UID(nil), deleted.Slice()...), nil
+	})
 }
 
-// deleteLocked removes id and cascades. deleted accumulates the casualty
-// list and doubles as the visited set for cyclic part hierarchies. span
-// is the enclosing trace span (0 when tracing is off); each cascaded
-// object opens a nested core.delete.object span under it, so a trace
-// dump reconstructs the cascade tree exactly.
-func (e *Engine) deleteLocked(id uid.UID, deleted *uid.Set, dirty *dirtySet, span uint64) {
+// delete removes id and cascades. deleted accumulates the casualty list
+// and doubles as the visited set for cyclic part hierarchies. span is the
+// enclosing trace span (0 when tracing is off); each cascaded object
+// opens a nested core.delete.object span under it, so a trace dump
+// reconstructs the cascade tree exactly.
+func (w *op) delete(id uid.UID, deleted *uid.Set, span uint64) {
 	if deleted.Contains(id) {
 		return
 	}
-	o, ok := e.objects[id]
-	if !ok {
+	o := w.peek(id) // converted: the flags consulted below are current
+	if o == nil {
 		return
 	}
 	deleted.Add(id)
+	e := w.e
 	if tr := e.o.tr; tr.Active() {
 		span = tr.Begin(span, "core.delete.object", obs.F("uid", id))
 		defer tr.End(span, "core.delete.object")
 	}
-	cl, err := e.cat.ClassByID(id.Class)
-	if err != nil {
-		// Class dropped out from under the instance; just unlink it.
-		e.unlinkFromParents(id, deleted, dirty)
-		delete(e.objects, id)
-		return
-	}
-	// Make sure the flags consulted below are current.
-	if n := e.cat.ApplyPending(cl.Name, o); n > 0 {
-		e.o.evolutionReplays.Add(uint64(n))
-	}
-	attrs, err := e.cat.Attributes(cl.Name)
-	if err == nil {
+	// A class dropped out from under the instance has no attributes to
+	// cascade through; the instance is just unlinked.
+	if cl, err := e.cat.ClassByID(id.Class); err == nil {
+		attrs, _ := e.cat.Attributes(cl.Name)
 		for _, spec := range attrs {
 			if !spec.Composite {
 				continue
 			}
 			for _, childID := range o.Get(spec.Name).Refs(nil) {
-				e.reapAfterUnlink(id, childID, spec.Dependent, spec.Exclusive, deleted, dirty, span)
+				w.reap(id, childID, spec.Dependent, spec.Exclusive, deleted, span)
 			}
 		}
 	}
 	// Remove forward references to id from its surviving composite parents.
-	e.unlinkFromParents(id, deleted, dirty)
-	delete(e.objects, id)
-	if ext := e.extents[id.Class]; ext != nil {
-		ext.Remove(id)
-	}
+	w.unlinkFromParents(id, o, deleted)
+	w.remove(id)
 }
 
 // reapRule classifies one severed reference for the trace: which clause
@@ -139,43 +121,46 @@ func reapRule(dependent, exclusive, lastDS bool) string {
 	}
 }
 
-// reapAfterUnlink removes the reverse reference from childID to parent and
+// reap removes the reverse reference from childID to parent and
 // cascades deletion per the Deletion Rule given the (dependent, exclusive)
-// flags of the severed reference. span is the deleting parent's trace
-// span.
-func (e *Engine) reapAfterUnlink(parent, childID uid.UID, dependent, exclusive bool, deleted *uid.Set, dirty *dirtySet, span uint64) {
-	child, ok := e.objects[childID]
-	if !ok || deleted.Contains(childID) {
+// flags of the severed reference. A child that dies with its deleted
+// parent is not copied: the reference goes with it. span is the deleting
+// parent's trace span.
+func (w *op) reap(parent, childID uid.UID, dependent, exclusive bool, deleted *uid.Set, span uint64) {
+	if deleted.Contains(childID) {
 		return
 	}
-	child.RemoveReverse(parent)
-	lastDS := len(child.DS()) == 0
-	if tr := e.o.tr; tr.Active() {
+	child := w.peek(childID)
+	if child == nil {
+		return
+	}
+	lastDS := !slices.ContainsFunc(child.DS(), func(p uid.UID) bool { return p != parent })
+	if tr := w.e.o.tr; tr.Active() {
 		tr.Point(span, "core.delete.reap", obs.F("child", childID),
 			obs.F("rule", reapRule(dependent, exclusive, lastDS)))
 	}
-	if dependent && (exclusive || lastDS) {
-		// Rule 1 (dependent exclusive) or Rule 2 (last dependent-shared
-		// parent is gone).
-		e.deleteLocked(childID, deleted, dirty, span)
-		return
+	// Rule 1 (dependent exclusive) or Rule 2 (last dependent-shared
+	// parent is gone).
+	dies := dependent && (exclusive || lastDS)
+	if !dies || !deleted.Contains(parent) {
+		child, _ = w.get(childID)
+		child.RemoveReverse(parent)
+		w.dirty.Add(childID)
 	}
-	dirty.add(childID)
+	if dies {
+		w.delete(childID, deleted, span)
+	}
 }
 
-// unlinkFromParents strips forward references to id from every surviving
-// composite parent of id.
-func (e *Engine) unlinkFromParents(id uid.UID, deleted *uid.Set, dirty *dirtySet) {
-	o := e.objects[id]
-	if o == nil {
-		return
-	}
+// unlinkFromParents strips forward references to id (whose state is o)
+// from every surviving composite parent of id.
+func (w *op) unlinkFromParents(id uid.UID, o *object.Object, deleted *uid.Set) {
 	for _, r := range o.Reverse() {
 		if deleted.Contains(r.Parent) {
 			continue
 		}
-		p, ok := e.objects[r.Parent]
-		if !ok {
+		p, err := w.get(r.Parent)
+		if err != nil {
 			continue
 		}
 		for _, name := range p.AttrNames() {
@@ -183,7 +168,7 @@ func (e *Engine) unlinkFromParents(id uid.UID, deleted *uid.Set, dirty *dirtySet
 				p.Set(name, v.WithoutRef(id))
 			}
 		}
-		dirty.add(r.Parent)
+		w.dirty.Add(r.Parent)
 	}
 }
 
@@ -205,13 +190,13 @@ func (v TopologyViolation) String() string {
 func (e *Engine) CheckTopology(id uid.UID) []TopologyViolation {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.checkTopologyLocked(id)
+	return e.checkTopology(e.headSource(0, nil), id)
 }
 
-func (e *Engine) checkTopologyLocked(id uid.UID) []TopologyViolation {
+func (e *Engine) checkTopology(src *headSource, id uid.UID) []TopologyViolation {
 	var out []TopologyViolation
-	o, ok := e.objects[id]
-	if !ok {
+	o, err := src.fetch(id)
+	if err != nil {
 		return []TopologyViolation{{id, "object does not exist"}}
 	}
 	ix, dx := len(o.IX()), len(o.DX())
@@ -236,8 +221,8 @@ func (e *Engine) checkTopologyLocked(id uid.UID) []TopologyViolation {
 		if r.Count > 0 {
 			continue
 		}
-		p, ok := e.objects[r.Parent]
-		if !ok {
+		p, err := src.fetch(r.Parent)
+		if err != nil {
 			out = append(out, TopologyViolation{id, fmt.Sprintf("reverse ref to missing parent %v", r.Parent)})
 			continue
 		}
@@ -264,26 +249,25 @@ func (e *Engine) checkTopologyLocked(id uid.UID) []TopologyViolation {
 	return out
 }
 
-// Integrity verifies the whole graph: topology rules on every object,
-// every forward composite reference mirrored by a reverse reference, and
-// no composite reference dangling. It returns all violations (dangling
-// weak references are permitted, as in ORION, and not reported).
+// Integrity verifies the whole committed graph: topology rules on every
+// object, every forward composite reference mirrored by a reverse
+// reference, and no composite reference dangling. It returns all
+// violations (dangling weak references are permitted, as in ORION, and
+// not reported).
 func (e *Engine) Integrity() []TopologyViolation {
 	e.mu.RLock()
-	ids := make([]uid.UID, 0, len(e.objects))
-	for id := range e.objects {
-		ids = append(ids, id)
-	}
-	e.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-
-	var out []TopologyViolation
-	e.mu.RLock()
 	defer e.mu.RUnlock()
+	var ids []uid.UID
+	for _, ext := range e.extents {
+		ids = append(ids, ext.Slice()...)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	src := e.headSource(0, nil)
+	var out []TopologyViolation
 	for _, id := range ids {
-		out = append(out, e.checkTopologyLocked(id)...)
-		o := e.objects[id]
-		if o == nil {
+		out = append(out, e.checkTopology(src, id)...)
+		o, err := src.fetch(id)
+		if err != nil {
 			continue
 		}
 		cl, err := e.cat.ClassByID(id.Class)
@@ -300,8 +284,8 @@ func (e *Engine) Integrity() []TopologyViolation {
 				continue
 			}
 			for _, r := range o.Get(spec.Name).Refs(nil) {
-				child, ok := e.objects[r]
-				if !ok {
+				child, err := src.fetch(r)
+				if err != nil {
 					out = append(out, TopologyViolation{id, fmt.Sprintf("composite reference %s -> %v dangles", spec.Name, r)})
 					continue
 				}

@@ -26,7 +26,6 @@ type engineObs struct {
 	deletes          *obs.Counter
 	deleteCascaded   *obs.Counter
 	evolutionReplays *obs.Counter
-	staleRetries     *obs.Counter
 
 	deleteNs    *obs.Histogram
 	traversalNs *obs.Histogram
@@ -63,7 +62,6 @@ func (e *Engine) bindObs(r *obs.Registry) {
 		deletes:          r.Counter("core_delete_total"),
 		deleteCascaded:   r.Counter("core_delete_cascaded_total"),
 		evolutionReplays: r.Counter("core_evolution_replays_total"),
-		staleRetries:     r.Counter("core_stalecc_retries_total"),
 		deleteNs:         r.Histogram("core_delete_ns", nil),
 		traversalNs:      r.Histogram("core_traversal_ns", nil),
 

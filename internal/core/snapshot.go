@@ -18,8 +18,9 @@ import (
 // state at sequence Seq, however long the snapshot lives.
 //
 // Like a Txn, a Snapshot is single-goroutine (one goroutine per
-// snapshot, many snapshots in parallel). Its queries are the engine's own
-// walks (traverse.go) over the version chains instead of the live table.
+// snapshot, many snapshots in parallel). Its queries are the methods of
+// its View: the engine's own walks (traverse.go) over the version chains
+// instead of the heads.
 //
 // Objects returned by Get are the shared immutable version records:
 // callers must treat them as read-only.
@@ -36,7 +37,7 @@ import (
 // Release must be called when done: an unreleased snapshot pins the GC
 // low-watermark and the chains written after it grow until Release.
 type Snapshot struct {
-	e        *Engine
+	View
 	seq      uint64
 	cat      *schema.Catalog
 	released bool
@@ -58,7 +59,9 @@ func (e *Engine) BeginSnapshot() *Snapshot {
 	e.mvcc.snapMu.Unlock()
 	e.o.mvccSnapshotBegins.Inc()
 	e.o.mvccSnapshotsActive.Add(1)
-	return &Snapshot{e: e, seq: seq, cat: e.catalogView()}
+	s := &Snapshot{seq: seq, cat: e.catalogView()}
+	s.View = View{e: e, snap: s}
+	return s
 }
 
 // catalogView returns an immutable clone of the catalog at its current
@@ -129,10 +132,6 @@ func (s *Snapshot) object(id uid.UID) *object.Object {
 	return nil
 }
 
-// Get returns the object's committed state at the snapshot boundary.
-// The returned object is the shared version record: read-only.
-func (s *Snapshot) Get(id uid.UID) (*object.Object, error) { return s.fetch(id) }
-
 // fetch makes the snapshot a walk source (traverse.go).
 func (s *Snapshot) fetch(id uid.UID) (*object.Object, error) {
 	if o := s.object(id); o != nil {
@@ -140,9 +139,6 @@ func (s *Snapshot) fetch(id uid.UID) (*object.Object, error) {
 	}
 	return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
 }
-
-// Exists reports whether the object existed at the snapshot boundary.
-func (s *Snapshot) Exists(id uid.UID) bool { return s.object(id) != nil }
 
 // UIDs returns every object visible at the snapshot boundary, in UID
 // order.
@@ -164,61 +160,4 @@ func (s *Snapshot) UIDs() []uid.UID {
 }
 
 // Len returns the number of objects visible at the snapshot boundary.
-func (s *Snapshot) Len() int {
-	n := 0
-	s.e.mvcc.chains.Range(func(_, v any) bool {
-		for node := v.(*versionChain).head.Load(); node != nil; node = node.next.Load() {
-			if node.seq <= s.seq {
-				if node.obj != nil {
-					n++
-				}
-				break
-			}
-		}
-		return true
-	})
-	return n
-}
-
-func (s *Snapshot) reader() reader { return s.e.reader(s, s.cat) }
-
-// ComponentsOf is the snapshot form of Engine.ComponentsOf.
-func (s *Snapshot) ComponentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	return s.reader().components(id, q)
-}
-
-// ParentsOf is the snapshot form of Engine.ParentsOf.
-func (s *Snapshot) ParentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	return s.reader().parents(id, q)
-}
-
-// AncestorsOf is the snapshot form of Engine.AncestorsOf.
-func (s *Snapshot) AncestorsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
-	return s.reader().ancestors(id, q)
-}
-
-// ComponentOf is the snapshot form of Engine.ComponentOf.
-func (s *Snapshot) ComponentOf(a, b uid.UID) (bool, error) { return s.reader().componentOf(a, b) }
-
-// ChildOf is the snapshot form of Engine.ChildOf.
-func (s *Snapshot) ChildOf(a, b uid.UID) (bool, error) { return s.reader().childOf(a, b) }
-
-// ExclusiveComponentOf is the snapshot form of Engine.ExclusiveComponentOf.
-func (s *Snapshot) ExclusiveComponentOf(a, b uid.UID) (bool, error) {
-	return s.reader().componentHeld(a, b, true)
-}
-
-// SharedComponentOf is the snapshot form of Engine.SharedComponentOf.
-func (s *Snapshot) SharedComponentOf(a, b uid.UID) (bool, error) {
-	return s.reader().componentHeld(a, b, false)
-}
-
-// LevelOf is the snapshot form of Engine.LevelOf.
-func (s *Snapshot) LevelOf(a, b uid.UID) (int, error) { return s.reader().level(a, b) }
-
-// RootsOf is the snapshot form of Engine.RootsOf.
-func (s *Snapshot) RootsOf(id uid.UID) ([]uid.UID, error) { return s.reader().roots(id) }
-
-// Partitions is the snapshot form of Engine.Partitions. Slices are owned
-// by the caller.
-func (s *Snapshot) Partitions(id uid.UID) (PartitionSets, error) { return s.reader().partitions(id) }
+func (s *Snapshot) Len() int { return len(s.UIDs()) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -11,26 +10,24 @@ import (
 )
 
 // The §3 queries are written once, as walks over a source. A source
-// resolves a UID to an object; it has three forms:
+// resolves a UID to an object; it has two forms:
 //
-//   - the live table under the engine's read latch (liveSource), which
-//     fails with errStaleCC when deferred schema changes pend on an
-//     object, so the caller retries under the write latch;
-//   - the live table under the write latch (liveSource with write set),
-//     which applies pending changes through get;
+//   - the committed heads, through a transaction's overlay first when
+//     the view is a transaction's (headSource, under the engine's shared
+//     latch), which converts a head that deferred schema changes pend on
+//     into a private copy;
 //   - a snapshot's version chains at its sequence number (*Snapshot),
-//     which reads each version as it was installed and makes no
+//     which reads each version as it was published and makes no
 //     staleness check.
 //
-// A walk takes no lock of its own: the engine's methods run it through
-// live, which holds the latch, and a Snapshot's methods pass the
-// snapshot itself.
+// A walk takes no lock of its own: a View's methods run it through read,
+// which holds the latch for the heads and nothing for a snapshot.
 type source interface {
 	fetch(id uid.UID) (*object.Object, error)
 }
 
 // reader answers the §3 queries over one source, planning against cat:
-// the live catalog, or the clone a snapshot pinned.
+// the catalog, or the clone a snapshot pinned.
 type reader struct {
 	e   *Engine
 	src source
@@ -52,7 +49,7 @@ type planKey struct {
 	shared    bool
 }
 
-// planMemo holds the traversal plans of every walk, live and snapshot
+// planMemo holds the traversal plans of every walk, heads and snapshot
 // alike. Resolving a class's attributes walks the inheritance lattice,
 // which dominates traversal cost on deep schemas. A key carries the
 // catalog version it was read at and a pinned clone keeps its version, so
@@ -163,9 +160,6 @@ func (r reader) components(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 					continue
 				}
 				co, err := r.src.fetch(child)
-				if errors.Is(err, errStaleCC) {
-					return nil, err
-				}
 				if err != nil {
 					if q.Strict {
 						return nil, fmt.Errorf("core: %v references missing component %v: %w",
@@ -219,9 +213,6 @@ func (r reader) ancestors(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 					continue
 				}
 				po, err := r.src.fetch(ref.Parent)
-				if errors.Is(err, errStaleCC) {
-					return nil, err
-				}
 				if err != nil && q.Strict {
 					return nil, fmt.Errorf("core: %v holds a reverse reference to missing parent %v: %w",
 						o.UID(), ref.Parent, ErrDangling)
@@ -260,9 +251,6 @@ func (r reader) roots(id uid.UID) ([]uid.UID, error) {
 					continue
 				}
 				po, err := r.src.fetch(ref.Parent)
-				if errors.Is(err, errStaleCC) {
-					return nil, err
-				}
 				if err != nil {
 					continue
 				}
@@ -302,9 +290,6 @@ func (r reader) level(a, b uid.UID) (int, error) {
 					continue
 				}
 				po, err := r.src.fetch(ref.Parent)
-				if errors.Is(err, errStaleCC) {
-					return -1, err
-				}
 				if err == nil {
 					next = append(next, po)
 				}

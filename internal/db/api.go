@@ -146,7 +146,8 @@ func (d *DB) Make(class string, attrs map[string]value.Value, parents ...core.Pa
 	return o, nil
 }
 
-// Get returns the object (read-only).
+// Get returns the committed object (read-only): a write of an open
+// transaction is invisible until that transaction commits.
 func (d *DB) Get(id uid.UID) (*object.Object, error) { return d.engine.Get(id) }
 
 // Set assigns an attribute value with full composite semantics.

@@ -5,10 +5,12 @@
 // subclasses are included, matching the class-hierarchy extent semantics
 // of queries.
 //
-// Maintenance is driven by the engine's write-through hook: install the
-// Manager in the hook chain (core.MultiHook) and every New/Set/Attach/
-// Delete keeps the indexes current. Indexes are in-memory and rebuilt on
-// database open (Build), like ORION's memory-resident access structures.
+// Maintenance is driven by the engine's publish hook: install the Manager
+// with core.Engine.SetPublishHook and every commit boundary keeps the
+// indexes current, so they hold committed values only — a lookup never
+// sees a write of an open transaction, and an abort has nothing to undo.
+// Indexes are in-memory and rebuilt on database open (Build), like
+// ORION's memory-resident access structures.
 package index
 
 import (
@@ -83,8 +85,8 @@ func (x *idx) put(id uid.UID, keys []string) {
 	}
 }
 
-// Manager owns the indexes of one engine. It implements core.Hook; chain
-// it after the persistence hook with core.MultiHook.
+// Manager owns the indexes of one engine. It implements core.Hook, as the
+// engine's publish hook.
 type Manager struct {
 	mu      sync.RWMutex
 	e       *core.Engine
@@ -130,28 +132,25 @@ func (m *Manager) CreateIndex(class, attr string) error {
 	return m.Build(class, attr)
 }
 
-// Build (re)populates an index from the engine's extents.
+// Build (re)populates an index from the committed instances. It holds
+// the engine's shared latch while it does (core.Engine.Instances), so no
+// publication interleaves: the one before it is in the instances, the
+// one after it reaches OnWrite once the index is rebuilt.
 func (m *Manager) Build(class, attr string) error {
 	k := ikey{class, attr}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	x, ok := m.indexes[k]
-	if !ok {
-		return fmt.Errorf("%s.%s: %w", class, attr, ErrNoIndex)
-	}
-	*x = *newIdx()
-	ext, err := m.e.Extent(class, true)
-	if err != nil {
-		return err
-	}
-	for _, id := range ext {
-		o, err := m.e.Get(id)
-		if err != nil {
-			continue
+	return m.e.Instances(class, func(objs []*object.Object) error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		x, ok := m.indexes[k]
+		if !ok {
+			return fmt.Errorf("%s.%s: %w", class, attr, ErrNoIndex)
 		}
-		x.put(id, keysFor(o, attr))
-	}
-	return nil
+		*x = *newIdx()
+		for _, o := range objs {
+			x.put(o.UID(), keysFor(o, attr))
+		}
+		return nil
+	})
 }
 
 // DropIndex removes the index.
@@ -189,7 +188,7 @@ func (m *Manager) Lookup(class, attr string, v value.Value) ([]uid.UID, error) {
 	return out, nil
 }
 
-// OnWrite implements core.Hook: refresh every index the written object
+// OnWrite implements core.Hook: refresh every index the published object
 // participates in.
 func (m *Manager) OnWrite(_ core.TxnID, o *object.Object, _ uid.UID) error {
 	cl, err := m.e.Catalog().ClassByID(o.Class())

@@ -48,8 +48,8 @@ func evalProfile(in *Interp, args []Node) (value.Value, error) {
 // without executing it: traversal direction, the edge filter and the
 // root class's composite-attribute plan, the Definition 1 partition
 // sets an upward query consults, whether a select probes an index or
-// scans the extent, and which read path (live engine vs pinned MVCC
-// snapshot) would serve it.
+// scans the extent, and which read path (committed objects, the open
+// transaction's view, or a pinned MVCC snapshot) would serve it.
 func evalExplain(in *Interp, args []Node) (value.Value, error) {
 	if len(args) != 1 {
 		return value.Nil, fmt.Errorf("usage: (explain expr): %w", ErrEval)
@@ -89,7 +89,10 @@ func (in *Interp) sourceLine() string {
 	if in.snap != nil {
 		return fmt.Sprintf("  source: mvcc snapshot seq=%d (lock-free version-chain reads)\n", in.snap.Seq())
 	}
-	return "  source: live engine (latched reads; shared plan memo)\n"
+	if in.tx != nil {
+		return fmt.Sprintf("  source: transaction %d view (its own writes over the committed objects; shared latch; shared plan memo)\n", in.tx.ID())
+	}
+	return "  source: committed objects (shared latch; shared plan memo)\n"
 }
 
 // explainTraversal describes components-of (down) and parents-of /

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -519,79 +518,14 @@ func (h *charness) runReader(stop <-chan struct{}) {
 }
 
 // compareSnapshotState is compareState through a snapshot handle: object
-// count, Tag values, ordered forward reference lists, reverse references
-// with D/X flags, and partition sets, all resolved at the snapshot's
-// boundary. Extents and topology scans are engine-level (live-state)
-// checks and stay with quiescentCheck.
+// count and compareObjects, all resolved at the snapshot's boundary.
+// Extents and topology scans are engine-level checks and stay with
+// quiescentCheck.
 func compareSnapshotState(snap *core.Snapshot, view *Model) string {
 	if snap.Len() != len(view.objs) {
 		return fmt.Sprintf("object count: snapshot=%d model=%d", snap.Len(), len(view.objs))
 	}
-	ids := make([]uid.UID, 0, len(view.objs))
-	for id := range view.objs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-	for _, id := range ids {
-		mo := view.objs[id]
-		o, err := snap.Get(id)
-		if err != nil {
-			return fmt.Sprintf("get %v: %v", id, err)
-		}
-		tv := o.Get("Tag")
-		if mo.HasTag {
-			got, ok := tv.AsInt()
-			if !ok || got != mo.Tag {
-				return fmt.Sprintf("%v Tag: snapshot %v, model %d", id, tv, mo.Tag)
-			}
-		} else if !tv.IsNil() {
-			return fmt.Sprintf("%v Tag: snapshot %v, model unset", id, tv)
-		}
-		cl := view.classes[mo.Class]
-		for _, sp := range cl.Attrs {
-			if sp.Domain == "" {
-				continue
-			}
-			got := o.Get(sp.Name).Refs(nil)
-			if want := mo.Refs[sp.Name]; !equalUIDs(got, want) {
-				return fmt.Sprintf("%v.%s forward refs: snapshot %v, model %v", id, sp.Name, got, want)
-			}
-		}
-		gotRev := make([]revRef, 0, len(o.Reverse()))
-		for _, r := range o.Reverse() {
-			gotRev = append(gotRev, revRef{Parent: r.Parent, Dependent: r.Dependent, Exclusive: r.Exclusive})
-		}
-		wantRev := append([]revRef(nil), mo.Rev...)
-		sortRevs(gotRev)
-		sortRevs(wantRev)
-		if len(gotRev) != len(wantRev) {
-			return fmt.Sprintf("%v reverse refs: snapshot %v, model %v", id, gotRev, wantRev)
-		}
-		for k := range gotRev {
-			if gotRev[k] != wantRev[k] {
-				return fmt.Sprintf("%v reverse refs: snapshot %v, model %v", id, gotRev, wantRev)
-			}
-		}
-		parts, err := snap.Partitions(id)
-		if err != nil {
-			return fmt.Sprintf("partitions %v: %v", id, err)
-		}
-		for _, p := range []struct {
-			name      string
-			got       []uid.UID
-			dep, excl bool
-		}{
-			{"IX", parts.IX, false, true},
-			{"DX", parts.DX, true, true},
-			{"IS", parts.IS, false, false},
-			{"DS", parts.DS, true, false},
-		} {
-			if want := mo.partition(p.dep, p.excl); !sameUIDSet(p.got, want) {
-				return fmt.Sprintf("%v %s partition: snapshot %v, model %v", id, p.name, p.got, want)
-			}
-		}
-	}
-	return ""
+	return compareObjects(snap.View, "snapshot", view)
 }
 
 // quiescentCheck runs with no worker active: full state compare, the

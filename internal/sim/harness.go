@@ -524,20 +524,32 @@ func (h *harness) crash(i int) *Failure {
 
 // check fully compares engine and model: object count, per-class extents,
 // Tag values, ordered forward reference lists, reverse references with
-// D/X flags, the partition sets, and per-object topology rules.
-// Reading every object also forces the engine's deferred-evolution replay,
-// keeping its lazily-repaired state aligned with the eager model.
+// D/X flags, the partition sets, and per-object topology rules. The
+// committed objects must equal the committed model at every step; while
+// a transaction is open, its view must also equal the working model,
+// including the absence of what it deleted.
 func (h *harness) check(i int, op Op) *Failure {
-	if msg := compareState(h.d.Engine(), h.view()); msg != "" {
+	if msg := compareState(h.d.Engine(), h.model); msg != "" {
 		return h.failOp(i, op, msg)
+	}
+	if h.tx != nil {
+		v := h.tx.View()
+		if msg := compareObjects(v, "transaction", h.working); msg != "" {
+			return h.failOp(i, op, msg)
+		}
+		for id := range h.model.objs {
+			if _, ok := h.working.objs[id]; !ok && v.Exists(id) {
+				return h.failOp(i, op, fmt.Sprintf("%v: deleted in the transaction, still in its view", id))
+			}
+		}
 	}
 	return nil
 }
 
-// compareState fully compares engine and model state, returning "" when
-// they agree and a description of the first divergence otherwise. It is
-// shared by the sequential per-step check and the concurrent harness's
-// quiescent-point check; the caller must guarantee no writer is active.
+// compareState fully compares the committed engine state with a model,
+// returning "" when they agree and a description of the first divergence
+// otherwise. It is shared by the sequential per-step check and the
+// concurrent harness's quiescent-point check.
 func compareState(eng *core.Engine, view *Model) string {
 	if eng.Len() != len(view.objs) {
 		return fmt.Sprintf("object count: engine=%d model=%d", eng.Len(), len(view.objs))
@@ -556,14 +568,24 @@ func compareState(eng *core.Engine, view *Model) string {
 			return fmt.Sprintf("extent %s: engine %v, model %v", name, ext, want)
 		}
 	}
-	ids := make([]uid.UID, 0, len(view.objs))
-	for id := range view.objs {
-		ids = append(ids, id)
+	if msg := compareObjects(eng.View, "engine", view); msg != "" {
+		return msg
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-	for _, id := range ids {
+	for _, id := range view.sortedIDs() {
+		if v := eng.CheckTopology(id); len(v) != 0 {
+			return fmt.Sprintf("%v topology: %v", id, v)
+		}
+	}
+	return ""
+}
+
+// compareObjects compares every model object with what v reads: Tag
+// values, ordered forward reference lists, reverse references with D/X
+// flags, and partition sets. src names the reader in messages.
+func compareObjects(v core.View, src string, view *Model) string {
+	for _, id := range view.sortedIDs() {
 		mo := view.objs[id]
-		o, err := eng.Get(id)
+		o, err := v.Get(id)
 		if err != nil {
 			return fmt.Sprintf("get %v: %v", id, err)
 		}
@@ -571,10 +593,10 @@ func compareState(eng *core.Engine, view *Model) string {
 		if mo.HasTag {
 			got, ok := tv.AsInt()
 			if !ok || got != mo.Tag {
-				return fmt.Sprintf("%v Tag: engine %v, model %d", id, tv, mo.Tag)
+				return fmt.Sprintf("%v Tag: %s %v, model %d", id, src, tv, mo.Tag)
 			}
 		} else if !tv.IsNil() {
-			return fmt.Sprintf("%v Tag: engine %v, model unset", id, tv)
+			return fmt.Sprintf("%v Tag: %s %v, model unset", id, src, tv)
 		}
 		cl := view.classes[mo.Class]
 		for _, sp := range cl.Attrs {
@@ -583,7 +605,7 @@ func compareState(eng *core.Engine, view *Model) string {
 			}
 			got := o.Get(sp.Name).Refs(nil)
 			if want := mo.Refs[sp.Name]; !equalUIDs(got, want) {
-				return fmt.Sprintf("%v.%s forward refs: engine %v, model %v", id, sp.Name, got, want)
+				return fmt.Sprintf("%v.%s forward refs: %s %v, model %v", id, sp.Name, src, got, want)
 			}
 		}
 		gotRev := make([]revRef, 0, len(o.Reverse()))
@@ -594,14 +616,14 @@ func compareState(eng *core.Engine, view *Model) string {
 		sortRevs(gotRev)
 		sortRevs(wantRev)
 		if len(gotRev) != len(wantRev) {
-			return fmt.Sprintf("%v reverse refs: engine %v, model %v", id, gotRev, wantRev)
+			return fmt.Sprintf("%v reverse refs: %s %v, model %v", id, src, gotRev, wantRev)
 		}
 		for k := range gotRev {
 			if gotRev[k] != wantRev[k] {
-				return fmt.Sprintf("%v reverse refs: engine %v, model %v", id, gotRev, wantRev)
+				return fmt.Sprintf("%v reverse refs: %s %v, model %v", id, src, gotRev, wantRev)
 			}
 		}
-		parts, err := eng.Partitions(id)
+		parts, err := v.Partitions(id)
 		if err != nil {
 			return fmt.Sprintf("partitions %v: %v", id, err)
 		}
@@ -616,11 +638,8 @@ func compareState(eng *core.Engine, view *Model) string {
 			{"DS", parts.DS, true, false},
 		} {
 			if want := mo.partition(p.dep, p.excl); !sameUIDSet(p.got, want) {
-				return fmt.Sprintf("%v %s partition: engine %v, model %v", id, p.name, p.got, want)
+				return fmt.Sprintf("%v %s partition: %s %v, model %v", id, p.name, src, p.got, want)
 			}
-		}
-		if v := eng.CheckTopology(id); len(v) != 0 {
-			return fmt.Sprintf("%v topology: %v", id, v)
 		}
 	}
 	return ""

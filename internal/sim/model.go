@@ -163,6 +163,16 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
+// sortedIDs returns the model's objects in UID order.
+func (m *Model) sortedIDs() []uid.UID {
+	ids := make([]uid.UID, 0, len(m.objs))
+	for id := range m.objs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+	return ids
+}
+
 // spec returns the attribute spec (mutable) or nil.
 func (m *Model) spec(class, attr string) *attrSpec {
 	cl := m.classes[class]

@@ -18,7 +18,7 @@ func FuzzDecodeWALPayload(f *testing.F) {
 	f.Add(encodeWALPayload(WALRecord{Op: OpPut, UID: uid.UID{Class: 1<<32 - 1, Serial: 1<<63 - 1}, Seg: 9, Data: nil}))
 	f.Add([]byte{})
 	f.Add([]byte{1})
-	f.Add([]byte{1, 0x80}) // truncated uvarint
+	f.Add([]byte{1, 0x80})                                                          // truncated uvarint
 	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1}) // overlong uvarint
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := decodeWALPayload(b)

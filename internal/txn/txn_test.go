@@ -91,7 +91,7 @@ func TestAbortRollsBackWrite(t *testing.T) {
 	if err := tx.WriteAttr(doc, "Title", value.Str("after")); err != nil {
 		t.Fatal(err)
 	}
-	o, _ := e.Get(doc)
+	o, _ := tx.View().Get(doc)
 	if s, _ := o.Get("Title").AsString(); s != "after" {
 		t.Fatal("write not visible inside txn")
 	}
