@@ -27,7 +27,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/server/client"
-	"repro/internal/storage"
 	"repro/internal/uid"
 	"repro/internal/value"
 	"repro/internal/version"
@@ -252,93 +251,6 @@ func BenchmarkObjectSizeWithReverseRefs(b *testing.B) {
 		})
 	}
 }
-
-// ---------------------------------------------------------------------
-// Clustering (§2.3): page reads to scan a composite object
-// ---------------------------------------------------------------------
-
-// clusteringRun contrasts the two creation patterns §2.3's clustering
-// targets. "On" models top-down creation: each composite object's
-// components are created with :parent right after their root, landing on
-// the root's page. "Off" models bottom-up assembly of pre-existing parts:
-// the parts of all composites were created earlier, interleaved, so each
-// composite's records scatter across pages. A small buffer pool then
-// measures page reads needed to scan one whole composite object.
-func clusteringRun(b *testing.B, clustered bool) {
-	const nComposites = 64
-	const fanout = 8
-	dev := storage.NewMemDevice()
-	pool := storage.NewBufferPool(dev, 4) // small pool: locality matters
-	reg := obs.NewRegistry()
-	pool.SetObservability(reg)
-	st := storage.NewStore(pool)
-	seg, _ := st.CreateSegment("all")
-	payload := make([]byte, 400) // ~9 records per 4 KiB page
-	type composite struct {
-		root  uid.UID
-		parts []uid.UID
-	}
-	comps := make([]composite, nComposites)
-	serial := uint64(1)
-	next := func() uid.UID { serial++; return uid.UID{Class: 1, Serial: serial} }
-	put := func(id, near uid.UID) {
-		if err := st.Put(seg, id, payload, near); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if clustered {
-		// Top-down: root, then its components clustered with it.
-		for i := range comps {
-			comps[i].root = next()
-			put(comps[i].root, uid.Nil)
-			for f := 0; f < fanout; f++ {
-				id := next()
-				put(id, comps[i].root)
-				comps[i].parts = append(comps[i].parts, id)
-			}
-		}
-	} else {
-		// Bottom-up: all parts pre-exist, created interleaved across the
-		// future composites; roots assembled afterwards.
-		for f := 0; f < fanout; f++ {
-			for i := range comps {
-				id := next()
-				put(id, uid.Nil)
-				comps[i].parts = append(comps[i].parts, id)
-			}
-		}
-		for i := range comps {
-			comps[i].root = next()
-			put(comps[i].root, uid.Nil)
-		}
-	}
-	b.ResetTimer()
-	pool.ResetStats()
-	for i := 0; i < b.N; i++ {
-		c := comps[i%len(comps)]
-		if _, err := st.Get(c.root); err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range c.parts {
-			if _, err := st.Get(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// Report from the registry snapshot: the same counters /metrics
-	// exposes, so the JSON bench artifact and a scrape agree.
-	snap := reg.Snapshot()
-	hits := snap.Counters["storage_pool_hits_total"]
-	misses := snap.Counters["storage_pool_misses_total"]
-	b.ReportMetric(float64(misses)/float64(b.N), "pagereads/op")
-	if tot := hits + misses; tot > 0 {
-		b.ReportMetric(float64(hits)/float64(tot), "cache-hit-rate")
-	}
-	b.ReportMetric(float64(snap.Counters["storage_pool_evictions_total"]), "pool-evictions")
-}
-
-func BenchmarkClusteringOn(b *testing.B)  { clusteringRun(b, true) }
-func BenchmarkClusteringOff(b *testing.B) { clusteringRun(b, false) }
 
 // ---------------------------------------------------------------------
 // Schema evolution (§4.3): immediate vs deferred flag rewriting
@@ -690,19 +602,6 @@ func BenchmarkDecodeObject(b *testing.B) {
 	}
 }
 
-func BenchmarkStorePut(b *testing.B) {
-	st := storage.NewStore(storage.NewBufferPool(storage.NewMemDevice(), 64))
-	seg, _ := st.CreateSegment("bench")
-	rec := make([]byte, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := uid.UID{Class: 1, Serial: uint64(i + 1)}
-		if err := st.Put(seg, id, rec, uid.Nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Associative queries over the part hierarchy (internal/query)
 // ---------------------------------------------------------------------
@@ -868,44 +767,6 @@ func BenchmarkProfiledTraversal(b *testing.B) {
 		f.Record("bench.op", "root", time.Microsecond, "ok", "visited=1")
 	}
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/appends, "flight-record-ns")
-}
-
-// BenchmarkBufferPoolParallelFetch measures the striped pool under
-// concurrent page faults: 8-way shard striping lets fetches of different
-// pages proceed without contending on one pool mutex.
-func BenchmarkBufferPoolParallelFetch(b *testing.B) {
-	dev := storage.NewMemDevice()
-	bp := storage.NewBufferPool(dev, 256)
-	var ids []storage.PageID
-	for i := 0; i < 128; i++ {
-		p, err := bp.NewPage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Insert([]byte{byte(i)}); err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, p.ID)
-		bp.Unpin(p.ID, true)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			id := ids[i%len(ids)]
-			i++
-			p, err := bp.Fetch(id)
-			if err != nil {
-				b.Errorf("fetch: %v", err)
-				return
-			}
-			if _, err := p.Read(0); err != nil {
-				b.Errorf("read: %v", err)
-				return
-			}
-			bp.Unpin(id, false)
-		}
-	})
 }
 
 // ---------------------------------------------------------------------

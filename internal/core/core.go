@@ -59,11 +59,9 @@ type TxnID uint64
 // Hook receives write notifications: as write-through (SetHook), so a
 // persistence layer can mirror the in-memory graph, or at publication
 // (SetPublishHook). tx tags the notification with the
-// transaction performing the mutation (0 = engine-direct). Near is the
-// clustering hint (the first parent at creation, §2.3), valid only for
-// the creating write.
+// transaction performing the mutation (0 = engine-direct).
 type Hook interface {
-	OnWrite(tx TxnID, o *object.Object, near uid.UID) error
+	OnWrite(tx TxnID, o *object.Object) error
 	OnDelete(tx TxnID, id uid.UID) error
 }
 
@@ -73,9 +71,9 @@ type Hook interface {
 type MultiHook []Hook
 
 // OnWrite implements Hook.
-func (m MultiHook) OnWrite(tx TxnID, o *object.Object, near uid.UID) error {
+func (m MultiHook) OnWrite(tx TxnID, o *object.Object) error {
 	for _, h := range m {
-		if err := h.OnWrite(tx, o, near); err != nil {
+		if err := h.OnWrite(tx, o); err != nil {
 			return err
 		}
 	}
@@ -176,7 +174,7 @@ func (e *Engine) SetHook(h Hook) {
 
 // SetPublishHook installs the publish hook (nil to disable): told, under
 // the exclusive latch, of every object a commit boundary publishes
-// (OnWrite, no clustering hint) and every deletion it publishes
+// (OnWrite) and every deletion it publishes
 // (OnDelete). Structures that must hold committed values only, such as
 // the secondary indexes, follow the heads through it; an abort publishes
 // nothing and so calls no hook.
@@ -219,19 +217,32 @@ func (e *Engine) Evict(id uid.UID) error {
 	return err
 }
 
-// Load installs an object restored from storage as its committed version,
-// without running creation semantics. It is used when reopening a
-// database.
-func (e *Engine) Load(o *object.Object) error {
+// Restore installs recovered committed state as one commit boundary,
+// without running creation or deletion semantics: each object becomes
+// the committed version of its UID, and a nil entry removes the UID's
+// object, if any. The UID generator is seeded past every UID named,
+// deletions included, so a reopened database never issues a deleted
+// object's UID again. It is used when reopening a database.
+func (e *Engine) Restore(objs map[uid.UID]*object.Object) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, err := e.cat.ClassByID(o.Class()); err != nil {
-		return err
+	for id, o := range objs {
+		if o != nil {
+			if _, err := e.cat.ClassByID(o.Class()); err != nil {
+				return err
+			}
+		}
+		e.gen.Seed(id.Serial)
 	}
-	e.gen.Seed(o.UID().Serial)
-	e.publishLocked(overlay{o.UID(): o})
+	e.publishLocked(objs)
 	return nil
 }
+
+// LastUID returns the highest UID serial issued so far.
+func (e *Engine) LastUID() uint64 { return e.gen.Current() }
+
+// SeedUID makes every UID issued from now on have a serial above n.
+func (e *Engine) SeedUID(n uint64) { e.gen.Seed(n) }
 
 func (e *Engine) extentFor(c uid.ClassID) *uid.Set {
 	s := e.extents[c]
@@ -376,8 +387,7 @@ func (e *Engine) Instances(class string, fn func(objs []*object.Object) error) e
 // ParentAttributeName.i) pairs making the new instance a part of existing
 // composite objects at creation time. When several parents are given, all
 // the named attributes must be shared composite attributes (a consequence
-// of Topology Rule 3, enforced here as the paper prescribes). The new
-// object is clustered with the first parent.
+// of Topology Rule 3, enforced here as the paper prescribes).
 func (e *Engine) New(class string, attrs map[string]value.Value, parents ...ParentSpec) (*object.Object, error) {
 	return e.NewTx(0, class, attrs, parents...)
 }
@@ -435,18 +445,14 @@ func (w *op) make(class string, attrs map[string]value.Value, parents []ParentSp
 		}
 	}
 	w.objs[o.UID()] = o
-	w.created = o.UID()
 	for name, v := range attrs {
 		if err := w.setAttr(o, name, v); err != nil {
 			return nil, err
 		}
 	}
-	for i, p := range parents {
+	for _, p := range parents {
 		if err := w.attach(p.Parent, p.Attr, o.UID(), makeComponentCheck); err != nil {
 			return nil, err
-		}
-		if i == 0 {
-			w.near = p.Parent
 		}
 	}
 	w.dirty.Add(o.UID())
@@ -468,10 +474,7 @@ type op struct {
 	// dirty lists, in order, the objects the operation changed: what it
 	// keeps and writes through.
 	dirty *uid.Set
-	// created and near are the object a make created and its clustering
-	// hint (the first parent, §2.3).
-	created, near uid.UID
-	pend          pending
+	pend  pending
 }
 
 // lookup returns id's current state as the operation sees it (nil when
@@ -566,7 +569,7 @@ func (e *Engine) writeOp(tx TxnID, publish bool, fn func(w *op) ([]uid.UID, erro
 		e.publishLocked(ov)
 	}
 	e.mu.Unlock()
-	if err := e.notify(tx, w.dirty, w.created, w.near, deleted); err != nil {
+	if err := e.notify(tx, w.dirty, deleted); err != nil {
 		return nil, err
 	}
 	return deleted, nil
@@ -574,9 +577,8 @@ func (e *Engine) writeOp(tx TxnID, publish bool, fn func(w *op) ([]uid.UID, erro
 
 // notify pushes a write's effects to the hook under the transaction tag
 // tx: first OnWrite for every object in dirty that still exists, in its
-// newest state (created/near carry the clustering hint for a newly
-// created object), then OnDelete for each id in deleted.
-func (e *Engine) notify(tx TxnID, dirty *uid.Set, created, near uid.UID, deleted []uid.UID) error {
+// newest state, then OnDelete for each id in deleted.
+func (e *Engine) notify(tx TxnID, dirty *uid.Set, deleted []uid.UID) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	h := e.hook
@@ -592,11 +594,7 @@ func (e *Engine) notify(tx TxnID, dirty *uid.Set, created, near uid.UID, deleted
 		if o == nil {
 			continue // deleted during the same operation
 		}
-		hint := uid.Nil
-		if id == created {
-			hint = near
-		}
-		if err := h.OnWrite(tx, o, hint); err != nil {
+		if err := h.OnWrite(tx, o); err != nil {
 			return err
 		}
 	}

@@ -314,7 +314,7 @@ func TestLoadRestoresAndSeedsGenerator(t *testing.T) {
 	e := vehicleEngine(t)
 	cl, _ := e.Catalog().Class("AutoBody")
 	o := object.New(uid.UID{Class: cl.ID, Serial: 50})
-	if err := e.Load(o); err != nil {
+	if err := e.Restore(map[uid.UID]*object.Object{o.UID(): o}); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Exists(o.UID()) {
@@ -325,9 +325,20 @@ func TestLoadRestoresAndSeedsGenerator(t *testing.T) {
 	if n.UID().Serial <= 50 {
 		t.Fatalf("generator not seeded: new serial %d", n.UID().Serial)
 	}
+	// A restored deletion removes the object and seeds the generator too.
+	gone := uid.UID{Class: cl.ID, Serial: 80}
+	if err := e.Restore(map[uid.UID]*object.Object{o.UID(): nil, gone: nil}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Exists(o.UID()) {
+		t.Fatal("restored deletion left the object")
+	}
+	if n := mustNew(t, e, "AutoBody", nil); n.UID().Serial <= 80 {
+		t.Fatalf("generator not seeded by a deletion: new serial %d", n.UID().Serial)
+	}
 	// Loading an object of an unknown class fails.
 	bad := object.New(uid.UID{Class: 999, Serial: 1})
-	if err := e.Load(bad); !errors.Is(err, schema.ErrNoClass) {
+	if err := e.Restore(map[uid.UID]*object.Object{bad.UID(): bad}); !errors.Is(err, schema.ErrNoClass) {
 		t.Fatalf("load unknown class: %v", err)
 	}
 }
@@ -335,18 +346,11 @@ func TestLoadRestoresAndSeedsGenerator(t *testing.T) {
 // hookRecorder records hook invocations for write-through tests.
 type hookRecorder struct {
 	writes  []uid.UID
-	nears   map[uid.UID]uid.UID
 	deletes []uid.UID
 }
 
-func (h *hookRecorder) OnWrite(_ TxnID, o *object.Object, near uid.UID) error {
+func (h *hookRecorder) OnWrite(_ TxnID, o *object.Object) error {
 	h.writes = append(h.writes, o.UID())
-	if h.nears == nil {
-		h.nears = map[uid.UID]uid.UID{}
-	}
-	if !near.IsNil() {
-		h.nears[o.UID()] = near
-	}
 	return nil
 }
 
@@ -377,17 +381,5 @@ func TestHookWriteThrough(t *testing.T) {
 	}
 	if len(h.deletes) != 2 { // section + dependent paragraph
 		t.Fatalf("deletes = %v", h.deletes)
-	}
-}
-
-func TestHookClusteringHint(t *testing.T) {
-	e := documentEngine(t)
-	h := &hookRecorder{}
-	e.SetHook(h)
-	doc := mustNew(t, e, "Document", nil)
-	sec := mustNew(t, e, "Section", nil, ParentSpec{Parent: doc.UID(), Attr: "Sections"})
-	// The new instance is clustered with its first parent (§2.3).
-	if h.nears[sec.UID()] != doc.UID() {
-		t.Fatalf("clustering hint = %v, want %v", h.nears[sec.UID()], doc.UID())
 	}
 }

@@ -167,7 +167,7 @@ func (e *Engine) publishLocked(objs overlay) {
 	if h := e.pubHook; h != nil { // a publication cannot fail: errors are dropped
 		for id, o := range objs {
 			if o != nil {
-				h.OnWrite(0, o, uid.Nil)
+				h.OnWrite(0, o)
 			} else {
 				h.OnDelete(0, id)
 			}
@@ -176,9 +176,10 @@ func (e *Engine) publishLocked(objs overlay) {
 }
 
 // CommitVersions publishes the transaction's overlay as one commit
-// boundary. The transaction layer calls it after the durability boundary
-// and before releasing any lock, so a snapshot begun from here on sees
-// all of the write set or none of it.
+// boundary. The transaction layer calls it, through its boundary's
+// publish, after the durability boundary and before releasing any lock,
+// so a snapshot begun from here on sees all of the write set or none of
+// it.
 func (e *Engine) CommitVersions(tx TxnID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

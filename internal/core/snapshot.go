@@ -140,6 +140,22 @@ func (s *Snapshot) fetch(id uid.UID) (*object.Object, error) {
 	return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
 }
 
+// Each calls fn with every object visible at the snapshot boundary, in
+// no particular order, and stops at fn's first error. Objects are passed
+// as stored: deferred schema changes (§4.3) are not applied, so each
+// keeps its CC stamp and is converted when next fetched. A checkpoint
+// streams its snapshot file through Each.
+func (s *Snapshot) Each(fn func(o *object.Object) error) error {
+	var err error
+	s.e.mvcc.chains.Range(func(k, _ any) bool {
+		if o := s.object(k.(uid.UID)); o != nil {
+			err = fn(o)
+		}
+		return err == nil
+	})
+	return err
+}
+
 // UIDs returns every object visible at the snapshot boundary, in UID
 // order.
 func (s *Snapshot) UIDs() []uid.UID {

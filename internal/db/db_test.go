@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/uid"
 	"repro/internal/value"
@@ -55,51 +56,14 @@ func TestInMemoryBasics(t *testing.T) {
 	if len(comps) != 1 || comps[0] != para.UID() {
 		t.Fatalf("components = %v", comps)
 	}
-	// Objects are mirrored into the page store.
-	if !d.Store().Has(doc.UID()) || !d.Store().Has(para.UID()) {
-		t.Fatal("write-through to the store failed")
-	}
-	// Clustering: the paragraph shares the document's page? Only if same
-	// segment — classes default to distinct segments, so pages differ.
-	dp, _ := d.Store().PageOf(doc.UID())
-	pp, _ := d.Store().PageOf(para.UID())
-	if dp == pp {
-		t.Fatal("cross-segment clustering should not happen")
-	}
-	// Delete propagates to the store.
+	// Delete cascades to the dependent paragraph.
 	if _, err := d.Delete(doc.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if d.Store().Has(doc.UID()) || d.Store().Has(para.UID()) {
-		t.Fatal("store retains deleted objects")
-	}
-}
-
-func TestClusteringWithinSharedSegment(t *testing.T) {
-	d, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// Both classes assigned to one segment: clustering with the first
-	// parent applies (§2.3).
-	if _, err := d.DefineClass(schema.ClassDef{Name: "Part", Segment: "cad"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.DefineClass(schema.ClassDef{Name: "Assembly", Segment: "cad", Attributes: []schema.AttrSpec{
-		schema.NewCompositeSetAttr("Parts", "Part"),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	asm, _ := d.Make("Assembly", nil)
-	part, err := d.Make("Part", nil, core.ParentSpec{Parent: asm.UID(), Attr: "Parts"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, _ := d.Store().PageOf(asm.UID())
-	pp, _ := d.Store().PageOf(part.UID())
-	if ap != pp {
-		t.Fatalf("component not clustered with first parent: pages %d vs %d", ap, pp)
+	for _, id := range []uid.UID{doc.UID(), para.UID()} {
+		if _, err := d.Get(id); err == nil {
+			t.Fatalf("%v survives its delete", id)
+		}
 	}
 }
 
@@ -177,8 +141,7 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash: drop everything without Close/Checkpoint.
-	d.wal.Sync()
-	d.dev.Close()
+	d.Abandon()
 
 	d2, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -216,8 +179,7 @@ func TestCrashRecoveryDelete(t *testing.T) {
 	if _, err := d.Delete(doc.UID()); err != nil {
 		t.Fatal(err)
 	}
-	d.wal.Sync()
-	d.dev.Close() // crash
+	d.Abandon() // crash
 
 	d2, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -385,6 +347,9 @@ func TestWALGrowsAndCheckpointTruncates(t *testing.T) {
 	if st.Size() != 0 {
 		t.Fatalf("WAL not truncated by checkpoint: %d bytes", st.Size())
 	}
+	if _, err := os.Stat(filepath.Join(dir, prevWALFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("checkpoint left its predecessor log behind: %v", err)
+	}
 	d.Close()
 }
 
@@ -406,26 +371,29 @@ func TestOpenRejectsCorruptMetadata(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsCorruptPages(t *testing.T) {
+// TestOpenRejectsCorruptSnapshot flips one byte in the middle of the
+// snapshot: unlike a torn log tail, damage there is never tolerated, or
+// recovery would silently drop the objects it holds.
+func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := Open(Options{Dir: dir})
 	defineDocSchema(t, d)
-	doc, _ := d.Make("Document", map[string]value.Value{"Title": value.Str("x")})
-	d.Close()
-	// Flip bytes in the page file where the object lives: decode must fail
-	// at recovery.
-	pb, err := os.ReadFile(filepath.Join(dir, "pages.db"))
+	for i := 0; i < 20; i++ {
+		d.Make("Document", map[string]value.Value{"Title": value.Str("x")})
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotFile)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pb {
-		pb[i] ^= 0xFF
+	b[len(b)/2] ^= 0xFF
+	os.WriteFile(path, b, 0o644)
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, storage.ErrCorruptWAL) {
+		t.Fatalf("open with a corrupt snapshot: %v, want ErrCorruptWAL", err)
 	}
-	os.WriteFile(filepath.Join(dir, "pages.db"), pb, 0o644)
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("open with corrupt pages succeeded")
-	}
-	_ = doc
 }
 
 func TestOpenOnFileFails(t *testing.T) {
@@ -462,10 +430,6 @@ func TestCopyCompositeThroughFacade(t *testing.T) {
 	paras := cp.Get("Paras").Refs(nil)
 	if s, _ := cp.Get("Title").AsString(); s != "orig" || len(paras) != 1 || paras[0] == para.UID() {
 		t.Fatalf("copy = Title %v, Paras %v; want a deep copy of the paragraph", cp.Get("Title"), paras)
-	}
-	// The deep copy is mirrored into the page store by the hook.
-	if !d.Store().Has(copyID) || !d.Store().Has(paras[0]) {
-		t.Fatal("copy not persisted through the hook")
 	}
 	po, err := d.Get(paras[0])
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,49 +12,48 @@ import (
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/uid"
 	"repro/internal/value"
 )
 
-// TestEvictionNeverPersistsUncommittedWrite: the page store holds only
-// committed state. An open transaction writes one document's title,
-// then one-statement writes to every other document force a four-page pool
-// to evict. A crash followed by recovery must not find the uncommitted
-// title on disk: the WAL is redo-only, so replay could not undo it.
-func TestEvictionNeverPersistsUncommittedWrite(t *testing.T) {
+// TestCheckpointNeverPersistsUncommittedWrite: a checkpoint taken while a
+// transaction is open writes only committed state to its snapshot. The
+// open transaction rewrites one document's title and creates another
+// document; a checkpoint then runs and the process crashes. Recovery
+// must find neither: the log is redo-only, so replay could not undo
+// them.
+func TestCheckpointNeverPersistsUncommittedWrite(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(Options{Dir: dir, PoolPages: 4})
+	d, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defineDocSchema(t, d)
-	// Long titles spread the documents over many pages; short ones fit
-	// on two or three and never force an eviction.
-	long := strings.Repeat("x", 600)
-	ids := make([]uid.UID, 200)
+	ids := make([]uid.UID, 20)
 	for i := range ids {
-		o, err := d.Make("Document", map[string]value.Value{"Title": value.Str(long)})
+		o, err := d.Make("Document", map[string]value.Value{"Title": value.Str("committed")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = o.UID()
 	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	tx := d.Begin()
 	if err := tx.WriteAttr(ids[0], "Title", value.Str("UNCOMMITTED")); err != nil {
 		t.Fatal(err)
 	}
-	evictions := d.Pool().Stats().Evictions
-	for i, id := range ids[1:] {
-		if err := d.Set(id, "Title", value.Str(fmt.Sprintf("%s%d", long, i))); err != nil {
+	made, err := tx.New("Document", map[string]value.Value{"Title": value.Str("UNCOMMITTED")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[1:] {
+		if err := d.Set(id, "Title", value.Str("rewritten")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.Pool().Stats().Evictions == evictions {
-		t.Fatal("the one-statement writes forced no eviction; the test exercises nothing")
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.Abandon(); err != nil {
 		t.Fatal(err)
@@ -69,16 +67,29 @@ func TestEvictionNeverPersistsUncommittedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := o.Get("Title").AsString(); s != long {
-		t.Fatalf("title after recovery = %.20q, want the committed value", s)
+	if s, _ := o.Get("Title").AsString(); s != "committed" {
+		t.Fatalf("title after recovery = %q, want the committed value", s)
+	}
+	if r.Engine().Exists(made.UID()) {
+		t.Fatal("an uncommitted creation survived a checkpoint and a crash")
+	}
+	o, err = r.Get(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := o.Get("Title").AsString(); s != "rewritten" {
+		t.Fatalf("committed title after recovery = %q", s)
 	}
 }
 
 // TestCheckpointKeepsConcurrentCommits: a checkpoint racing SyncWAL
-// writers must not truncate the log records of a commit whose page it
-// had already flushed. Four writers own sixteen documents each and
-// rewrite them while checkpoints run back to back; after a crash every
-// document must hold the last value its writer saw acknowledged.
+// writers must not rotate out the log records of a commit its snapshot
+// lacks. Four writers own sixteen documents each and rewrite them, and
+// each also creates documents with a paragraph and cascade-deletes them
+// again, while checkpoints run back to back; after a crash every
+// document must hold the last value its writer saw acknowledged, every
+// acknowledged creation must be there with its paragraph, and no
+// acknowledged deletion may come back.
 func TestCheckpointKeepsConcurrentCommits(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(Options{Dir: dir, SyncWAL: true})
@@ -99,6 +110,11 @@ func TestCheckpointKeepsConcurrentCommits(t *testing.T) {
 	for i := range last {
 		last[i] = "v0"
 	}
+	// made and gone hold, per writer, the documents (each with its
+	// paragraph) whose creation and whose cascading deletion were
+	// acknowledged.
+	made := make([][][2]uid.UID, writers)
+	gone := make([][][2]uid.UID, writers)
 	stop := make(chan struct{})
 	errs := make(chan error, writers)
 	var wg sync.WaitGroup
@@ -119,6 +135,33 @@ func TestCheckpointKeepsConcurrentCommits(t *testing.T) {
 						return
 					}
 					last[i] = v
+				}
+				var pair [2]uid.UID
+				err := d.Run(func(tx *txn.Txn) error {
+					doc, err := tx.New("Document", map[string]value.Value{"Title": value.Str("made")})
+					if err != nil {
+						return err
+					}
+					para, err := tx.New("Paragraph", nil, core.ParentSpec{Parent: doc.UID(), Attr: "Paras"})
+					if err != nil {
+						return err
+					}
+					pair = [2]uid.UID{doc.UID(), para.UID()}
+					return nil
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+				made[w] = append(made[w], pair)
+				if n%2 == 0 {
+					victim := made[w][0]
+					if _, err := d.Delete(victim[0]); err != nil {
+						errs <- err
+						return
+					}
+					made[w] = made[w][1:]
+					gone[w] = append(gone[w], victim)
 				}
 			}
 		}(w)
@@ -155,12 +198,32 @@ func TestCheckpointKeepsConcurrentCommits(t *testing.T) {
 	if lost > 0 {
 		t.Fatalf("%d of %d acknowledged final writes lost across a crash", lost, docs)
 	}
+	for w := range made {
+		for _, pair := range made[w] {
+			for _, id := range pair {
+				if !r.Engine().Exists(id) {
+					t.Fatalf("acknowledged creation of %v lost across a crash", id)
+				}
+			}
+		}
+		for _, pair := range gone[w] {
+			for _, id := range pair {
+				if r.Engine().Exists(id) {
+					t.Fatalf("acknowledged cascading deletion of %v undone by a crash", id)
+				}
+			}
+		}
+	}
+	if v := r.Engine().Integrity(); len(v) != 0 {
+		t.Fatalf("integrity violations after recovery: %v", v)
+	}
 }
 
-// TestAbortTouchesNeitherLogNorPages: an abort is in-memory only. A
+// TestAbortTouchesNeitherLogNorSnapshot: an abort is in-memory only. A
 // transaction that creates, rewrites and deletes objects and then
-// aborts must leave the log the size it was and dirty no page.
-func TestAbortTouchesNeitherLogNorPages(t *testing.T) {
+// aborts must leave the log the size it was, and a checkpoint after it
+// must write none of its effects.
+func TestAbortTouchesNeitherLogNorSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(Options{Dir: dir, SyncWAL: true})
 	if err != nil {
@@ -198,14 +261,25 @@ func TestAbortTouchesNeitherLogNorPages(t *testing.T) {
 	if got := walSize(t, dir); got != size {
 		t.Fatalf("wal.log grew from %d to %d bytes across an abort", size, got)
 	}
-	// The checkpoint left every page clean: a flush now writes only the
-	// pages the transaction dirtied, which must be none.
-	writes := d.Pool().Stats().Writes
-	if err := d.Pool().FlushAll(); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Pool().Stats().Writes - writes; n != 0 {
-		t.Fatalf("abort left %d dirty pages", n)
+	n := 0
+	if _, err := storage.ReplaySnapshot(filepath.Join(dir, snapshotFile), func(rec storage.WALRecord) error {
+		n++
+		o, err := encoding.DecodeObject(rec.Data)
+		if err != nil {
+			return err
+		}
+		if s, _ := o.Get("Title").AsString(); rec.UID == doc.UID() && s != "T" {
+			t.Errorf("snapshot holds title %q, want the committed T", s)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("snapshot holds %d objects after the abort, want the 2 committed", n)
 	}
 	got, err := d.Get(doc.UID())
 	if err != nil {
@@ -450,15 +524,15 @@ func TestCheckpointSkipsUnchangedMetadata(t *testing.T) {
 	if _, err := d.Make("Document", nil); err != nil {
 		t.Fatal(err)
 	}
-	store := stat(storeFile)
+	snap := stat(snapshotFile)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if !os.SameFile(cat, stat(catalogFile)) {
 		t.Fatal("a checkpoint rewrote the unchanged catalog")
 	}
-	if os.SameFile(store, stat(storeFile)) {
-		t.Fatal("a checkpoint kept the store metadata after an object was created")
+	if os.SameFile(snap, stat(snapshotFile)) {
+		t.Fatal("a checkpoint kept the old snapshot after an object was created")
 	}
 	if err := d.RenameAttribute("Document", "Title", "Name"); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ import (
 // and two New), and the log is cut at every frame boundary and at torn
 // mid-frame points. Each crash image must recover all-or-nothing — the
 // transaction's writes and its created objects exactly when the cut
-// keeps its OpCommit — and pass the placement check.
+// keeps its OpCommit.
 func TestTxnCommitCrashAtEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(Options{Dir: dir, SyncWAL: true})
@@ -116,12 +117,9 @@ func TestTxnCommitCrashAtEveryOffset(t *testing.T) {
 			if got, _ := o.Get("Title").AsString(); got != want {
 				t.Fatalf("cut %d (committed=%v): doc %d Title = %q", cut, committed, i, got)
 			}
-			if r.Store().Has(paras[i]) != committed {
+			if r.Engine().Exists(paras[i]) != committed {
 				t.Fatalf("cut %d (committed=%v): paragraph %d present = %v", cut, committed, i, !committed)
 			}
-		}
-		if err := r.CheckPlacement(); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if v := r.Engine().Integrity(); len(v) != 0 {
 			t.Fatalf("cut %d: integrity violations: %v", cut, v)
@@ -132,37 +130,30 @@ func TestTxnCommitCrashAtEveryOffset(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesMultiShardManifest: a directory whose shards.json names
-// more than one shard holds per-shard files a single-log store cannot
-// read, so Open fails and names the file. A one-shard manifest is the
-// single-log layout and opens as usual.
+// TestOpenRefusesMultiShardManifest: a directory an earlier release
+// wrote — pages and their segment table, or a shard manifest — holds
+// committed objects that replay from the snapshot and the log would
+// silently ignore, so Open fails and names the file.
 func TestOpenRefusesMultiShardManifest(t *testing.T) {
-	for _, tc := range []struct {
-		manifest string
-		ok       bool
-	}{
-		{`{"shards":1}`, true},
-		{`{"shards":4}`, false},
-		{`not json`, false},
+	for _, tc := range []struct{ file, content string }{
+		{"shards.json", `{"shards":1}`},
+		{"shards.json", `{"shards":4}`},
+		{"shards.json", `not json`},
+		{"pages.db", "\x00"},
+		{"store.json", `{}`},
 	} {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, shardsFile), []byte(tc.manifest), 0o644); err != nil {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		d, err := Open(Options{Dir: dir})
-		if tc.ok {
-			if err != nil {
-				t.Fatalf("%s: %v", tc.manifest, err)
-			}
-			d.Close()
-			continue
-		}
 		if err == nil {
 			d.Close()
-			t.Fatalf("%s: Open succeeded", tc.manifest)
+			t.Fatalf("%s %s: Open succeeded", tc.file, tc.content)
 		}
-		if !strings.Contains(err.Error(), filepath.Join(dir, shardsFile)) {
-			t.Fatalf("%s: error %q does not name the manifest", tc.manifest, err)
+		if !errors.Is(err, ErrOldLayout) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s %s: error %q is not ErrOldLayout naming the file", tc.file, tc.content, err)
 		}
 	}
 }

@@ -211,11 +211,11 @@ func TestDeferredEvolutionSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestLargeVolumePaging pushes enough objects through a small pool that
-// eviction and re-fetch paths run with real data.
-func TestLargeVolumePaging(t *testing.T) {
+// TestLargeVolumeSnapshotRoundTrip pushes a few hundred kilobytes of
+// objects through a checkpoint's snapshot and back.
+func TestLargeVolumeSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(Options{Dir: dir, PoolPages: 8})
+	d, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestLargeVolumePaging(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(Options{Dir: dir, PoolPages: 8})
+	d2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +249,6 @@ func TestLargeVolumePaging(t *testing.T) {
 			t.Fatalf("object %d corrupted: %q", i, s)
 		}
 	}
-	st := d2.Pool().Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with %d objects in an 8-page pool: %+v", n, st)
-	}
 }
 
 // TestRecoveryIdempotent: recovering twice (reopen, crash again without
@@ -262,8 +258,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	d, _ := Open(Options{Dir: dir, SyncWAL: true})
 	defineDocSchema(t, d)
 	doc, _ := d.Make("Document", map[string]value.Value{"Title": value.Str("X")})
-	d.wal.Sync()
-	d.dev.Close() // crash 1, nothing checkpointed since schema
+	d.Abandon() // crash 1, nothing checkpointed since schema
 
 	d2, err := Open(Options{Dir: dir, SyncWAL: true})
 	if err != nil {
@@ -271,7 +266,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 	// Touch nothing; crash again. The WAL was NOT truncated (no
 	// checkpoint), so recovery must replay the same records again.
-	d2.dev.Close()
+	d2.Abandon()
 
 	d3, err := Open(Options{Dir: dir})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package encoding serializes objects and values to the tagged binary
-// format stored in slotted pages and the WAL. The format is
+// format stored in the WAL and its snapshots. The format is
 // self-describing (every value carries a kind tag) so that objects can be
 // decoded without consulting the schema catalog — necessary because
 // deferred schema evolution (§4.3) means an object's stored shape may lag

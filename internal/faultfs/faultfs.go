@@ -1,28 +1,30 @@
-// Package faultfs wraps a storage.Device with seeded, deterministic fault
-// injection for crash and recovery testing.
+// Package faultfs creates files with seeded, deterministic fault
+// injection for crash and recovery testing: the database writes its
+// snapshots through them (db.Options.SnapshotFile).
 //
-// The wrapper models the volatile/durable split of a real disk stack: a
-// write lands in a volatile overlay (what the running process reads back,
-// like the OS page cache) and in a pending image (what the medium will
-// hold after the next fsync). Normally the two agree; an injected fault
-// makes them diverge — a short write or torn page persists mangled bytes
-// while the application keeps seeing clean data, and a failed or ignored
-// fsync keeps everything volatile. Crash drops the volatile state, so
-// reads afterwards observe exactly what a machine would find on disk
-// after power loss; CrashAt rewinds further, freezing the image as of an
-// arbitrary earlier synced point.
+// A file models the volatile/durable split of a real disk stack: a write
+// lands in the real file (what the running process reads back, like the
+// OS page cache) and in a pending image (what the medium will hold after
+// the next fsync). Normally the two agree; an injected fault makes them
+// diverge — a short write or torn page persists mangled bytes while the
+// application keeps seeing clean data, and a failed or ignored fsync
+// keeps everything volatile. Crash rewrites each file with its durable
+// image, so reads afterwards observe exactly what a machine would find
+// on disk after power loss; CrashAt rewinds further, freezing the image
+// as of an arbitrary earlier synced point.
 //
 // Faults are scheduled either at exactly the Nth operation of their class
-// (reads for ReadErr, writes for the write faults, syncs for the sync
-// faults) or probabilistically with a seeded RNG, so every run is
-// reproducible from (seed, fault plan).
+// (writes for the write faults and Stall, syncs for the sync faults) or
+// probabilistically with a seeded RNG, so every run is reproducible from
+// (seed, fault plan).
 package faultfs
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -31,16 +33,16 @@ import (
 // Kind enumerates injectable faults.
 type Kind uint8
 
-// Fault kinds. Write faults fire on WritePage, sync faults on Sync,
-// ReadErr on ReadPage.
+// Fault kinds. Write faults and Stall fire on Write, sync faults on
+// Sync.
 const (
-	// ShortWrite persists only a prefix of the page while reporting
+	// ShortWrite persists only a prefix of the write while reporting
 	// success; the application's read-back still sees the full write.
 	ShortWrite Kind = iota + 1
 	// TornPage persists an interleaving of old and new 512-byte sectors
-	// while reporting success.
+	// of the written range while reporting success.
 	TornPage
-	// WriteErr persists a prefix and returns an error; the read-back also
+	// WriteErr writes a prefix and returns an error; the read-back also
 	// sees the partial write (contents after a failed write are undefined).
 	WriteErr
 	// SyncErr fails the fsync; nothing reaches the durable image.
@@ -48,8 +50,10 @@ const (
 	// SyncLost reports fsync success without making anything durable (a
 	// lying disk).
 	SyncLost
-	// ReadErr fails the read.
-	ReadErr
+	// Stall holds the write until Resume is called, then completes it
+	// cleanly: a slow disk, for tests that act while a writer is
+	// mid-file. Stalled reports each held write.
+	Stall
 )
 
 func (k Kind) String() string {
@@ -64,329 +68,248 @@ func (k Kind) String() string {
 		return "sync-err"
 	case SyncLost:
 		return "sync-lost"
-	case ReadErr:
-		return "read-err"
+	case Stall:
+		return "stall"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
 
-// ErrInjected is wrapped by every error the device fabricates.
+// ErrInjected is wrapped by every error a file fabricates.
 var ErrInjected = errors.New("faultfs: injected fault")
 
 // Fault schedules one injection. At is the 1-based index within the
-// kind's operation class (the 3rd write, the 1st sync, ...); Prob fires
-// the fault on any matching op with the given probability using the
-// device's seeded RNG. A fault with At == 0 and Prob == 0 never fires.
-// Page, when non-zero, restricts page-targeted kinds to that page.
+// kind's operation class (the 3rd write, the 1st sync, ...), counted over
+// every file of the FS; Prob fires the fault on any matching op with the
+// given probability using the FS's seeded RNG. A fault with At == 0 and
+// Prob == 0 never fires.
 type Fault struct {
 	Kind Kind
 	At   uint64
 	Prob float64
-	Page storage.PageID
 }
 
-// Stats counts device activity.
+// Stats counts file activity.
 type Stats struct {
-	Reads  uint64
 	Writes uint64
-	Allocs uint64
 	Syncs  uint64
 	Fired  uint64 // faults that actually triggered
 }
 
-// syncDelta records the pages made durable by one successful sync, keyed
-// by the global op counter at sync time — the raw material for CrashAt.
-type syncDelta struct {
-	op    uint64
-	pages map[storage.PageID][]byte
+// FS creates fault-injecting files; one fault plan and one RNG serve
+// every file it creates.
+type FS struct {
+	mu     sync.Mutex
+	rng    *rand.Rand
+	faults []Fault
+	ops    uint64 // global op counter (writes+syncs)
+	stats  Stats
+	files  []*File
+
+	stalled    chan struct{}
+	resume     chan struct{}
+	resumeOnce sync.Once
 }
 
-// Device is a fault-injecting storage.Device.
-type Device struct {
-	mu      sync.Mutex
-	inner   storage.Device
-	rng     *rand.Rand
-	faults  []Fault
-	ops     uint64 // global op counter (reads+writes+allocs+syncs)
-	stats   Stats
-	base    map[storage.PageID][]byte // inner image at wrap time
-	volat   map[storage.PageID][]byte // what reads observe
-	pending map[storage.PageID][]byte // what the next sync persists
-	deltas  []syncDelta
-}
-
-// New wraps inner. The seed drives every probabilistic choice (torn
+// New returns an FS. The seed drives every probabilistic choice (torn
 // sector patterns, short-write lengths, Prob faults), so identical runs
-// produce identical damage. CrashAt treats inner's current contents as
-// the base image.
-func New(inner storage.Device, seed int64) *Device {
-	d := &Device{
-		inner:   inner,
+// produce identical damage.
+func New(seed int64) *FS {
+	return &FS{
 		rng:     rand.New(rand.NewSource(seed)),
-		base:    make(map[storage.PageID][]byte),
-		volat:   make(map[storage.PageID][]byte),
-		pending: make(map[storage.PageID][]byte),
+		stalled: make(chan struct{}, 1),
+		resume:  make(chan struct{}),
 	}
-	var p storage.Page
-	for id := storage.PageID(1); int(id) <= inner.NumPages(); id++ {
-		if err := inner.ReadPage(id, &p); err == nil {
-			d.base[id] = append([]byte(nil), p.Data[:]...)
-		}
-	}
-	return d
 }
 
 // Inject adds a fault to the plan. Safe to call between operations.
-func (d *Device) Inject(f Fault) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.faults = append(d.faults, f)
+func (fs *FS) Inject(f Fault) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.faults = append(fs.faults, f)
 }
 
 // Stats returns the operation counters.
-func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+func (fs *FS) Stats() Stats {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.stats
 }
 
 // Ops returns the global operation counter, usable as a CrashAt point.
-func (d *Device) Ops() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ops
+func (fs *FS) Ops() uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.ops
 }
+
+// Stalled receives when a Stall fault holds a write; a notice is
+// dropped while an earlier one is still unread.
+func (fs *FS) Stalled() <-chan struct{} { return fs.stalled }
+
+// Resume releases every write a Stall fault holds, now and later.
+func (fs *FS) Resume() { fs.resumeOnce.Do(func() { close(fs.resume) }) }
 
 // fire reports whether a planned fault of one of the given kinds triggers
 // for the class-op index n (1-based), removing one-shot At faults once
-// spent. Caller holds d.mu.
-func (d *Device) fire(n uint64, page storage.PageID, kinds ...Kind) (Fault, bool) {
-	for i, f := range d.faults {
-		match := false
-		for _, k := range kinds {
-			if f.Kind == k {
-				match = true
-			}
-		}
-		if !match {
-			continue
-		}
-		if f.Page != 0 && page != 0 && f.Page != page {
+// spent. Caller holds fs.mu.
+func (fs *FS) fire(n uint64, kinds ...Kind) (Fault, bool) {
+	for i, f := range fs.faults {
+		if !slices.Contains(kinds, f.Kind) {
 			continue
 		}
 		if f.At != 0 && f.At == n {
-			d.faults = append(d.faults[:i], d.faults[i+1:]...)
-			d.stats.Fired++
+			fs.faults = slices.Delete(fs.faults, i, i+1)
+			fs.stats.Fired++
 			return f, true
 		}
-		if f.Prob > 0 && d.rng.Float64() < f.Prob {
-			d.stats.Fired++
+		if f.Prob > 0 && fs.rng.Float64() < f.Prob {
+			fs.stats.Fired++
 			return f, true
 		}
 	}
 	return Fault{}, false
 }
 
-// ReadPage implements storage.Device: volatile overlay first, then the
-// durable inner image.
-func (d *Device) ReadPage(id storage.PageID, p *storage.Page) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ops++
-	d.stats.Reads++
-	if f, ok := d.fire(d.stats.Reads, id, ReadErr); ok {
-		return fmt.Errorf("faultfs: read page %d at op %d: %s: %w", id, d.ops, f.Kind, ErrInjected)
+// Create creates (truncating) the file at path; its signature is
+// db.Options.SnapshotFile's.
+func (fs *FS) Create(path string) (storage.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
 	}
-	if b, ok := d.volat[id]; ok {
-		copy(p.Data[:], b)
-		p.ID = id
-		return nil
-	}
-	return d.inner.ReadPage(id, p)
+	file := &File{fs: fs, f: f, path: path}
+	fs.mu.Lock()
+	fs.files = append(fs.files, file)
+	fs.mu.Unlock()
+	return file, nil
 }
 
-// mangle returns the bytes the medium would hold for a faulted write:
-// a seeded prefix of the new data over the old for ShortWrite/WriteErr,
-// or a seeded interleaving of old and new 512-byte sectors for TornPage.
-// Caller holds d.mu.
-func (d *Device) mangle(k Kind, id storage.PageID, clean []byte) []byte {
-	old := d.durableLocked(id)
-	out := append([]byte(nil), old...)
-	switch k {
-	case TornPage:
-		const sector = 512
-		n := len(clean) / sector
-		tornOne := false
-		for s := 0; s < n; s++ {
-			if d.rng.Intn(2) == 0 {
-				copy(out[s*sector:(s+1)*sector], clean[s*sector:(s+1)*sector])
-			} else {
-				tornOne = true
+// Crash simulates power loss now: the volatile state vanishes, and each
+// file the FS created that is still at its path is rewritten with its
+// last-synced durable image.
+func (fs *FS) Crash() error { return fs.CrashAt(^uint64(0)) }
+
+// CrashAt freezes the durable image as of global op index op (see Ops):
+// every sync recorded after that point is undone, then the volatile
+// state is dropped as in Crash.
+func (fs *FS) CrashAt(op uint64) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, file := range fs.files {
+		var img []byte
+		kept := file.syncs[:0]
+		for _, s := range file.syncs {
+			if s.op <= op {
+				img = s.image
+				kept = append(kept, s)
 			}
 		}
-		if !tornOne { // guarantee at least one stale sector
-			// leave sector 0 old, take the rest new
-			copy(out[sector:], clean[sector:])
+		file.syncs = kept
+		file.pending = slices.Clone(img)
+		if _, err := os.Stat(file.path); errors.Is(err, os.ErrNotExist) {
+			continue
 		}
-	default: // ShortWrite, WriteErr
-		n := 1 + d.rng.Intn(len(clean)-1)
-		copy(out[:n], clean[:n])
-	}
-	return out
-}
-
-// durableLocked returns the page's current durable bytes (inner image or
-// base), zero-filled if never written.
-func (d *Device) durableLocked(id storage.PageID) []byte {
-	var p storage.Page
-	if err := d.inner.ReadPage(id, &p); err == nil {
-		return append([]byte(nil), p.Data[:]...)
-	}
-	return make([]byte, storage.PageSize)
-}
-
-// WritePage implements storage.Device. The write lands in the volatile
-// overlay and the pending image; nothing becomes durable until Sync.
-func (d *Device) WritePage(p *storage.Page) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ops++
-	d.stats.Writes++
-	clean := append([]byte(nil), p.Data[:]...)
-	f, ok := d.fire(d.stats.Writes, p.ID, ShortWrite, TornPage, WriteErr)
-	if !ok {
-		d.volat[p.ID] = clean
-		d.pending[p.ID] = clean
-		return nil
-	}
-	damaged := d.mangle(f.Kind, p.ID, clean)
-	d.pending[p.ID] = damaged
-	switch f.Kind {
-	case WriteErr:
-		d.volat[p.ID] = append([]byte(nil), damaged...)
-		return fmt.Errorf("faultfs: write page %d at op %d: %s: %w", p.ID, d.ops, f.Kind, ErrInjected)
-	default: // ShortWrite, TornPage report success; read-back stays clean
-		d.volat[p.ID] = clean
-		return nil
-	}
-}
-
-// Allocate implements storage.Device. Allocation is metadata and takes
-// effect immediately (like a file-size extension); the page's contents
-// remain volatile until synced.
-func (d *Device) Allocate() (storage.PageID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ops++
-	d.stats.Allocs++
-	return d.inner.Allocate()
-}
-
-// NumPages implements storage.Device.
-func (d *Device) NumPages() int { return d.inner.NumPages() }
-
-// Sync implements storage.Device: flushes the pending image into the
-// inner device and records the delta for CrashAt — unless a sync fault
-// fires, in which case nothing becomes durable.
-func (d *Device) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ops++
-	d.stats.Syncs++
-	if f, ok := d.fire(d.stats.Syncs, 0, SyncErr, SyncLost); ok {
-		if f.Kind == SyncErr {
-			return fmt.Errorf("faultfs: sync at op %d: %s: %w", d.ops, f.Kind, ErrInjected)
-		}
-		return nil // SyncLost: lie
-	}
-	if len(d.pending) == 0 {
-		return d.inner.Sync()
-	}
-	ids := make([]storage.PageID, 0, len(d.pending))
-	for id := range d.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	delta := syncDelta{op: d.ops, pages: make(map[storage.PageID][]byte, len(ids))}
-	var p storage.Page
-	for _, id := range ids {
-		b := d.pending[id]
-		copy(p.Data[:], b)
-		p.ID = id
-		if err := d.inner.WritePage(&p); err != nil {
+		if err := os.WriteFile(file.path, img, 0o644); err != nil {
 			return err
 		}
-		delta.pages[id] = append([]byte(nil), b...)
 	}
-	if err := d.inner.Sync(); err != nil {
-		return err
-	}
-	d.deltas = append(d.deltas, delta)
-	d.pending = make(map[storage.PageID][]byte)
 	return nil
 }
 
-// Close implements storage.Device.
-func (d *Device) Close() error { return d.inner.Close() }
-
-// Crash simulates power loss now: the volatile overlay and the pending
-// image vanish; reads afterwards observe the last-synced durable state.
-func (d *Device) Crash() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.volat = make(map[storage.PageID][]byte)
-	d.pending = make(map[storage.PageID][]byte)
+// File is a fault-injecting file: a storage.File.
+type File struct {
+	fs      *FS
+	f       *os.File
+	path    string
+	off     int
+	pending []byte // what the next sync persists
+	syncs   []syncImage
 }
 
-// CrashAt freezes the durable image as of global op index op (see Ops):
-// every sync recorded after that point is undone, then the volatile state
-// is dropped as in Crash. It rewrites the inner device in place, so the
-// wrapped store can be reopened over it.
-func (d *Device) CrashAt(op uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Latest surviving content per page: base, then deltas with op <= op.
-	want := make(map[storage.PageID][]byte)
-	for id, b := range d.base {
-		want[id] = b
-	}
-	touched := make(map[storage.PageID]bool)
-	for _, delta := range d.deltas {
-		for id := range delta.pages {
-			touched[id] = true
+// syncImage is the durable image one successful sync left, keyed by the
+// global op counter at sync time — the raw material for CrashAt.
+type syncImage struct {
+	op    uint64
+	image []byte
+}
+
+// Write implements io.Writer: the bytes reach the real file and the
+// pending image, unless a fault mangles them.
+func (w *File) Write(p []byte) (int, error) {
+	fs := w.fs
+	fs.mu.Lock()
+	fs.ops++
+	fs.stats.Writes++
+	f, ok := fs.fire(fs.stats.Writes, ShortWrite, TornPage, WriteErr, Stall)
+	if ok && f.Kind == Stall {
+		fs.mu.Unlock()
+		select {
+		case fs.stalled <- struct{}{}:
+		default:
 		}
-		if delta.op <= op {
-			for id, b := range delta.pages {
-				want[id] = b
+		<-fs.resume
+		fs.mu.Lock()
+		ok = false
+	}
+	defer fs.mu.Unlock()
+	oldLen := len(w.pending)
+	if end := w.off + len(p); end > len(w.pending) {
+		w.pending = append(w.pending, make([]byte, end-len(w.pending))...)
+	}
+	dst := w.pending[w.off : w.off+len(p)]
+	switch {
+	case !ok:
+		copy(dst, p)
+	case f.Kind == TornPage:
+		const sector = 512
+		torn := false
+		for s := 0; s < len(p); s += sector {
+			e := min(s+sector, len(p))
+			if fs.rng.Intn(2) == 0 {
+				copy(dst[s:e], p[s:e])
+			} else {
+				torn = true
 			}
 		}
-	}
-	kept := d.deltas[:0]
-	for _, delta := range d.deltas {
-		if delta.op <= op {
-			kept = append(kept, delta)
+		if !torn { // guarantee at least one stale sector
+			clear(dst[:min(sector, len(p))])
+		}
+	default: // ShortWrite, WriteErr
+		n := fs.rng.Intn(max(len(p), 1))
+		copy(dst[:n], p[:n])
+		if f.Kind == WriteErr {
+			m, _ := w.f.Write(p[:n])
+			w.pending = w.pending[:max(oldLen, w.off+m)]
+			w.off += m
+			return m, fmt.Errorf("faultfs: write %s at op %d: %s: %w", w.path, fs.ops, f.Kind, ErrInjected)
 		}
 	}
-	d.deltas = kept
-	ids := make([]storage.PageID, 0, len(touched))
-	for id := range touched {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var p storage.Page
-	for _, id := range ids {
-		b, ok := want[id]
-		if !ok {
-			b = make([]byte, storage.PageSize)
-		}
-		copy(p.Data[:], b)
-		p.ID = id
-		if err := d.inner.WritePage(&p); err != nil {
-			return err
-		}
-	}
-	d.volat = make(map[storage.PageID][]byte)
-	d.pending = make(map[storage.PageID][]byte)
-	return d.inner.Sync()
+	n, err := w.f.Write(p)
+	w.off += n
+	return n, err
 }
+
+// Sync implements storage.File: the pending image becomes durable —
+// unless a sync fault fires, in which case nothing does.
+func (w *File) Sync() error {
+	fs := w.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.ops++
+	fs.stats.Syncs++
+	if f, ok := fs.fire(fs.stats.Syncs, SyncErr, SyncLost); ok {
+		if f.Kind == SyncErr {
+			return fmt.Errorf("faultfs: sync %s at op %d: %s: %w", w.path, fs.ops, f.Kind, ErrInjected)
+		}
+		return nil // SyncLost: lie
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.syncs = append(w.syncs, syncImage{op: fs.ops, image: slices.Clone(w.pending)})
+	return nil
+}
+
+// Close implements storage.File.
+func (w *File) Close() error { return w.f.Close() }

@@ -3,240 +3,200 @@ package faultfs
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/storage"
 )
 
-func fill(b byte) *storage.Page {
-	var p storage.Page
-	for i := range p.Data {
-		p.Data[i] = b
-	}
-	return &p
-}
-
-func readBack(t *testing.T, d storage.Device, id storage.PageID) []byte {
+// create makes a file of fs in a fresh directory and returns it with its
+// path.
+func create(t *testing.T, fs *FS) (storage.File, string) {
 	t.Helper()
-	var p storage.Page
-	if err := d.ReadPage(id, &p); err != nil {
-		t.Fatalf("read page %d: %v", id, err)
-	}
-	return append([]byte(nil), p.Data[:]...)
-}
-
-func TestPassthroughAndVolatility(t *testing.T) {
-	d := New(storage.NewMemDevice(), 1)
-	id, err := d.Allocate()
+	path := filepath.Join(t.TempDir(), "f")
+	f, err := fs.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg := fill(0xaa)
-	pg.ID = id
-	if err := d.WritePage(pg); err != nil {
+	t.Cleanup(func() { f.Close() })
+	return f, path
+}
+
+func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+
+func readBack(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readBack(t, d, id); got[0] != 0xaa {
-		t.Fatalf("read-back before sync: got %x", got[0])
+	return b
+}
+
+func TestPassthroughAndVolatility(t *testing.T) {
+	fs := New(1)
+	f, path := create(t, fs)
+	if _, err := f.Write(fill(0xaa, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBack(t, path); len(got) != 100 || got[0] != 0xaa {
+		t.Fatalf("read-back before sync: %d bytes", len(got))
 	}
 	// Unsynced data does not survive a crash.
-	d.Crash()
-	if got := readBack(t, d, id); got[0] != 0 {
-		t.Fatalf("after crash without sync: got %x, want zero page", got[0])
+	fs.Crash()
+	if got := readBack(t, path); len(got) != 0 {
+		t.Fatalf("after crash without sync: %d bytes, want none", len(got))
 	}
 	// Synced data does.
-	if err := d.WritePage(pg); err != nil {
+	f, path = create(t, fs)
+	f.Write(fill(0xaa, 100))
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	d.Crash()
-	if got := readBack(t, d, id); got[0] != 0xaa {
-		t.Fatalf("after crash with sync: got %x, want 0xaa", got[0])
+	f.Write(fill(0xbb, 100))
+	fs.Crash()
+	if got := readBack(t, path); !bytes.Equal(got, fill(0xaa, 100)) {
+		t.Fatalf("after crash with sync: %d bytes, want the synced 100", len(got))
 	}
 }
 
 func TestShortWriteDamagesDurableImageOnly(t *testing.T) {
-	d := New(storage.NewMemDevice(), 42)
-	id, _ := d.Allocate()
-	old := fill(0x11)
-	old.ID = id
-	if err := d.WritePage(old); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	d.Inject(Fault{Kind: ShortWrite, At: 2}) // the next write is write #2
-	neu := fill(0x22)
-	neu.ID = id
-	if err := d.WritePage(neu); err != nil {
+	fs := New(42)
+	f, path := create(t, fs)
+	fs.Inject(Fault{Kind: ShortWrite, At: 1})
+	if _, err := f.Write(fill(0x22, 1000)); err != nil {
 		t.Fatalf("short write must report success: %v", err)
 	}
-	if got := readBack(t, d, id); got[0] != 0x22 || got[len(got)-1] != 0x22 {
+	if got := readBack(t, path); !bytes.Equal(got, fill(0x22, 1000)) {
 		t.Fatal("application read-back must see the full write")
 	}
-	if err := d.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	d.Crash()
-	got := readBack(t, d, id)
-	if got[0] != 0x22 {
-		t.Fatal("short write persisted nothing")
+	fs.Crash()
+	got := readBack(t, path)
+	if len(got) != 1000 || got[len(got)-1] != 0 {
+		t.Fatal("short write persisted the full write; want a missing suffix")
 	}
-	if got[len(got)-1] != 0x11 {
-		t.Fatal("short write persisted the full page; want a stale suffix")
-	}
-	if st := d.Stats(); st.Fired != 1 {
+	if st := fs.Stats(); st.Fired != 1 {
 		t.Fatalf("fired = %d, want 1", st.Fired)
 	}
 }
 
 func TestTornPageMixesSectors(t *testing.T) {
-	d := New(storage.NewMemDevice(), 7)
-	id, _ := d.Allocate()
-	old := fill(0x11)
-	old.ID = id
-	d.WritePage(old)
-	d.Sync()
-	d.Inject(Fault{Kind: TornPage, At: 2})
-	neu := fill(0x22)
-	neu.ID = id
-	if err := d.WritePage(neu); err != nil {
+	fs := New(7)
+	f, path := create(t, fs)
+	fs.Inject(Fault{Kind: TornPage, At: 1})
+	if _, err := f.Write(fill(0x22, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	d.Sync()
-	d.Crash()
-	got := readBack(t, d, id)
+	f.Sync()
+	fs.Crash()
+	got := readBack(t, path)
 	const sector = 512
-	oldN, newN := 0, 0
-	for s := 0; s*sector < len(got); s++ {
-		sec := got[s*sector : (s+1)*sector]
-		switch {
-		case bytes.Equal(sec, bytes.Repeat([]byte{0x11}, sector)):
+	oldN := 0
+	for s := 0; s < len(got); s += sector {
+		switch sec := got[s : s+sector]; {
+		case bytes.Equal(sec, fill(0, sector)):
 			oldN++
-		case bytes.Equal(sec, bytes.Repeat([]byte{0x22}, sector)):
-			newN++
-		default:
-			t.Fatalf("sector %d is neither old nor new", s)
+		case !bytes.Equal(sec, fill(0x22, sector)):
+			t.Fatalf("sector %d is neither old nor new", s/sector)
 		}
 	}
 	if oldN == 0 {
-		t.Fatal("torn page has no stale sector")
+		t.Fatal("torn write has no stale sector")
 	}
 }
 
 func TestWriteErrAtNthWrite(t *testing.T) {
-	d := New(storage.NewMemDevice(), 3)
-	id, _ := d.Allocate()
-	d.Inject(Fault{Kind: WriteErr, At: 3})
-	pg := fill(0x33)
-	pg.ID = id
+	fs := New(3)
+	f, _ := create(t, fs)
+	fs.Inject(Fault{Kind: WriteErr, At: 3})
 	for i := 1; i <= 2; i++ {
-		if err := d.WritePage(pg); err != nil {
+		if _, err := f.Write(fill(0x33, 10)); err != nil {
 			t.Fatalf("write %d failed early: %v", i, err)
 		}
 	}
-	err := d.WritePage(pg)
-	if !errors.Is(err, ErrInjected) {
+	if _, err := f.Write(fill(0x33, 10)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write 3: got %v, want ErrInjected", err)
 	}
 	// One-shot: the plan entry is consumed.
-	if err := d.WritePage(pg); err != nil {
+	if _, err := f.Write(fill(0x33, 10)); err != nil {
 		t.Fatalf("write 4 failed: %v", err)
 	}
 }
 
 func TestSyncFaults(t *testing.T) {
 	for _, k := range []Kind{SyncErr, SyncLost} {
-		d := New(storage.NewMemDevice(), 9)
-		id, _ := d.Allocate()
-		pg := fill(0x44)
-		pg.ID = id
-		d.WritePage(pg)
-		d.Inject(Fault{Kind: k, At: 1})
-		err := d.Sync()
+		fs := New(9)
+		f, path := create(t, fs)
+		f.Write(fill(0x44, 10))
+		fs.Inject(Fault{Kind: k, At: 1})
+		err := f.Sync()
 		if k == SyncErr && !errors.Is(err, ErrInjected) {
 			t.Fatalf("%v: got %v, want ErrInjected", k, err)
 		}
 		if k == SyncLost && err != nil {
 			t.Fatalf("%v: got %v, want nil (lying fsync)", k, err)
 		}
-		d.Crash()
-		if got := readBack(t, d, id); got[0] != 0 {
+		fs.Crash()
+		if got := readBack(t, path); len(got) != 0 {
 			t.Fatalf("%v: data survived a crash without a real sync", k)
 		}
 	}
 }
 
 func TestSyncRetryAfterFailureIsDurable(t *testing.T) {
-	d := New(storage.NewMemDevice(), 9)
-	id, _ := d.Allocate()
-	pg := fill(0x55)
-	pg.ID = id
-	d.WritePage(pg)
-	d.Inject(Fault{Kind: SyncErr, At: 1})
-	if err := d.Sync(); !errors.Is(err, ErrInjected) {
+	fs := New(9)
+	f, path := create(t, fs)
+	f.Write(fill(0x55, 10))
+	fs.Inject(Fault{Kind: SyncErr, At: 1})
+	if err := f.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatal("expected injected sync failure")
 	}
 	// The pending image survives the failed sync; a retry persists it.
-	if err := d.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	d.Crash()
-	if got := readBack(t, d, id); got[0] != 0x55 {
+	fs.Crash()
+	if got := readBack(t, path); !bytes.Equal(got, fill(0x55, 10)) {
 		t.Fatal("retry sync did not persist the pending image")
 	}
 }
 
 func TestCrashAtFreezesEarlierImage(t *testing.T) {
-	d := New(storage.NewMemDevice(), 5)
-	id, _ := d.Allocate()
-	a := fill(0x0a)
-	a.ID = id
-	d.WritePage(a)
-	d.Sync()
-	opAfterFirst := d.Ops()
-	b := fill(0x0b)
-	b.ID = id
-	d.WritePage(b)
-	d.Sync()
-	if got := readBack(t, d, id); got[0] != 0x0b {
-		t.Fatal("sanity: latest write visible")
-	}
-	if err := d.CrashAt(opAfterFirst); err != nil {
+	fs := New(5)
+	f, path := create(t, fs)
+	f.Write(fill(0x0a, 10))
+	f.Sync()
+	opAfterFirst := fs.Ops()
+	f.Write(fill(0x0b, 10))
+	f.Sync()
+	if err := fs.CrashAt(opAfterFirst); err != nil {
 		t.Fatal(err)
 	}
-	if got := readBack(t, d, id); got[0] != 0x0a {
-		t.Fatalf("CrashAt: got %x, want image at first sync", got[0])
+	if got := readBack(t, path); !bytes.Equal(got, fill(0x0a, 10)) {
+		t.Fatalf("CrashAt: got %d bytes, want the image at the first sync", len(got))
 	}
-	// Rewinding to before any sync yields the base (zero) image.
-	if err := d.CrashAt(0); err != nil {
+	// Rewinding to before any sync yields the empty base image.
+	if err := fs.CrashAt(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := readBack(t, d, id); got[0] != 0 {
-		t.Fatalf("CrashAt(0): got %x, want zero page", got[0])
+	if got := readBack(t, path); len(got) != 0 {
+		t.Fatalf("CrashAt(0): got %d bytes, want none", len(got))
 	}
 }
 
 func TestSeededDeterminism(t *testing.T) {
 	run := func() []byte {
-		d := New(storage.NewMemDevice(), 1234)
-		id, _ := d.Allocate()
-		old := fill(0x11)
-		old.ID = id
-		d.WritePage(old)
-		d.Sync()
-		d.Inject(Fault{Kind: TornPage, At: 2})
-		neu := fill(0x22)
-		neu.ID = id
-		d.WritePage(neu)
-		d.Sync()
-		d.Crash()
-		var p storage.Page
-		d.ReadPage(id, &p)
-		return append([]byte(nil), p.Data[:]...)
+		fs := New(1234)
+		f, path := create(t, fs)
+		fs.Inject(Fault{Kind: TornPage, At: 1})
+		f.Write(fill(0x22, 4096))
+		f.Sync()
+		fs.Crash()
+		return readBack(t, path)
 	}
 	if !bytes.Equal(run(), run()) {
 		t.Fatal("same seed, same ops: torn-page damage differs")
@@ -245,14 +205,12 @@ func TestSeededDeterminism(t *testing.T) {
 
 func TestProbabilisticFaultIsSeeded(t *testing.T) {
 	count := func(seed int64) int {
-		d := New(storage.NewMemDevice(), seed)
-		id, _ := d.Allocate()
-		d.Inject(Fault{Kind: WriteErr, Prob: 0.3})
-		pg := fill(0x66)
-		pg.ID = id
+		fs := New(seed)
+		f, _ := create(t, fs)
+		fs.Inject(Fault{Kind: WriteErr, Prob: 0.3})
 		n := 0
 		for i := 0; i < 100; i++ {
-			if err := d.WritePage(pg); err != nil {
+			if _, err := f.Write(fill(0x66, 10)); err != nil {
 				n++
 			}
 		}
@@ -263,5 +221,31 @@ func TestProbabilisticFaultIsSeeded(t *testing.T) {
 	}
 	if count(77) == 0 {
 		t.Fatal("Prob=0.3 never fired in 100 writes")
+	}
+}
+
+// TestStallHoldsWriteUntilResume checks that a stalled write completes,
+// cleanly, only after Resume.
+func TestStallHoldsWriteUntilResume(t *testing.T) {
+	fs := New(1)
+	f, path := create(t, fs)
+	fs.Inject(Fault{Kind: Stall, At: 1})
+	done := make(chan error)
+	go func() {
+		_, err := f.Write(fill(0x77, 10))
+		done <- err
+	}()
+	<-fs.Stalled()
+	select {
+	case <-done:
+		t.Fatal("stalled write returned before Resume")
+	default:
+	}
+	fs.Resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := readBack(t, path); !bytes.Equal(got, fill(0x77, 10)) {
+		t.Fatal("resumed write did not complete")
 	}
 }

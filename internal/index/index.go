@@ -190,7 +190,7 @@ func (m *Manager) Lookup(class, attr string, v value.Value) ([]uid.UID, error) {
 
 // OnWrite implements core.Hook: refresh every index the published object
 // participates in.
-func (m *Manager) OnWrite(_ core.TxnID, o *object.Object, _ uid.UID) error {
+func (m *Manager) OnWrite(_ core.TxnID, o *object.Object) error {
 	cl, err := m.e.Catalog().ClassByID(o.Class())
 	if err != nil {
 		return nil // class dropped mid-flight; nothing to index

@@ -211,5 +211,5 @@ func TestChainedWithPersistenceHook(t *testing.T) {
 
 type countingHook struct{ writes, deletes int }
 
-func (h *countingHook) OnWrite(core.TxnID, *object.Object, uid.UID) error { h.writes++; return nil }
-func (h *countingHook) OnDelete(core.TxnID, uid.UID) error                { h.deletes++; return nil }
+func (h *countingHook) OnWrite(core.TxnID, *object.Object) error { h.writes++; return nil }
+func (h *countingHook) OnDelete(core.TxnID, uid.UID) error       { h.deletes++; return nil }

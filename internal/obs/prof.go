@@ -1,13 +1,13 @@
 // Per-operation cost attribution: a ProfCtx travels with one query or
 // transaction and accumulates the costs the global registry can only
-// report in aggregate — buffer-pool hits vs. pages read, lock waits by
-// mode, MVCC versions walked, traversal-cache hits, WAL bytes — plus a
-// span tree for a pretty-printed cost breakdown.
+// report in aggregate — lock waits by mode, MVCC versions walked,
+// traversal-cache hits, WAL bytes — plus a span tree for a
+// pretty-printed cost breakdown.
 //
 // Attachment is per call path: engine traversals carry a ProfCtx in
 // core.QueryOpts, snapshots pin one with SetProf, the lock manager keys
 // registered contexts by transaction ID (exact under concurrency), and
-// the buffer pool / WAL take an ambient context via an atomic pointer —
+// the WAL takes an ambient context via an atomic pointer —
 // ambient attribution is exact whenever one profiled operation runs at a
 // time (the shell's (profile ...) and the sim consistency checks), and
 // approximate under concurrent unprofiled load.
@@ -31,12 +31,6 @@ type ProfCtx struct {
 	Label string
 	start time.Time
 	wall  atomic.Int64 // set by Finish
-
-	// Buffer pool.
-	poolHits     atomic.Uint64
-	poolMisses   atomic.Uint64
-	pagesRead    atomic.Uint64
-	pagesWritten atomic.Uint64
 
 	// WAL.
 	walAppends atomic.Uint64
@@ -100,34 +94,6 @@ func (p *ProfCtx) Wall() time.Duration {
 		return time.Duration(w)
 	}
 	return time.Since(p.start)
-}
-
-// PoolHit records one buffer-pool hit.
-func (p *ProfCtx) PoolHit() {
-	if p != nil {
-		p.poolHits.Add(1)
-	}
-}
-
-// PoolMiss records one buffer-pool miss.
-func (p *ProfCtx) PoolMiss() {
-	if p != nil {
-		p.poolMisses.Add(1)
-	}
-}
-
-// PageRead records one page read from the store device.
-func (p *ProfCtx) PageRead() {
-	if p != nil {
-		p.pagesRead.Add(1)
-	}
-}
-
-// PageWrite records one page written back (eviction or flush).
-func (p *ProfCtx) PageWrite() {
-	if p != nil {
-		p.pagesWritten.Add(1)
-	}
 }
 
 // WALAppend records one WAL append of n payload-frame bytes.
@@ -208,10 +174,6 @@ func (p *ProfCtx) Span(name string) func() {
 
 // ProfCounts is the flat numeric view of a context, for tests and JSON.
 type ProfCounts struct {
-	PoolHits       uint64 `json:"pool_hits"`
-	PoolMisses     uint64 `json:"pool_misses"`
-	PagesRead      uint64 `json:"pages_read"`
-	PagesWritten   uint64 `json:"pages_written"`
 	WALAppends     uint64 `json:"wal_appends"`
 	WALBytes       uint64 `json:"wal_bytes"`
 	LockWaits      uint64 `json:"lock_waits"`
@@ -228,10 +190,6 @@ func (p *ProfCtx) Counts() ProfCounts {
 		return ProfCounts{}
 	}
 	return ProfCounts{
-		PoolHits:       p.poolHits.Load(),
-		PoolMisses:     p.poolMisses.Load(),
-		PagesRead:      p.pagesRead.Load(),
-		PagesWritten:   p.pagesWritten.Load(),
 		WALAppends:     p.walAppends.Load(),
 		WALBytes:       p.walBytes.Load(),
 		LockWaits:      p.lockWaitN.Load(),
@@ -283,9 +241,6 @@ func (p *ProfCtx) TopCosts() string {
 	add("visited", c.ObjectsVisited)
 	add("cache_hit", c.CacheHits)
 	add("cache_miss", c.CacheMisses)
-	add("pool_hit", c.PoolHits)
-	add("pool_miss", c.PoolMisses)
-	add("pages_read", c.PagesRead)
 	add("wal_bytes", c.WALBytes)
 	add("versions", c.VersionsWalked)
 	if c.LockWaits != 0 {
@@ -309,9 +264,6 @@ func (p *ProfCtx) Report() string {
 	line := func(format string, args ...any) { fmt.Fprintf(&b, "  "+format+"\n", args...) }
 	if c.ObjectsVisited != 0 || c.CacheHits != 0 || c.CacheMisses != 0 {
 		line("traversal: %d objects visited, cache %d hit / %d miss", c.ObjectsVisited, c.CacheHits, c.CacheMisses)
-	}
-	if c.PoolHits != 0 || c.PoolMisses != 0 || c.PagesRead != 0 || c.PagesWritten != 0 {
-		line("pool: %d hits, %d misses (%d pages read, %d written)", c.PoolHits, c.PoolMisses, c.PagesRead, c.PagesWritten)
 	}
 	if c.WALAppends != 0 {
 		line("wal: %d appends, %d bytes", c.WALAppends, c.WALBytes)

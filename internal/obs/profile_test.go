@@ -11,11 +11,6 @@ import (
 
 func TestProfCtxCounts(t *testing.T) {
 	p := NewProfCtx("test")
-	p.PoolHit()
-	p.PoolHit()
-	p.PoolMiss()
-	p.PageRead()
-	p.PageWrite()
 	p.WALAppend(26)
 	p.WALAppend(10)
 	p.ObjectVisited()
@@ -29,7 +24,6 @@ func TestProfCtxCounts(t *testing.T) {
 
 	c := p.Counts()
 	want := ProfCounts{
-		PoolHits: 2, PoolMisses: 1, PagesRead: 1, PagesWritten: 1,
 		WALAppends: 2, WALBytes: 36,
 		LockWaits: 3, LockWaitNs: int64(9 * time.Millisecond),
 		ObjectsVisited: 1, CacheHits: 1, CacheMisses: 1, VersionsWalked: 3,
@@ -48,13 +42,13 @@ func TestProfCtxCounts(t *testing.T) {
 		t.Fatal("Finish left zero wall time")
 	}
 	top := p.TopCosts()
-	for _, frag := range []string{"visited=1", "pool_hit=2", "wal_bytes=36", "versions=3", "lock_wait=3/"} {
+	for _, frag := range []string{"visited=1", "wal_bytes=36", "versions=3", "lock_wait=3/"} {
 		if !strings.Contains(top, frag) {
 			t.Fatalf("TopCosts %q lacks %q", top, frag)
 		}
 	}
 	rep := p.Report()
-	for _, frag := range []string{"profile test", "traversal: 1 objects visited", "pool: 2 hits", "wal: 2 appends", "mvcc: 3 versions walked", "locks: 3 waits"} {
+	for _, frag := range []string{"profile test", "traversal: 1 objects visited", "wal: 2 appends", "mvcc: 3 versions walked", "locks: 3 waits"} {
 		if !strings.Contains(rep, frag) {
 			t.Fatalf("Report %q lacks %q", rep, frag)
 		}
@@ -63,10 +57,6 @@ func TestProfCtxCounts(t *testing.T) {
 
 func TestProfCtxNil(t *testing.T) {
 	var p *ProfCtx
-	p.PoolHit()
-	p.PoolMiss()
-	p.PageRead()
-	p.PageWrite()
 	p.WALAppend(1)
 	p.LockWait("X", time.Second)
 	p.ObjectVisited()
@@ -105,7 +95,6 @@ func TestProfCtxConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				p.ObjectVisited()
-				p.PoolHit()
 				p.VersionsWalked(1)
 				p.LockWait("S", time.Microsecond)
 			}
@@ -113,7 +102,7 @@ func TestProfCtxConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	c := p.Counts()
-	if c.ObjectsVisited != workers*per || c.PoolHits != workers*per || c.VersionsWalked != workers*per || c.LockWaits != workers*per {
+	if c.ObjectsVisited != workers*per || c.VersionsWalked != workers*per || c.LockWaits != workers*per {
 		t.Fatalf("lost updates: %+v", c)
 	}
 	if p.LockWaits()["S"].Count != workers*per {

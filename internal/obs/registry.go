@@ -3,7 +3,7 @@
 // Prometheus-style text exposition and a JSON snapshot, plus lightweight
 // operation tracing (trace.go) and a slow-operation log (slow.go).
 //
-// Every subsystem (core engine, buffer pool, WAL, lock manager,
+// Every subsystem (core engine, WAL, lock manager,
 // transaction manager) binds its instruments from one shared Registry;
 // db.Open wires a single registry through all of them so one scrape sees
 // the whole system. Components constructed standalone bind a private

@@ -31,7 +31,6 @@ type Class struct {
 	Superclasses []string // in declaration order (matters for conflict resolution)
 	Own          []AttrSpec
 	Versionable  bool
-	Segment      string // physical segment the class is assigned to
 	Doc          string
 }
 
@@ -41,7 +40,6 @@ type ClassDef struct {
 	Superclasses []string
 	Attributes   []AttrSpec
 	Versionable  bool
-	Segment      string // defaults to the class name
 	Doc          string
 }
 
@@ -147,17 +145,12 @@ func (c *Catalog) DefineClass(def ClassDef) (*Class, error) {
 			return nil, fmt.Errorf("superclass %q: %w", s, ErrNoClass)
 		}
 	}
-	seg := def.Segment
-	if seg == "" {
-		seg = def.Name
-	}
 	cl := &Class{
 		ID:           c.nextID,
 		Name:         def.Name,
 		Superclasses: append([]string(nil), def.Superclasses...),
 		Own:          append([]AttrSpec(nil), def.Attributes...),
 		Versionable:  def.Versionable,
-		Segment:      seg,
 		Doc:          def.Doc,
 	}
 	c.nextID++

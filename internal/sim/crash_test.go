@@ -2,12 +2,10 @@ package sim
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/faultfs"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -59,19 +57,15 @@ func TestSimDurableEvolutionCrash(t *testing.T) {
 	}
 }
 
-// TestDBCheckpointSyncFaultRetry wires a fault-injecting device under a
-// real database: an injected fsync failure must surface from Checkpoint
-// as an error (not silently succeed), a retry must go through, and a
-// crash plus reopen must recover everything the successful checkpoint
-// and the WAL captured.
+// TestDBCheckpointSyncFaultRetry writes a real database's snapshots
+// through fault-injecting files: an injected fsync failure must surface
+// from Checkpoint as an error (not silently succeed), a retry must go
+// through, and a crash plus reopen must recover everything the
+// successful checkpoint and the WAL captured.
 func TestDBCheckpointSyncFaultRetry(t *testing.T) {
 	dir := t.TempDir()
-	inner, err := storage.OpenFileDevice(filepath.Join(dir, "pages.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := faultfs.New(inner, 42)
-	d, err := db.Open(db.Options{Dir: dir, Device: dev, SyncWAL: true})
+	fs := faultfs.New(42)
+	d, err := db.Open(db.Options{Dir: dir, SnapshotFile: fs.Create, SyncWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +76,7 @@ func TestDBCheckpointSyncFaultRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.Inject(faultfs.Fault{Kind: faultfs.SyncErr, At: dev.Stats().Syncs + 1})
+	fs.Inject(faultfs.Fault{Kind: faultfs.SyncErr, At: fs.Stats().Syncs + 1})
 	if err := d.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("checkpoint with failing fsync: got %v, want ErrInjected", err)
 	}

@@ -15,7 +15,7 @@ func FuzzDecodeWALPayload(f *testing.F) {
 	for _, rec := range walTestRecords() {
 		f.Add(encodeWALPayload(rec))
 	}
-	f.Add(encodeWALPayload(WALRecord{Op: OpPut, UID: uid.UID{Class: 1<<32 - 1, Serial: 1<<63 - 1}, Seg: 9, Data: nil}))
+	f.Add(encodeWALPayload(WALRecord{Op: OpPut, UID: uid.UID{Class: 1<<32 - 1, Serial: 1<<63 - 1}, Data: nil}))
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0x80})                                                          // truncated uvarint
@@ -37,6 +37,6 @@ func FuzzDecodeWALPayload(f *testing.F) {
 }
 
 func recordsEqualF(a, b WALRecord) bool {
-	return a.Op == b.Op && a.Txn == b.Txn && a.UID == b.UID && a.Seg == b.Seg && a.Near == b.Near &&
+	return a.Op == b.Op && a.Txn == b.Txn && a.UID == b.UID &&
 		bytes.Equal(a.Data, b.Data)
 }

@@ -38,7 +38,7 @@ func TestGroupCommitSingleCommitterNoDelay(t *testing.T) {
 	g := NewGroupCommitter(w, 0, 0)
 	g.SetObservability(r)
 	for i := 0; i < 5; i++ {
-		if err := w.Append(WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: uint64(i)}, Seg: 1}); err != nil {
+		if err := w.Append(WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.Sync(); err != nil {
@@ -75,7 +75,7 @@ func TestGroupCommitBatchesDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rec := WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: uint64(c)}, Seg: 1}
+			rec := WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: uint64(c)}}
 			if err := w.Append(rec); err != nil {
 				errs[c] = err
 				return
@@ -139,7 +139,7 @@ func TestGroupCommitConcurrentCommitters(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				rec := WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: uint64(c*rounds + i)}, Seg: 1}
+				rec := WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: uint64(c*rounds + i)}}
 				if err := w.Append(rec); err != nil {
 					errs[c] = err
 					return

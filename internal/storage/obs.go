@@ -2,33 +2,6 @@ package storage
 
 import "repro/internal/obs"
 
-// poolObs holds the buffer pool's pre-resolved instruments (see
-// internal/obs). The five counters are the same ones Stats always
-// exposed; they now live in a registry so the exposition endpoint and
-// the bench harness read the identical numbers.
-type poolObs struct {
-	tr        *obs.Tracer
-	hits      *obs.Counter
-	misses    *obs.Counter
-	reads     *obs.Counter
-	writes    *obs.Counter
-	evictions *obs.Counter
-}
-
-// SetObservability rebinds the pool's counters to r (nil disables
-// them, which also blanks Stats). Call before the pool is used
-// concurrently.
-func (bp *BufferPool) SetObservability(r *obs.Registry) {
-	bp.o = poolObs{
-		tr:        r.Tracer(),
-		hits:      r.Counter("storage_pool_hits_total"),
-		misses:    r.Counter("storage_pool_misses_total"),
-		reads:     r.Counter("storage_pool_reads_total"),
-		writes:    r.Counter("storage_pool_writes_total"),
-		evictions: r.Counter("storage_pool_evictions_total"),
-	}
-}
-
 // walObs holds the WAL's pre-resolved instruments: append volume
 // counters plus fsync count and latency (fsync dominates commit cost,
 // so it is always timed and feeds the slow log).

@@ -13,12 +13,12 @@ import (
 
 func walTestRecords() []WALRecord {
 	return []WALRecord{
-		{Op: OpPut, UID: uid.UID{Class: 1, Serial: 1}, Seg: 1, Data: []byte("alpha")},
-		{Op: OpPut, UID: uid.UID{Class: 1, Serial: 2}, Seg: 1, Near: uid.UID{Class: 1, Serial: 1}, Data: []byte("beta")},
+		{Op: OpPut, UID: uid.UID{Class: 1, Serial: 1}, Data: []byte("alpha")},
+		{Op: OpPut, UID: uid.UID{Class: 1, Serial: 2}, Data: []byte("beta")},
 		{Op: OpDelete, UID: uid.UID{Class: 1, Serial: 1}},
 		{Op: OpBegin, Txn: 9},
-		{Op: OpPut, Txn: 9, UID: uid.UID{Class: 2, Serial: 7}, Seg: 3, Data: make([]byte, 300)},
-		{Op: OpDelete, Txn: 9, UID: uid.UID{Class: 1, Serial: 2}, Seg: 1},
+		{Op: OpPut, Txn: 9, UID: uid.UID{Class: 2, Serial: 7}, Data: make([]byte, 300)},
+		{Op: OpDelete, Txn: 9, UID: uid.UID{Class: 1, Serial: 2}},
 		{Op: OpCommit, Txn: 9},
 		{Op: OpBegin, Txn: 10},
 		{Op: OpAbort, Txn: 10},
@@ -53,7 +53,7 @@ func replayAll(path string) ([]WALRecord, error) {
 }
 
 func recordsEqual(a, b WALRecord) bool {
-	if a.Op != b.Op || a.Txn != b.Txn || a.UID != b.UID || a.Seg != b.Seg || a.Near != b.Near {
+	if a.Op != b.Op || a.Txn != b.Txn || a.UID != b.UID {
 		return false
 	}
 	if len(a.Data) != len(b.Data) {

@@ -18,7 +18,8 @@ type failingBoundary struct {
 
 var errBoundary = errors.New("injected boundary failure")
 
-func (f *failingBoundary) OnCommit(core.TxnID) error {
+func (f *failingBoundary) OnCommit(_ core.TxnID, publish func()) error {
+	publish()
 	if f.failCommit {
 		return errBoundary
 	}

@@ -39,8 +39,12 @@ var ErrDone = errors.New("txn: transaction already committed or aborted")
 // records: OnCommit logs the group and is the durability point (under
 // strict 2PL it must complete before any lock is released, or a reader
 // could observe state that a crash then rolls back), OnAbort drops it.
+// OnCommit must call publish exactly once, error or not, after the group
+// is logged: it publishes the transaction's overlay, and a boundary that
+// orders publications against something else (a checkpoint) calls it
+// inside that order.
 type Boundary interface {
-	OnCommit(tx core.TxnID) error
+	OnCommit(tx core.TxnID, publish func()) error
 	OnAbort(tx core.TxnID) error
 }
 
@@ -55,8 +59,8 @@ type Manager struct {
 
 	// profAttach/profDetach are ambient cost-sink hooks: when a
 	// transaction turns on profiling (Txn.Profile) the manager calls
-	// profAttach so layers the Txn never sees directly — buffer pool,
-	// WAL — attribute their activity to the same ProfCtx, and
+	// profAttach so layers the Txn never sees directly — the WAL —
+	// attribute their activity to the same ProfCtx, and
 	// profDetach at commit/abort. The db facade wires them.
 	profAttach func(*obs.ProfCtx)
 	profDetach func(*obs.ProfCtx)
@@ -208,7 +212,7 @@ type Txn struct {
 // Profile turns on cost attribution for the rest of the transaction
 // and returns the collector. From this point every traversal the
 // transaction runs, every lock it waits for, and — via the manager's
-// ambient hooks — every page and WAL frame its writes touch is charged
+// ambient hooks — every WAL frame its writes append is charged
 // to the returned ProfCtx; read it after Commit/Abort (obs.ProfCtx
 // methods are safe on a finished context). Idempotent: repeated calls
 // return the same collector.
@@ -455,9 +459,9 @@ func (t *Txn) Delete(id uid.UID) ([]uid.UID, error) {
 	return t.m.engine.DeleteTx(t.TxnID(), id)
 }
 
-// Commit ends the transaction: the boundary logs its group and makes it
-// durable (OnCommit — fsynced under SyncWAL via group commit), then
-// every lock is released. The ordering is load-bearing: releasing locks
+// Commit ends the transaction: the boundary logs its group, makes it
+// durable (OnCommit — fsynced under SyncWAL via group commit) and
+// publishes the overlay, then every lock is released. The ordering is load-bearing: releasing locks
 // before the commit record is durable would let a reader observe state a
 // crash then rolls back. On a boundary error the locks are still
 // released and the error returned — the transaction's effects remain in
@@ -468,18 +472,20 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	t.done = true
-	var err error
-	if t.m.boundary != nil {
-		err = t.m.boundary.OnCommit(t.TxnID())
-	}
-	if tr := t.m.o.tr; tr.Active() {
-		tr.Point(0, "txn.commit", obs.F("tx", t.id))
-	}
 	// Publish the overlay as one MVCC commit boundary before any lock is
 	// released, so a snapshot begun from here on sees all of it or none.
 	// Published even on a boundary error: the in-memory effects persist
 	// either way.
-	t.m.engine.CommitVersions(t.TxnID())
+	publish := func() { t.m.engine.CommitVersions(t.TxnID()) }
+	var err error
+	if t.m.boundary != nil {
+		err = t.m.boundary.OnCommit(t.TxnID(), publish)
+	} else {
+		publish()
+	}
+	if tr := t.m.o.tr; tr.Active() {
+		tr.Point(0, "txn.commit", obs.F("tx", t.id))
+	}
 	outcome := "ok"
 	if err != nil {
 		outcome = "err"
@@ -496,7 +502,7 @@ func (t *Txn) Commit() error {
 // Abort rolls back every change and releases all locks. The engine drops
 // the transaction's overlay (AbortVersions), which no one else ever saw;
 // the boundary then drops the transaction's unlogged group, so an abort
-// writes neither log records nor pages. A boundary failure surfaces
+// writes no log record. A boundary failure surfaces
 // here, after every lock is released.
 func (t *Txn) Abort() error {
 	if err := t.check(); err != nil {

@@ -27,7 +27,7 @@ type mark struct {
 
 // OnWrite implements core.Hook. Published (tx 0), a creation's entry
 // becomes everyone's; no other write moves version state.
-func (m *Manager) OnWrite(tx core.TxnID, o *object.Object, _ uid.UID) error {
+func (m *Manager) OnWrite(tx core.TxnID, o *object.Object) error {
 	if tx == 0 {
 		m.mu.Lock()
 		if mk, ok := m.marks[o.UID()]; ok && !mk.drop {
