@@ -438,11 +438,10 @@ func (w *op) make(class string, attrs map[string]value.Value, parents []ParentSp
 	}
 	o := object.New(e.gen.Next(cl.ID))
 	o.SetCC(e.cat.CurrentCC())
-	// Apply :init defaults, then explicit values.
+	// Apply :init defaults, then explicit values. Values are immutable,
+	// so every instance shares its class's default.
 	for _, s := range specs {
-		if !s.Initial.IsNil() {
-			o.Set(s.Name, s.Initial.Clone())
-		}
+		o.Set(s.Name, s.Initial)
 	}
 	w.objs[o.UID()] = o
 	for name, v := range attrs {

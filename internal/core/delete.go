@@ -9,6 +9,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/uid"
+	"repro/internal/value"
 )
 
 // Delete removes the object, applying the Deletion Rule (§2.2):
@@ -163,10 +164,14 @@ func (w *op) unlinkFromParents(id uid.UID, o *object.Object, deleted *uid.Set) {
 		if err != nil {
 			continue
 		}
-		for _, name := range p.AttrNames() {
-			if v := p.Get(name); v.ContainsRef(id) {
-				p.Set(name, v.WithoutRef(id))
+		var hits []string
+		p.Each(func(name string, v value.Value) {
+			if v.ContainsRef(id) {
+				hits = append(hits, name)
 			}
+		})
+		for _, name := range hits {
+			p.Set(name, p.Get(name).WithoutRef(id))
 		}
 		w.dirty.Add(r.Parent)
 	}

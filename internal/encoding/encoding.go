@@ -185,12 +185,11 @@ func EncodeObject(o *object.Object) []byte {
 	dst = append(dst, magic)
 	dst = AppendUID(dst, o.UID())
 	dst = binary.AppendUvarint(dst, o.CC())
-	names := o.AttrNames()
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, n := range names {
-		dst = appendString(dst, n)
-		dst = AppendValue(dst, o.Get(n))
-	}
+	dst = binary.AppendUvarint(dst, uint64(o.NumAttrs()))
+	o.Each(func(name string, v value.Value) {
+		dst = appendString(dst, name)
+		dst = AppendValue(dst, v)
+	})
 	revs := o.Reverse()
 	dst = binary.AppendUvarint(dst, uint64(len(revs)))
 	for _, r := range revs {

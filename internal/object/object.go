@@ -58,16 +58,27 @@ func (r ReverseRef) String() string {
 // against the schema catalog, the reverse composite references of its
 // parents, and a change-count stamp (CC) used by deferred schema evolution
 // (§4.3).
+//
+// Attributes are keyed by name, not by the class's attribute order: under
+// deferred evolution an object's stored shape may lag its class, so the
+// record must describe itself. They are kept in a slice sorted by name
+// (few per object, so a binary search beats a map and costs a fraction of
+// its memory); no entry holds Nil.
 type Object struct {
 	uid     uid.UID
-	attrs   map[string]value.Value
+	attrs   []attr
 	reverse []ReverseRef
 	cc      uint64
 }
 
+type attr struct {
+	name string
+	val  value.Value
+}
+
 // New returns an empty object with the given UID.
 func New(u uid.UID) *Object {
-	return &Object{uid: u, attrs: make(map[string]value.Value)}
+	return &Object{uid: u}
 }
 
 // UID returns the object's identifier.
@@ -76,45 +87,88 @@ func (o *Object) UID() uid.UID { return o.uid }
 // Class returns the class component of the object's UID.
 func (o *Object) Class() uid.ClassID { return o.uid.Class }
 
+// find returns the position of the named attribute in o.attrs, or the
+// position where it would be inserted, and whether it is present.
+func (o *Object) find(name string) (int, bool) {
+	lo, hi := 0, len(o.attrs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if o.attrs[m].name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(o.attrs) && o.attrs[lo].name == name
+}
+
 // Get returns the value of the named attribute (Nil if unset).
-func (o *Object) Get(attr string) value.Value {
-	return o.attrs[attr]
+func (o *Object) Get(name string) value.Value {
+	if i, ok := o.find(name); ok {
+		return o.attrs[i].val
+	}
+	return value.Nil
 }
 
 // Set stores v under the named attribute. Setting Nil clears it.
-func (o *Object) Set(attr string, v value.Value) {
+func (o *Object) Set(name string, v value.Value) {
 	if v.IsNil() {
-		delete(o.attrs, attr)
+		o.Unset(name)
 		return
 	}
-	o.attrs[attr] = v
+	i, ok := o.find(name)
+	if ok {
+		o.attrs[i].val = v
+		return
+	}
+	o.attrs = append(o.attrs, attr{})
+	copy(o.attrs[i+1:], o.attrs[i:])
+	o.attrs[i] = attr{name: name, val: v}
 }
 
 // Unset removes the named attribute.
-func (o *Object) Unset(attr string) { delete(o.attrs, attr) }
+func (o *Object) Unset(name string) {
+	if i, ok := o.find(name); ok {
+		n := len(o.attrs) - 1
+		copy(o.attrs[i:], o.attrs[i+1:])
+		o.attrs[n] = attr{} // the vacated tail must not keep its value alive
+		o.attrs = o.attrs[:n]
+	}
+}
 
 // Has reports whether the named attribute is set.
-func (o *Object) Has(attr string) bool {
-	_, ok := o.attrs[attr]
+func (o *Object) Has(name string) bool {
+	_, ok := o.find(name)
 	return ok
 }
 
 // AttrNames returns the set attribute names in sorted order.
 func (o *Object) AttrNames() []string {
-	names := make([]string, 0, len(o.attrs))
-	for n := range o.attrs {
-		names = append(names, n)
+	names := make([]string, len(o.attrs))
+	for i, a := range o.attrs {
+		names[i] = a.name
 	}
-	sort.Strings(names)
 	return names
+}
+
+// NumAttrs returns the number of set attributes.
+func (o *Object) NumAttrs() int { return len(o.attrs) }
+
+// Each calls f with every set attribute in name order. f must not change
+// o's attributes.
+func (o *Object) Each(f func(name string, v value.Value)) {
+	for _, a := range o.attrs {
+		f(a.name, a.val)
+	}
 }
 
 // RenameAttr moves the value stored under old to new, if present. It is
 // used by schema evolution when an attribute is renamed.
 func (o *Object) RenameAttr(old, new string) {
-	if v, ok := o.attrs[old]; ok {
-		delete(o.attrs, old)
-		o.attrs[new] = v
+	if i, ok := o.find(old); ok {
+		v := o.attrs[i].val
+		o.Unset(old)
+		o.Set(new, v)
 	}
 }
 
@@ -232,8 +286,8 @@ func (o *Object) Parents() []uid.UID {
 // composite alike), deduplicated and sorted.
 func (o *Object) Refs() []uid.UID {
 	var all []uid.UID
-	for _, v := range o.attrs {
-		all = v.Refs(all)
+	for _, a := range o.attrs {
+		all = a.val.Refs(all)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
 	out := all[:0]
@@ -247,37 +301,30 @@ func (o *Object) Refs() []uid.UID {
 	return out
 }
 
-// Clone returns a deep copy of o.
+// Clone returns a copy of o that shares no mutable state with it. Values
+// are immutable, so the copy shares them.
 func (o *Object) Clone() *Object {
-	c := New(o.uid)
+	c := o.CloneAs(o.uid)
 	c.cc = o.cc
-	for k, v := range o.attrs {
-		c.attrs[k] = v.Clone()
-	}
 	c.reverse = append([]ReverseRef(nil), o.reverse...)
 	return c
 }
 
-// CloneAs returns a deep copy of o under a new UID with no reverse
-// references, used by version derivation (the copy starts with no parents
-// of its own).
+// CloneAs returns a copy of o under a new UID with no reverse references,
+// used by version derivation (the copy starts with no parents of its own).
 func (o *Object) CloneAs(nu uid.UID) *Object {
-	c := New(nu)
-	for k, v := range o.attrs {
-		c.attrs[k] = v.Clone()
-	}
-	return c
+	return &Object{uid: nu, attrs: append([]attr(nil), o.attrs...)}
 }
 
 // String renders the object for debugging and figures.
 func (o *Object) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "#%s{", o.uid)
-	for i, n := range o.AttrNames() {
+	for i, a := range o.attrs {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s=%s", n, o.attrs[n])
+		fmt.Fprintf(&b, "%s=%s", a.name, a.val)
 	}
 	if len(o.reverse) > 0 {
 		b.WriteString(" <=")

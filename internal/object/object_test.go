@@ -1,7 +1,11 @@
 package object
 
 import (
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -212,6 +216,74 @@ func TestObjectString(t *testing.T) {
 	for _, want := range []string{"#1:2", `name="v"`, "2:1[DX]"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
+// TestPropertyAttrsMatchMapModel runs seeded random Set/Unset/RenameAttr/
+// Clone sequences against a map model: the names stay sorted and equal to
+// the model's keys, every Get agrees with it, and a clone is independent
+// of the object it was taken from.
+func TestPropertyAttrsMatchMapModel(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	check := func(o *Object, model map[string]value.Value) {
+		t.Helper()
+		want := make([]string, 0, len(model))
+		for n := range model {
+			want = append(want, n)
+		}
+		sort.Strings(want)
+		if got := o.AttrNames(); !slices.Equal(got, want) {
+			t.Fatalf("AttrNames = %v, want %v", got, want)
+		}
+		if o.NumAttrs() != len(want) {
+			t.Fatalf("NumAttrs = %d, want %d", o.NumAttrs(), len(want))
+		}
+		for _, n := range names {
+			if got := o.Get(n); !got.Equal(model[n]) || o.Has(n) != !got.IsNil() {
+				t.Fatalf("Get(%q) = %v, want %v", n, got, model[n])
+			}
+		}
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		o, model := New(u(1, 1)), map[string]value.Value{}
+		for step := 0; step < 200; step++ {
+			n := names[r.Intn(len(names))]
+			switch r.Intn(5) {
+			case 0, 1:
+				v := value.Int(r.Int63n(4))
+				if r.Intn(8) == 0 {
+					v = value.Nil
+				}
+				o.Set(n, v)
+				if v.IsNil() {
+					delete(model, n)
+				} else {
+					model[n] = v
+				}
+			case 2:
+				o.Unset(n)
+				delete(model, n)
+			case 3:
+				to := names[r.Intn(len(names))]
+				o.RenameAttr(n, to)
+				if v, ok := model[n]; ok {
+					delete(model, n)
+					model[to] = v
+				}
+			case 4:
+				c, cmodel := o.Clone(), maps.Clone(model)
+				m := names[r.Intn(len(names))]
+				c.Set(n, value.Str("clone"))
+				c.Unset(m)
+				cmodel[n] = value.Str("clone")
+				delete(cmodel, m)
+				o.Set(m, value.Str("original"))
+				model[m] = value.Str("original")
+				check(c, cmodel)
+			}
+			check(o, model)
 		}
 	}
 }

@@ -90,6 +90,11 @@ func (in *Interp) schema(fn func() error) error {
 	return fn()
 }
 
+// ErrSetDefaultInTxn is returned for set-default inside (begin): the pin
+// lives in the shared version bookkeeping, which an abort would not roll
+// back, so it is set only between transactions.
+var ErrSetDefaultInTxn = fmt.Errorf("set-default runs outside (begin): %w", ErrEval)
+
 // NewInterp returns an interpreter over the database.
 func NewInterp(d *db.DB) *Interp {
 	return &Interp{DB: d, env: make(map[string]value.Value)}
@@ -1116,6 +1121,9 @@ func evalDerive(in *Interp, args []Node) (value.Value, error) {
 func evalSetDefault(in *Interp, args []Node) (value.Value, error) {
 	if len(args) != 2 {
 		return value.Nil, fmt.Errorf("usage: (set-default generic version): %w", ErrEval)
+	}
+	if in.tx != nil {
+		return value.Nil, ErrSetDefaultInTxn
 	}
 	g, err := in.objArg(args[0])
 	if err != nil {

@@ -199,6 +199,26 @@ func TestErrorCodeMapping(t *testing.T) {
 	}
 }
 
+// TestSetDefaultRefusedInTxn: the default pin is shared bookkeeping that
+// an abort would not undo, so inside (begin) set-default is an eval error
+// and the pin stays as it was after the abort.
+func TestSetDefaultRefusedInTxn(t *testing.T) {
+	in := newInterp(t)
+	mustEval(t, in, `(make-class 'Design :versionable true :attributes '((Name :domain string)))`)
+	gv := mustEval(t, in, `(make-versionable Design :Name "d0")`).Elems()
+	in.env["g"], in.env["v0"] = gv[0], gv[1]
+	mustEval(t, in, `(define v1 (derive v0)) (set-default g v0)`)
+	mustEval(t, in, "(begin)")
+	_, err := in.EvalString("(set-default g v1)")
+	if !errors.Is(err, ErrSetDefaultInTxn) || ErrorCode(err) != CodeEval {
+		t.Fatalf("set-default in (begin) = %v (code %q), want ErrSetDefaultInTxn", err, ErrorCode(err))
+	}
+	mustEval(t, in, "(abort)")
+	if d := mustEval(t, in, "(default-version g)"); !d.Equal(in.env["v0"]) {
+		t.Fatalf("default after refused set-default = %v, want v0", d)
+	}
+}
+
 // TestAbortedVersionStatementsKeepBookkeeping: the version bookkeeping
 // follows the transaction's outcome, like the objects. An aborted
 // delete-version leaves the version listed, derivable and pinned; an

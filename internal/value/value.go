@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/uid"
 )
@@ -55,33 +56,48 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is an immutable-by-convention dynamic value. The zero Value is
-// Nil. Values are compared with Equal, not ==, because collection kinds
-// carry slices.
+// Value is an immutable dynamic value. The zero Value is Nil. Values are
+// compared with Equal: == does not compile on Value.
+//
+// A Value is 24 bytes. word holds the scalar payload (an int, the bits
+// of a float, a bool, a reference's serial) or, for strings and
+// collections, the payload length; ptr points at the string's bytes or
+// at the first element of a collection, and ref holds a reference's
+// class. Strings and element slices are never written after
+// construction, so Values share them freely.
 type Value struct {
-	kind  Kind
-	i     int64
-	f     float64
-	s     string
-	b     bool
-	r     uid.UID
-	elems []Value
+	_    [0]func() // makes == a compile error
+	kind Kind
+	ref  uid.ClassID
+	word uint64
+	ptr  unsafe.Pointer
 }
 
 // Nil is the null value.
 var Nil = Value{}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, word: uint64(i)} }
 
 // Real returns a floating-point value.
-func Real(f float64) Value { return Value{kind: KindReal, f: f} }
+func Real(f float64) Value { return Value{kind: KindReal, word: math.Float64bits(f)} }
 
 // Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value {
+	if s == "" {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, word: uint64(len(s)), ptr: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.word = 1
+	}
+	return v
+}
 
 // Ref returns a reference value. Ref(uid.Nil) is the Nil value, so a null
 // reference and an unset attribute are indistinguishable, as in ORION.
@@ -89,7 +105,15 @@ func Ref(u uid.UID) Value {
 	if u.IsNil() {
 		return Nil
 	}
-	return Value{kind: KindRef, r: u}
+	return Value{kind: KindRef, ref: u.Class, word: u.Serial}
+}
+
+// collection wraps elems, which the caller hands over, as a set or list.
+func collection(k Kind, elems []Value) Value {
+	if len(elems) == 0 {
+		return Value{kind: k}
+	}
+	return Value{kind: k, word: uint64(len(elems)), ptr: unsafe.Pointer(unsafe.SliceData(elems))}
 }
 
 // SetOf returns a set value over the given elements. Duplicate elements
@@ -109,12 +133,12 @@ func SetOf(elems ...Value) Value {
 			out = append(out, e)
 		}
 	}
-	return Value{kind: KindSet, elems: out}
+	return collection(KindSet, out)
 }
 
 // ListOf returns a list value over the given elements.
 func ListOf(elems ...Value) Value {
-	return Value{kind: KindList, elems: append([]Value(nil), elems...)}
+	return collection(KindList, append([]Value(nil), elems...))
 }
 
 // RefSet returns a set value of references, a convenience for composite
@@ -136,25 +160,60 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNil() bool { return v.kind == KindNil }
 
 // AsInt returns the integer payload; ok is false for other kinds.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return int64(v.word), true
+}
 
 // AsReal returns the float payload; ok is false for other kinds.
-func (v Value) AsReal() (float64, bool) { return v.f, v.kind == KindReal }
+func (v Value) AsReal() (float64, bool) {
+	if v.kind != KindReal {
+		return 0, false
+	}
+	return math.Float64frombits(v.word), true
+}
 
 // AsString returns the string payload; ok is false for other kinds.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.str(), true
+}
 
 // AsBool returns the boolean payload; ok is false for other kinds.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) {
+	if v.kind != KindBool {
+		return false, false
+	}
+	return v.word != 0, true
+}
 
 // AsRef returns the referenced UID; ok is false for other kinds.
-func (v Value) AsRef() (uid.UID, bool) { return v.r, v.kind == KindRef }
+func (v Value) AsRef() (uid.UID, bool) {
+	if v.kind != KindRef {
+		return uid.Nil, false
+	}
+	return v.refUID(), true
+}
 
-// Elems returns the elements of a set or list; nil for other kinds. The
-// caller must not mutate the returned slice.
+// str is the string payload of a KindString value.
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.word)) }
+
+// refUID is the reference of a KindRef value.
+func (v Value) refUID() uid.UID { return uid.UID{Class: v.ref, Serial: v.word} }
+
+// elems is the element slice of a collection, nil when it is empty.
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.ptr), int(v.word)) }
+
+// Elems returns the elements of a set or list; nil for other kinds and
+// for empty collections. The caller must not mutate the returned slice;
+// appending to it copies.
 func (v Value) Elems() []Value {
-	if v.kind == KindSet || v.kind == KindList {
-		return v.elems
+	if v.IsCollection() {
+		return v.elems()
 	}
 	return nil
 }
@@ -165,7 +224,7 @@ func (v Value) IsCollection() bool { return v.kind == KindSet || v.kind == KindL
 // Len returns the number of elements of a collection, and 0 otherwise.
 func (v Value) Len() int {
 	if v.IsCollection() {
-		return len(v.elems)
+		return int(v.word)
 	}
 	return 0
 }
@@ -180,37 +239,38 @@ func (v Value) Equal(w Value) bool {
 	switch v.kind {
 	case KindNil:
 		return true
-	case KindInt:
-		return v.i == w.i
+	case KindInt, KindBool:
+		return v.word == w.word
 	case KindReal:
-		if math.IsNaN(v.f) && math.IsNaN(w.f) {
+		f, g := math.Float64frombits(v.word), math.Float64frombits(w.word)
+		if math.IsNaN(f) && math.IsNaN(g) {
 			return true
 		}
-		return v.f == w.f
+		return f == g
 	case KindString:
-		return v.s == w.s
-	case KindBool:
-		return v.b == w.b
+		return v.str() == w.str()
 	case KindRef:
-		return v.r == w.r
+		return v.ref == w.ref && v.word == w.word
 	case KindList:
-		if len(v.elems) != len(w.elems) {
+		ve, we := v.elems(), w.elems()
+		if len(ve) != len(we) {
 			return false
 		}
-		for i := range v.elems {
-			if !v.elems[i].Equal(w.elems[i]) {
+		for i := range ve {
+			if !ve[i].Equal(we[i]) {
 				return false
 			}
 		}
 		return true
 	case KindSet:
-		if len(v.elems) != len(w.elems) {
+		ve, we := v.elems(), w.elems()
+		if len(ve) != len(we) {
 			return false
 		}
-		used := make([]bool, len(w.elems))
+		used := make([]bool, len(we))
 	outer:
-		for _, e := range v.elems {
-			for j, f := range w.elems {
+		for _, e := range ve {
+			for j, f := range we {
 				if !used[j] && e.Equal(f) {
 					used[j] = true
 					continue outer
@@ -224,19 +284,18 @@ func (v Value) Equal(w Value) bool {
 	}
 }
 
-// Clone returns a deep copy of v; mutating helpers below always operate on
-// copies, so Clone is only needed when handing internals to callers that
-// may retain them.
+// Clone returns a deep copy of v. Values are immutable, so Clone is only
+// needed when a caller wants element storage of its own.
 func (v Value) Clone() Value {
 	if !v.IsCollection() {
 		return v
 	}
-	out := v
-	out.elems = make([]Value, len(v.elems))
-	for i, e := range v.elems {
-		out.elems[i] = e.Clone()
+	elems := v.elems()
+	out := make([]Value, len(elems))
+	for i, e := range elems {
+		out[i] = e.Clone()
 	}
-	return out
+	return collection(v.kind, out)
 }
 
 // Refs appends to dst every UID referenced by v, recursing through
@@ -245,9 +304,9 @@ func (v Value) Clone() Value {
 func (v Value) Refs(dst []uid.UID) []uid.UID {
 	switch v.kind {
 	case KindRef:
-		return append(dst, v.r)
+		return append(dst, v.refUID())
 	case KindSet, KindList:
-		for _, e := range v.elems {
+		for _, e := range v.elems() {
 			dst = e.Refs(dst)
 		}
 	}
@@ -259,9 +318,9 @@ func (v Value) Refs(dst []uid.UID) []uid.UID {
 func (v Value) ContainsRef(u uid.UID) bool {
 	switch v.kind {
 	case KindRef:
-		return v.r == u
+		return v.refUID() == u
 	case KindSet, KindList:
-		for _, e := range v.elems {
+		for _, e := range v.elems() {
 			if e.ContainsRef(u) {
 				return true
 			}
@@ -276,22 +335,21 @@ func (v Value) ContainsRef(u uid.UID) bool {
 func (v Value) WithoutRef(u uid.UID) Value {
 	switch v.kind {
 	case KindRef:
-		if v.r == u {
+		if v.refUID() == u {
 			return Nil
 		}
 		return v
 	case KindSet, KindList:
-		out := make([]Value, 0, len(v.elems))
-		for _, e := range v.elems {
+		elems := v.elems()
+		out := make([]Value, 0, len(elems))
+		for _, e := range elems {
 			ne := e.WithoutRef(u)
 			if ne.IsNil() && e.kind == KindRef {
 				continue // drop removed refs from collections
 			}
 			out = append(out, ne)
 		}
-		nv := v
-		nv.elems = out
-		return nv
+		return collection(v.kind, out)
 	default:
 		return v
 	}
@@ -307,18 +365,17 @@ func (v Value) ReplaceRef(old, new uid.UID) Value {
 	}
 	switch v.kind {
 	case KindRef:
-		if v.r == old {
+		if v.refUID() == old {
 			return Ref(new)
 		}
 		return v
 	case KindSet, KindList:
-		out := make([]Value, len(v.elems))
-		for i, e := range v.elems {
+		elems := v.elems()
+		out := make([]Value, len(elems))
+		for i, e := range elems {
 			out[i] = e.ReplaceRef(old, new)
 		}
-		nv := v
-		nv.elems = out
-		return nv
+		return collection(v.kind, out)
 	default:
 		return v
 	}
@@ -334,19 +391,18 @@ func (v Value) WithRef(u uid.UID) Value {
 		return Ref(u)
 	case KindRef:
 		return SetOf(v, Ref(u))
-	case KindSet:
-		for _, e := range v.elems {
-			if e.ContainsRef(u) {
-				return v
+	case KindSet, KindList:
+		elems := v.elems()
+		if v.kind == KindSet {
+			for _, e := range elems {
+				if e.ContainsRef(u) {
+					return v
+				}
 			}
 		}
-		nv := v
-		nv.elems = append(append([]Value(nil), v.elems...), Ref(u))
-		return nv
-	case KindList:
-		nv := v
-		nv.elems = append(append([]Value(nil), v.elems...), Ref(u))
-		return nv
+		out := make([]Value, len(elems), len(elems)+1)
+		copy(out, elems)
+		return collection(v.kind, append(out, Ref(u)))
 	default:
 		return v
 	}
@@ -358,21 +414,22 @@ func (v Value) String() string {
 	case KindNil:
 		return "nil"
 	case KindInt:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", int64(v.word))
 	case KindReal:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", math.Float64frombits(v.word))
 	case KindString:
-		return fmt.Sprintf("%q", v.s)
+		return fmt.Sprintf("%q", v.str())
 	case KindBool:
-		if v.b {
+		if v.word != 0 {
 			return "true"
 		}
 		return "false"
 	case KindRef:
-		return "#" + v.r.String()
+		return "#" + v.refUID().String()
 	case KindSet, KindList:
-		parts := make([]string, len(v.elems))
-		for i, e := range v.elems {
+		elems := v.elems()
+		parts := make([]string, len(elems))
+		for i, e := range elems {
 			parts[i] = e.String()
 		}
 		open := "{"

@@ -310,19 +310,18 @@ func (m *Manager) Derive(w Writer, from uid.UID) (uid.UID, error) {
 		return uid.Nil, err
 	}
 	attrs := map[string]value.Value{}
-	for _, name := range src.AttrNames() {
+	src.Each(func(name string, v value.Value) {
 		spec, err := m.e.Catalog().Attribute(cl.Name, name)
 		if err != nil {
-			continue
+			return
 		}
-		v := src.Get(name).Clone()
 		if spec.Composite {
 			v = b.rewriteForDerivation(v, spec)
 		}
 		if !v.IsNil() {
 			attrs[name] = v
 		}
-	}
+	})
 	return m.newVersion(w, gen, attrs, from)
 }
 
