@@ -14,7 +14,7 @@
 //	-max-frame N    request frame size limit in bytes
 //	-write-timeout  per-reply write bound; slow readers are disconnected
 //	-drain D        graceful-drain bound on SIGTERM/SIGINT
-//	-metrics ADDR   HTTP surface: /metrics, /flight, /healthz, ...
+//	-metrics ADDR   HTTP surface: /metrics, /flight, /healthz, /debug/pprof/, ...
 //
 // On SIGTERM or SIGINT the server drains: the listener closes, in-flight
 // requests (commits included) finish and flush their replies, idle

@@ -135,6 +135,25 @@ func (r reader) wantClass(q QueryOpts, id uid.UID) bool {
 	return false
 }
 
+// visited is the set of UIDs a walk has reached. It starts as a small
+// map and grows: a size hint large enough for a whole composite object
+// costs more bytes than it saves on the short ancestor walks and
+// one-level reads that make up most walks.
+type visited map[uid.UID]struct{}
+
+func newVisited(start uid.UID) visited {
+	return visited{start: {}}
+}
+
+// add inserts id and reports whether it was not there yet.
+func (s visited) add(id uid.UID) bool {
+	if _, ok := s[id]; ok {
+		return false
+	}
+	s[id] = struct{}{}
+	return true
+}
+
 // components is (components-of ...): the objects reachable from id over
 // composite references passing the edge filter, in BFS level order, down
 // to q.Level levels (0 = all). A reference to a missing object is
@@ -145,7 +164,7 @@ func (r reader) components(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 		return nil, err
 	}
 	memo := make(map[uid.ClassID][]string)
-	seen := uid.NewSet(id)
+	seen := newVisited(id)
 	frontier := []*object.Object{root}
 	var out, kids []uid.UID
 	for level := 0; len(frontier) > 0 && (q.Level <= 0 || level < q.Level); level++ {
@@ -156,7 +175,7 @@ func (r reader) components(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 				kids = o.Get(name).Refs(kids)
 			}
 			for _, child := range kids {
-				if !seen.Add(child) {
+				if !seen.add(child) {
 					continue
 				}
 				co, err := r.src.fetch(child)
@@ -202,14 +221,14 @@ func (r reader) ancestors(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := uid.NewSet(id)
+	seen := newVisited(id)
 	frontier := []*object.Object{start}
 	var out []uid.UID
 	for len(frontier) > 0 {
 		var next []*object.Object
 		for _, o := range frontier {
 			for _, ref := range o.Reverse() {
-				if !q.wantEdge(ref.Exclusive) || !seen.Add(ref.Parent) {
+				if !q.wantEdge(ref.Exclusive) || !seen.add(ref.Parent) {
 					continue
 				}
 				po, err := r.src.fetch(ref.Parent)
@@ -240,14 +259,14 @@ func (r reader) roots(id uid.UID) ([]uid.UID, error) {
 	if !o.HasAnyReverse() {
 		return []uid.UID{id}, nil
 	}
-	seen := uid.NewSet(id)
+	seen := newVisited(id)
 	frontier := []*object.Object{o}
 	var roots []uid.UID
 	for len(frontier) > 0 {
 		var next []*object.Object
 		for _, o := range frontier {
 			for _, ref := range o.Reverse() {
-				if !seen.Add(ref.Parent) {
+				if !seen.add(ref.Parent) {
 					continue
 				}
 				po, err := r.src.fetch(ref.Parent)
@@ -277,7 +296,7 @@ func (r reader) level(a, b uid.UID) (int, error) {
 	if _, err := r.src.fetch(b); err != nil {
 		return -1, err
 	}
-	seen := uid.NewSet(a)
+	seen := newVisited(a)
 	frontier := []*object.Object{start}
 	for n := 1; len(frontier) > 0; n++ {
 		var next []*object.Object
@@ -286,7 +305,7 @@ func (r reader) level(a, b uid.UID) (int, error) {
 				if ref.Parent == b {
 					return n, nil
 				}
-				if !seen.Add(ref.Parent) {
+				if !seen.add(ref.Parent) {
 					continue
 				}
 				po, err := r.src.fetch(ref.Parent)

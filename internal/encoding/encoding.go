@@ -170,9 +170,9 @@ func DecodeValue(b []byte) (value.Value, []byte, error) {
 			elems = append(elems, e)
 		}
 		if k == value.KindSet {
-			return value.SetOf(elems...), b, nil
+			return value.SetOwned(elems), b, nil
 		}
-		return value.ListOf(elems...), b, nil
+		return value.ListOwned(elems), b, nil
 	default:
 		return value.Nil, nil, fmt.Errorf("kind %d: %w", k, ErrBadKind)
 	}

@@ -14,13 +14,12 @@
 //	      machine-readable word (sexpr.CodeDeadlock, CodeBusy, …)
 //
 // The frame layer enforces a maximum payload length on receive and
-// never trusts the prefix for allocation: a lying length allocates only
-// what actually arrives, so a hostile peer cannot balloon memory with a
+// never trusts the prefix for allocation: the buffer grows with the bytes
+// that actually arrive, so a hostile peer cannot balloon memory with a
 // 4-byte header.
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,57 +69,77 @@ func IsRemote(err error, code string) bool {
 	return errors.As(err, &re) && re.Code == code
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame in a single Write, so an
+// unbuffered connection sends header and payload together.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, 0, frameHeader+len(payload))
+	_, err := w.Write(endFrame(append(startFrame(frame), payload...)))
 	return err
 }
 
-// ReadFrame reads one frame, rejecting payloads longer than max before
-// anything is allocated for them. The body is read through io.CopyN into
-// a growing buffer rather than a make([]byte, n) up front, so a length
-// prefix the stream cannot back (truncated or hostile) costs only the
-// bytes that actually arrived. A short body returns io.ErrUnexpectedEOF.
+// startFrame appends a frame's length prefix to dst; the payload is
+// appended after it, and endFrame fills the prefix in.
+func startFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// endFrame sets the length prefix of frame, which startFrame began at
+// frame[0], to the bytes appended since, and returns frame.
+func endFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	return frame
+}
+
+// frameChunk is the least a readFrame buffer grows by when it is full.
+const frameChunk = 4 << 10
+
+// ReadFrame reads one frame into a fresh buffer; see readFrame.
 func ReadFrame(r io.Reader, max uint32) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, max, nil)
+}
+
+// readFrame reads one frame into buf's storage and returns the payload,
+// rejecting a length prefix above limit before anything is allocated for
+// it. The payload fills buf's capacity first; each time the buffer is
+// full it grows by the bytes read so far, and by at least frameChunk, but
+// never past the prefix's length. A prefix the stream cannot back
+// (truncated or hostile) thus allocates at most 2*frameChunk plus four
+// times the bytes that arrived, never the length it claims. A short body
+// returns io.ErrUnexpectedEOF.
+func readFrame(r io.Reader, limit uint32, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	if cap(buf) < frameHeader {
+		buf = make([]byte, 0, frameHeader)
+	}
+	if _, err := io.ReadFull(r, buf[:frameHeader]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > max {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+	n := binary.BigEndian.Uint32(buf[:frameHeader])
+	if n > limit {
+		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, limit)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(int(n), len(buf)+max(len(buf), frameChunk)))
+			copy(grown, buf)
+			buf = grown
 		}
-		return nil, err
+		m, err := io.ReadFull(r, buf[len(buf):min(int(n), cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// encodeResult builds a '+' reply payload.
-func encodeResult(s string) []byte {
-	b := make([]byte, 0, 1+len(s))
-	return append(append(b, statusOK), s...)
-}
-
-// encodeError builds a '-' reply payload.
-func encodeError(code, msg string) []byte {
-	b := make([]byte, 0, 1+len(code)+1+len(msg))
-	b = append(b, statusErr)
-	b = append(b, code...)
-	b = append(b, ' ')
-	return append(b, msg...)
+// appendError appends a '-' reply payload to dst.
+func appendError(dst []byte, code, msg string) []byte {
+	dst = append(dst, statusErr)
+	dst = append(dst, code...)
+	dst = append(dst, ' ')
+	return append(dst, msg...)
 }
 
 // DecodeReply splits a reply payload into its result text or RemoteError.

@@ -54,10 +54,10 @@ func TestReadFrameTruncated(t *testing.T) {
 }
 
 func TestDecodeReply(t *testing.T) {
-	if got, err := DecodeReply(encodeResult("#3:7")); err != nil || got != "#3:7" {
+	if got, err := DecodeReply([]byte("+#3:7")); err != nil || got != "#3:7" {
 		t.Fatalf("ok reply: got %q, %v", got, err)
 	}
-	_, err := DecodeReply(encodeError(CodeBusy, "connection limit 4 reached"))
+	_, err := DecodeReply(appendError(nil, CodeBusy, "connection limit 4 reached"))
 	if !IsRemote(err, CodeBusy) {
 		t.Fatalf("err = %v, want busy RemoteError", err)
 	}

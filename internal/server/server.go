@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -176,7 +178,7 @@ func (s *Server) admit(conn net.Conn) bool {
 		s.refuse(conn, CodeBusy, fmt.Sprintf("connection limit %d reached", s.cfg.MaxConns))
 		return false
 	}
-	sess := &session{s: s, conn: conn, in: sexpr.NewInterp(s.d)}
+	sess := &session{s: s, conn: conn, br: bufio.NewReader(conn), in: sexpr.NewInterp(s.d)}
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
 	s.m.connsTotal.Inc()
@@ -188,9 +190,17 @@ func (s *Server) admit(conn net.Conn) bool {
 
 // refuse answers a turned-away connection with one error frame.
 func (s *Server) refuse(conn net.Conn, code, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	WriteFrame(conn, encodeError(code, msg)) // best effort; the close is the decision
+	s.send(conn, endFrame(appendError(startFrame(nil), code, msg))) // best effort; the close is the decision
 	conn.Close()
+}
+
+// send writes one whole frame in a single Write under a fresh write
+// deadline. The deadline is left in place: only the next send's writes
+// see it, and that send sets its own.
+func (s *Server) send(conn net.Conn, frame []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	_, err := conn.Write(frame)
+	return err
 }
 
 func (s *Server) removeSession(sess *session) {
@@ -231,9 +241,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 	// Wake idle readers: an expired read deadline pops them out of
-	// ReadFrame immediately, and teardown aborts their transactions. A
+	// readFrame immediately, and teardown aborts their transactions. A
 	// session mid-evaluation is not parked in a read, so it finishes its
-	// request and replies before its next read observes the deadline.
+	// request and replies; then it stops before its next request, whether
+	// that is still in the socket (the read observes the deadline) or
+	// already in the session's read buffer (run checks the drain).
 	for _, sess := range sessions {
 		sess.conn.SetReadDeadline(time.Now())
 	}
@@ -268,12 +280,19 @@ func (s *Server) Close() error {
 }
 
 // HTTPHandler serves the observability surface plus liveness: the full
-// internal/obs handler (/metrics, /metrics.json, /trace, /slow, /flight)
-// and /healthz reporting session count and drain state (503 once
-// draining, so load balancers stop routing before the listener vanishes).
+// internal/obs handler (/metrics, /metrics.json, /trace, /slow, /flight),
+// /healthz reporting session count and drain state (503 once draining,
+// so load balancers stop routing before the listener vanishes), and the
+// Go runtime profiles under /debug/pprof/. A profile is taken while the
+// server runs, so it needs no clean exit to be written.
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", s.d.Observability().Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		draining := s.isDraining()
 		st := "ok"
@@ -292,15 +311,23 @@ func (s *Server) HTTPHandler() http.Handler {
 	return mux
 }
 
-// session is one connection's state: the conn, its interpreter, and the
-// read source. Everything session-scoped (open transaction, snapshot,
-// defines) lives in the Interp; teardown closes it, which aborts the
-// transaction and releases the snapshot no matter how the connection
-// ended.
+// maxKeptBuffer caps the request and reply buffers a session keeps
+// between requests: a buffer that grew past it for one large frame is
+// dropped after that request instead of held for the connection's life.
+const maxKeptBuffer = 64 << 10
+
+// session is one connection's state: the conn, its buffered reader, its
+// interpreter, and the buffers its requests and replies reuse.
+// Everything session-scoped (open transaction, snapshot, defines) lives
+// in the Interp; teardown closes it, which aborts the transaction and
+// releases the snapshot no matter how the connection ended.
 type session struct {
 	s    *Server
 	conn net.Conn
+	br   *bufio.Reader // header and body of a request arrive in one read
 	in   *sexpr.Interp
+	req  []byte // storage of the last request payload
+	out  []byte // storage of the last reply frame
 }
 
 func (sess *session) run() {
@@ -316,13 +343,18 @@ func (sess *session) run() {
 		s.wg.Done()
 	}()
 	for {
-		payload, err := ReadFrame(sess.conn, s.cfg.MaxFrame)
+		// A request already buffered when a drain begins is dropped, as
+		// one still in the socket is: the drain's read deadline stops
+		// only reads that reach the conn.
+		if sess.br.Buffered() > 0 && s.isDraining() {
+			return
+		}
+		payload, err := readFrame(sess.br, s.cfg.MaxFrame, sess.req)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The stream is unrecoverable but the client can still
 				// learn why before the close.
-				sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				WriteFrame(sess.conn, encodeError(CodeProto, err.Error()))
+				s.send(sess.conn, endFrame(appendError(startFrame(sess.out[:0]), CodeProto, err.Error())))
 			}
 			return
 		}
@@ -331,21 +363,28 @@ func (sess *session) run() {
 		v, err := sess.in.EvalString(string(payload))
 		s.m.requests.Inc()
 		s.m.requestNs.Observe(time.Since(start).Nanoseconds())
-		var reply []byte
+		frame := startFrame(sess.out[:0])
 		if err != nil {
 			s.m.requestErrs.Inc()
-			reply = encodeError(sexpr.ErrorCode(err), err.Error())
+			frame = appendError(frame, sexpr.ErrorCode(err), err.Error())
 		} else {
-			reply = encodeResult(v.String())
+			frame = v.AppendText(append(frame, statusOK))
 		}
-		sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := WriteFrame(sess.conn, reply); err != nil {
+		if err := s.send(sess.conn, endFrame(frame)); err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.m.writeTimeouts.Inc()
 			}
 			return
 		}
-		sess.conn.SetWriteDeadline(time.Time{})
-		s.m.txBytes.Add(uint64(len(reply) + frameHeader))
+		s.m.txBytes.Add(uint64(len(frame)))
+		sess.req, sess.out = keep(payload), keep(frame)
 	}
+}
+
+// keep returns b for reuse, or nil when it is over maxKeptBuffer.
+func keep(b []byte) []byte {
+	if cap(b) > maxKeptBuffer {
+		return nil
+	}
+	return b
 }

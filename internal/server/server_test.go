@@ -468,6 +468,21 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 }
 
+func TestHTTPServesCPUProfile(t *testing.T) {
+	_, srv := newServer(t, server.Config{})
+	hs := httptest.NewServer(srv.HTTPHandler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("/debug/pprof/profile = %d with %d bytes", resp.StatusCode, len(body))
+	}
+}
+
 func TestShutdownRejectsNewConnections(t *testing.T) {
 	_, srv := newServer(t, server.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -173,7 +173,7 @@ func (in *Interp) quoteValue(n Node) (value.Value, error) {
 			}
 			elems = append(elems, v)
 		}
-		return value.ListOf(elems...), nil
+		return value.ListOwned(elems), nil
 	default:
 		return in.Eval(n)
 	}
@@ -349,7 +349,7 @@ func refsToValue(ids []uid.UID) value.Value {
 	for i, id := range ids {
 		elems[i] = value.Ref(id)
 	}
-	return value.ListOf(elems...)
+	return value.ListOwned(elems)
 }
 
 // ---- core messages ----
@@ -1459,7 +1459,7 @@ func evalIntegrity(in *Interp, args []Node) (value.Value, error) {
 	for i, v := range violations {
 		elems[i] = value.Str(v.String())
 	}
-	return value.ListOf(elems...), nil
+	return value.ListOwned(elems), nil
 }
 
 // ---- introspection ----
@@ -1471,7 +1471,7 @@ func evalClasses(in *Interp, args []Node) (value.Value, error) {
 	for i, n := range names {
 		elems[i] = value.Str(n)
 	}
-	return value.ListOf(elems...), nil
+	return value.ListOwned(elems), nil
 }
 
 func evalExtent(in *Interp, args []Node) (value.Value, error) {

@@ -175,11 +175,11 @@ func parseRef(l *lexer) (Node, error) {
 }
 
 func readToken(l *lexer) string {
-	var b strings.Builder
+	start := l.pos
 	for !isDelim(l.peek()) {
-		b.WriteRune(l.next())
+		l.pos++
 	}
-	return b.String()
+	return string(l.src[start:l.pos])
 }
 
 func parseAtom(l *lexer) (Node, error) {
@@ -188,13 +188,16 @@ func parseAtom(l *lexer) (Node, error) {
 	if tok == "" {
 		return Node{}, fmt.Errorf("empty token at %d: %w", pos, ErrParse)
 	}
-	switch strings.ToLower(tok) {
-	case "nil":
+	switch {
+	case lowerIs(tok, "nil"):
 		return Node{Kind: NNil, Pos: pos}, nil
-	case "true", "t":
+	case lowerIs(tok, "true"), lowerIs(tok, "t"):
 		return Node{Kind: NBool, Bool: true, Pos: pos}, nil
-	case "false":
+	case lowerIs(tok, "false"):
 		return Node{Kind: NBool, Bool: false, Pos: pos}, nil
+	}
+	if !maybeNumber(tok) {
+		return Node{Kind: NSym, Sym: tok, Pos: pos}, nil
 	}
 	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
 		return Node{Kind: NInt, Int: i, Pos: pos}, nil
@@ -203,4 +206,35 @@ func parseAtom(l *lexer) (Node, error) {
 		return Node{Kind: NReal, Real: f, Pos: pos}, nil
 	}
 	return Node{Kind: NSym, Sym: tok, Pos: pos}, nil
+}
+
+// lowerIs reports strings.ToLower(tok) == word for an ASCII word without
+// building the lowered copy.
+func lowerIs(tok, word string) bool {
+	i := 0
+	for _, r := range tok {
+		if i == len(word) || unicode.ToLower(r) != rune(word[i]) {
+			return false
+		}
+		i++
+	}
+	return i == len(word)
+}
+
+// maybeNumber is false for a token that neither strconv.ParseInt nor
+// strconv.ParseFloat can accept, so a plain symbol skips both calls and
+// the errors they allocate. Everything those parsers accept has, after
+// one optional sign, a digit or '.' first, or is inf, infinity or nan in
+// any case.
+func maybeNumber(tok string) bool {
+	if tok[0] == '+' || tok[0] == '-' {
+		tok = tok[1:]
+	}
+	if tok == "" {
+		return false
+	}
+	if c := tok[0]; c == '.' || '0' <= c && c <= '9' {
+		return true
+	}
+	return strings.EqualFold(tok, "inf") || strings.EqualFold(tok, "infinity") || strings.EqualFold(tok, "nan")
 }

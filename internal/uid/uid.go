@@ -6,6 +6,7 @@ package uid
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -29,17 +30,22 @@ var Nil = UID{}
 func (u UID) IsNil() bool { return u == Nil }
 
 // String renders a UID as "class:serial", or "nil" for the null reference.
-func (u UID) String() string {
+func (u UID) String() string { return string(u.AppendText(nil)) }
+
+// AppendText appends the String form of u to dst and returns the
+// extended slice.
+func (u UID) AppendText(dst []byte) []byte {
 	if u.IsNil() {
-		return "nil"
+		return append(dst, "nil"...)
 	}
-	return fmt.Sprintf("%d:%d", u.Class, u.Serial)
+	dst = strconv.AppendUint(dst, uint64(u.Class), 10)
+	return strconv.AppendUint(append(dst, ':'), u.Serial, 10)
 }
 
 // MarshalText encodes the UID as "class:serial" (or "nil"), making UIDs
 // usable as JSON map keys in persisted metadata.
 func (u UID) MarshalText() ([]byte, error) {
-	return []byte(u.String()), nil
+	return u.AppendText(nil), nil
 }
 
 // UnmarshalText decodes the representation produced by MarshalText.

@@ -1,6 +1,7 @@
 package uid
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -299,5 +300,20 @@ func TestGeneratorCurrent(t *testing.T) {
 	g.Next(1)
 	if g.Current() != 2 {
 		t.Fatalf("Current = %d", g.Current())
+	}
+}
+
+func TestStringMatchesFmtRendering(t *testing.T) {
+	for _, u := range []UID{Nil, {1, 1}, {3, 7}, {0, 5}, {7, 0}, {1<<32 - 1, 1<<64 - 1}} {
+		want := "nil"
+		if !u.IsNil() {
+			want = fmt.Sprintf("%d:%d", u.Class, u.Serial)
+		}
+		if got := u.String(); got != want {
+			t.Errorf("String() = %q, fmt rendering %q", got, want)
+		}
+		if got := string(u.AppendText([]byte("#"))); got != "#"+want {
+			t.Errorf("AppendText(#) = %q, want %q", got, "#"+want)
+		}
 	}
 }

@@ -85,9 +85,9 @@ func fromJSON(j jsonValue) (Value, error) {
 			elems = append(elems, e)
 		}
 		if j.Kind == "set" {
-			return SetOf(elems...), nil
+			return SetOwned(elems), nil
 		}
-		return ListOf(elems...), nil
+		return ListOwned(elems), nil
 	default:
 		return Nil, fmt.Errorf("value: unknown kind %q", j.Kind)
 	}

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"unsafe"
 
 	"repro/internal/uid"
@@ -119,8 +119,14 @@ func collection(k Kind, elems []Value) Value {
 // SetOf returns a set value over the given elements. Duplicate elements
 // (by Equal) are dropped; the first occurrence's position is kept so that
 // results render deterministically.
-func SetOf(elems ...Value) Value {
-	out := make([]Value, 0, len(elems))
+func SetOf(elems ...Value) Value { return SetOwned(append([]Value(nil), elems...)) }
+
+// SetOwned is SetOf over a slice the caller hands over: the set keeps
+// elems as its storage, dropping duplicates in place, so the caller must
+// not use elems afterwards. It saves SetOf's copy for a slice built for
+// this one value.
+func SetOwned(elems []Value) Value {
+	out := elems[:0]
 	for _, e := range elems {
 		dup := false
 		for _, have := range out {
@@ -133,13 +139,16 @@ func SetOf(elems ...Value) Value {
 			out = append(out, e)
 		}
 	}
+	clear(elems[len(out):])
 	return collection(KindSet, out)
 }
 
 // ListOf returns a list value over the given elements.
-func ListOf(elems ...Value) Value {
-	return collection(KindList, append([]Value(nil), elems...))
-}
+func ListOf(elems ...Value) Value { return ListOwned(append([]Value(nil), elems...)) }
+
+// ListOwned is ListOf over a slice the caller hands over: the list keeps
+// elems as its storage, so the caller must not write elems afterwards.
+func ListOwned(elems []Value) Value { return collection(KindList, elems) }
 
 // RefSet returns a set value of references, a convenience for composite
 // set-valued attributes.
@@ -150,7 +159,7 @@ func RefSet(us ...uid.UID) Value {
 			elems = append(elems, Ref(u))
 		}
 	}
-	return SetOf(elems...)
+	return SetOwned(elems)
 }
 
 // Kind returns the value's kind.
@@ -409,37 +418,44 @@ func (v Value) WithRef(u uid.UID) Value {
 }
 
 // String renders the value in an s-expression-friendly form.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendText(nil)) }
+
+// AppendText appends the String form of v to dst and returns the
+// extended slice: integers in decimal, reals as %g renders them (the
+// shortest form; NaN, +Inf, -Inf), strings Go-quoted, references as
+// #class:serial, sets as {a b} and lists as [a b].
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.kind {
 	case KindNil:
-		return "nil"
+		return append(dst, "nil"...)
 	case KindInt:
-		return fmt.Sprintf("%d", int64(v.word))
+		return strconv.AppendInt(dst, int64(v.word), 10)
 	case KindReal:
-		return fmt.Sprintf("%g", math.Float64frombits(v.word))
+		return strconv.AppendFloat(dst, math.Float64frombits(v.word), 'g', -1, 64)
 	case KindString:
-		return fmt.Sprintf("%q", v.str())
+		return strconv.AppendQuote(dst, v.str())
 	case KindBool:
 		if v.word != 0 {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	case KindRef:
-		return "#" + v.refUID().String()
+		return v.refUID().AppendText(append(dst, '#'))
 	case KindSet, KindList:
-		elems := v.elems()
-		parts := make([]string, len(elems))
-		for i, e := range elems {
-			parts[i] = e.String()
-		}
-		open := "{"
-		close := "}"
+		open, close := byte('{'), byte('}')
 		if v.kind == KindList {
-			open, close = "[", "]"
+			open, close = '[', ']'
 		}
-		return open + strings.Join(parts, " ") + close
+		dst = append(dst, open)
+		for i, e := range v.elems() {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = e.AppendText(dst)
+		}
+		return append(dst, close)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
