@@ -717,7 +717,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 	b.Run("registry", func(b *testing.B) { run(b, obs.NewRegistry()) })
 	b.Run("tracing", func(b *testing.B) {
 		reg := obs.NewRegistry()
-		reg.Tracer().SetActive(true)
+		reg.Recorder().SetActive(true)
 		run(b, reg)
 	})
 }
@@ -728,8 +728,9 @@ func BenchmarkObsDisabled(b *testing.B) {
 // phase two attaches a fresh ProfCtx per query. The difference,
 // "profile-overhead-pct", is what a user pays for (profile ...) and the
 // acceptance budget bounds the disabled path's cost. "flight-record-ns"
-// prices one black-box flight-recorder append, the only instrumentation
-// that stays hot with profiling off.
+// prices one op-record append to the recorder ring, the only
+// instrumentation that stays hot with profiling off. The op's start time
+// is passed in, as every caller has read it already to time the op.
 func BenchmarkProfiledTraversal(b *testing.B) {
 	e := partEngine(b, true, true)
 	root := buildTree(b, e, 8, 2)
@@ -760,11 +761,11 @@ func BenchmarkProfiledTraversal(b *testing.B) {
 	if off > 0 {
 		b.ReportMetric((float64(on-off)/float64(off))*100, "profile-overhead-pct")
 	}
-	f := obs.NewFlightRecorder(1024)
+	f := new(obs.Recorder) // standalone: no registry counters bound
 	const appends = 100000
 	start := time.Now()
 	for i := 0; i < appends; i++ {
-		f.Record("bench.op", "root", time.Microsecond, "ok", "visited=1")
+		f.Op("bench.op", "root", start, time.Microsecond, "ok", "visited=1")
 	}
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/appends, "flight-record-ns")
 }

@@ -12,15 +12,17 @@
 //	-e EXPR         evaluate EXPR and exit
 //	-f FILE         evaluate the file (then drop into the REPL unless -e/-q)
 //	-q              quit after -f/-e instead of starting the REPL
-//	-metrics ADDR   serve /metrics, /metrics.json, /trace, /slow on ADDR
+//	-metrics ADDR   serve /metrics, /metrics.json, /trace, /slow, /flight on ADDR
 //
 // Besides s-expressions the REPL accepts meta-commands: `stats` prints
-// the metrics snapshot, `trace on|off|dump|clear` controls operation
-// tracing, `slow DUR|dump|off` controls the slow-operation log, and
-// `flight dump|clear` reads the always-on black-box flight recorder
-// (also served at /flight under -metrics). The s-expression surface
-// adds (explain expr) for static query plans, (profile expr) for an
-// executed cost breakdown, and (flight dump|clear|status).
+// the metrics snapshot, and the rest read three views of one recorder
+// ring: `trace on|off|dump|clear` controls operation tracing, `slow
+// DUR|dump|off` sets the slow threshold and lists the operations at or
+// above it, and `flight dump|clear` reads the always-on black box. The
+// same views are served at /trace, /slow and /flight under -metrics. The
+// s-expression surface adds (explain expr) for static query plans,
+// (profile expr) for an executed cost breakdown, and (flight
+// dump|clear|status).
 //
 // (snapshot begin) pins a read-only MVCC snapshot: queries then answer
 // from the pinned commit boundary — immune to concurrent writers and
@@ -39,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/obs"
 	"repro/internal/sexpr"
 )
 
@@ -139,7 +142,7 @@ func metaCommand(d *db.DB, line string) (string, bool) {
 	if len(fields) == 0 {
 		return "", false
 	}
-	reg := d.Observability()
+	rec := d.Observability().Recorder()
 	switch fields[0] {
 	case "stats":
 		return statsText(d), true
@@ -147,26 +150,15 @@ func metaCommand(d *db.DB, line string) (string, bool) {
 		if len(fields) == 2 {
 			switch fields[1] {
 			case "on":
-				reg.Tracer().SetActive(true)
+				rec.SetActive(true)
 				return "tracing on", true
 			case "off":
-				reg.Tracer().SetActive(false)
+				rec.SetActive(false)
 				return "tracing off", true
 			case "dump":
-				evs := reg.Tracer().Events()
-				if len(evs) == 0 {
-					return "trace: no events", true
-				}
-				var b strings.Builder
-				for i, ev := range evs {
-					if i > 0 {
-						b.WriteByte('\n')
-					}
-					b.WriteString(ev.String())
-				}
-				return b.String(), true
+				return recordsText(rec.Trace(), "trace: no events"), true
 			case "clear":
-				reg.Tracer().Clear()
+				rec.ClearTrace()
 				return "trace cleared", true
 			}
 		}
@@ -175,25 +167,14 @@ func metaCommand(d *db.DB, line string) (string, bool) {
 		if len(fields) == 2 {
 			switch fields[1] {
 			case "off":
-				reg.Slow().SetThreshold(0)
+				rec.SetThreshold(0)
 				return "slow log off", true
 			case "dump":
-				entries := reg.Slow().Entries()
-				if len(entries) == 0 {
-					return "slow: no entries", true
-				}
-				var b strings.Builder
-				for i, e := range entries {
-					if i > 0 {
-						b.WriteByte('\n')
-					}
-					fmt.Fprintf(&b, "%s %s %s", e.Op, e.Dur, e.Detail)
-				}
-				return b.String(), true
+				return recordsText(rec.Slow(), "slow: no entries"), true
 			default:
 				dur, err := time.ParseDuration(fields[1])
 				if err == nil && dur > 0 {
-					reg.Slow().SetThreshold(dur)
+					rec.SetThreshold(dur)
 					return fmt.Sprintf("slow log on, threshold %s", dur), true
 				}
 			}
@@ -203,26 +184,28 @@ func metaCommand(d *db.DB, line string) (string, bool) {
 		if len(fields) == 2 {
 			switch fields[1] {
 			case "dump":
-				recs := reg.Flight().Records()
-				if len(recs) == 0 {
-					return "flight: no records", true
-				}
-				var b strings.Builder
-				for i, r := range recs {
-					if i > 0 {
-						b.WriteByte('\n')
-					}
-					b.WriteString(r.String())
-				}
-				return b.String(), true
+				return recordsText(rec.Records(), "flight: no records"), true
 			case "clear":
-				reg.Flight().Clear()
+				rec.Clear()
 				return "flight recorder cleared", true
 			}
 		}
 		return "usage: flight dump|clear", true
 	}
 	return "", false
+}
+
+// recordsText renders one of the recorder's views a record per line, or
+// empty when it holds none.
+func recordsText(recs []obs.Record, empty string) string {
+	if len(recs) == 0 {
+		return empty
+	}
+	lines := make([]string, len(recs))
+	for i, r := range recs {
+		lines[i] = r.String()
+	}
+	return strings.Join(lines, "\n")
 }
 
 // statsText renders the registry snapshot for the REPL: non-zero

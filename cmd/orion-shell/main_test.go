@@ -1,10 +1,12 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/schema"
 )
 
 func TestBalanced(t *testing.T) {
@@ -44,7 +46,7 @@ func TestMetaCommands(t *testing.T) {
 	if out, handled := metaCommand(d, "trace on"); !handled || out != "tracing on" {
 		t.Fatalf("trace on: %q, %v", out, handled)
 	}
-	if !d.Observability().Tracer().Active() {
+	if !d.Observability().Recorder().Active() {
 		t.Fatal("tracer not activated")
 	}
 
@@ -60,7 +62,7 @@ func TestMetaCommands(t *testing.T) {
 	if out, _ := metaCommand(d, "trace off"); out != "tracing off" {
 		t.Fatalf("trace off: %q", out)
 	}
-	if d.Observability().Tracer().Active() {
+	if d.Observability().Recorder().Active() {
 		t.Fatal("tracer still active")
 	}
 	if out, _ := metaCommand(d, "trace clear"); out != "trace cleared" {
@@ -79,6 +81,23 @@ func TestMetaCommands(t *testing.T) {
 
 	if out, _ := metaCommand(d, "slow 1ns"); !strings.Contains(out, "threshold 1ns") {
 		t.Fatalf("slow 1ns: %q", out)
+	}
+	// One op over the threshold shows in both the slow and the flight view.
+	d.Observability().Recorder().SetWriter(io.Discard) // the breach dumps the ring
+	if _, err := d.DefineClass(schema.ClassDef{Name: "C"}); err != nil {
+		t.Fatal(err)
+	}
+	o, err := d.Make("C", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Delete(o.UID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"slow dump", "flight dump"} {
+		if out, _ := metaCommand(d, cmd); !strings.Contains(out, "core.delete "+o.UID().String()) {
+			t.Fatalf("%s lacks the delete: %q", cmd, out)
+		}
 	}
 	if out, _ := metaCommand(d, "slow off"); out != "slow log off" {
 		t.Fatalf("slow off: %q", out)

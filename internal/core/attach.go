@@ -204,7 +204,7 @@ func (w *op) attach(parent uid.UID, attr string, childID uid.UID,
 	}
 	w.dirty.Add(parent)
 	e.o.attaches.Inc()
-	if tr := e.o.tr; tr.Active() {
+	if tr := e.o.rec; tr.Active() {
 		tr.Point(0, "core.attach", obs.F("parent", parent), obs.F("attr", attr), obs.F("child", childID),
 			obs.F("ref", spec.RefKind()))
 	}
@@ -300,7 +300,7 @@ func (w *op) detach(parent uid.UID, attr string, child uid.UID) error {
 		}
 	}
 	e.o.detaches.Inc()
-	if tr := e.o.tr; tr.Active() {
+	if tr := e.o.rec; tr.Active() {
 		tr.Point(0, "core.detach", obs.F("parent", parent), obs.F("attr", attr), obs.F("child", child))
 	}
 	return nil

@@ -266,7 +266,7 @@ func (e *Engine) convert(o *object.Object) {
 	}
 	if n := e.cat.ApplyPending(cl.Name, o); n > 0 {
 		e.o.evolutionReplays.Add(uint64(n))
-		if tr := e.o.tr; tr.Active() {
+		if tr := e.o.rec; tr.Active() {
 			tr.Point(0, "core.evolution.replay", obs.F("uid", o.UID()), obs.F("changes", n))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/object"
@@ -45,7 +46,7 @@ func (e *Engine) DeleteTx(tx TxnID, id uid.UID) ([]uid.UID, error) {
 		}
 		start := time.Now()
 		var sp uint64
-		if tr := e.o.tr; tr.Active() {
+		if tr := e.o.rec; tr.Active() {
 			sp = tr.Begin(0, "core.delete", obs.F("uid", id))
 		}
 		deleted := uid.NewSet()
@@ -57,10 +58,10 @@ func (e *Engine) DeleteTx(tx TxnID, id uid.UID) ([]uid.UID, error) {
 		}
 		dur := time.Since(start)
 		e.o.deleteNs.Observe(int64(dur))
-		if e.o.slow.Active() {
-			e.o.slow.Observe("core.delete", dur, fmt.Sprintf("%v cascade=%d", id, n-1))
+		if rec := e.o.rec; rec != nil {
+			rec.Op("core.delete", id.String(), start, dur, "ok", "cascade="+strconv.Itoa(n-1))
 		}
-		if tr := e.o.tr; tr.Active() {
+		if tr := e.o.rec; tr.Active() {
 			tr.End(sp, "core.delete", obs.F("deleted", n))
 		}
 		return append([]uid.UID(nil), deleted.Slice()...), nil
@@ -82,7 +83,7 @@ func (w *op) delete(id uid.UID, deleted *uid.Set, span uint64) {
 	}
 	deleted.Add(id)
 	e := w.e
-	if tr := e.o.tr; tr.Active() {
+	if tr := e.o.rec; tr.Active() {
 		span = tr.Begin(span, "core.delete.object", obs.F("uid", id))
 		defer tr.End(span, "core.delete.object")
 	}
@@ -136,7 +137,7 @@ func (w *op) reap(parent, childID uid.UID, dependent, exclusive bool, deleted *u
 		return
 	}
 	lastDS := !slices.ContainsFunc(child.DS(), func(p uid.UID) bool { return p != parent })
-	if tr := w.e.o.tr; tr.Active() {
+	if tr := w.e.o.rec; tr.Active() {
 		tr.Point(span, "core.delete.reap", obs.F("child", childID),
 			obs.F("rule", reapRule(dependent, exclusive, lastDS)))
 	}

@@ -11,10 +11,8 @@ import (
 // instrument is nil and each emission site reduces to a nil-check — the
 // no-instrumentation baseline BenchmarkObsDisabled measures against.
 type engineObs struct {
-	reg    *obs.Registry
-	tr     *obs.Tracer
-	slow   *obs.SlowLog
-	flight *obs.FlightRecorder
+	reg *obs.Registry
+	rec *obs.Recorder
 
 	// Plan-memo counters (traverse.go).
 	planHits   *obs.Counter
@@ -39,22 +37,13 @@ type engineObs struct {
 	mvccSnapshotAge     *obs.Gauge
 }
 
-// timed reports whether the current operation should take timestamps:
-// either the tracer or the slow log wants durations. One-to-two atomic
-// loads; used to keep time.Now off the disabled query path.
-func (o *engineObs) timed() bool {
-	return o.tr.Active() || o.slow.Active()
-}
-
 // bindObs resolves the engine's instruments from r. A nil registry binds
 // nil instruments (every obs method accepts a nil receiver), making all
 // instrumentation a branch.
 func (e *Engine) bindObs(r *obs.Registry) {
 	e.o = engineObs{
 		reg:              r,
-		tr:               r.Tracer(),
-		slow:             r.Slow(),
-		flight:           r.Flight(),
+		rec:              r.Recorder(),
 		planHits:         r.Counter("core_cache_plan_hits_total"),
 		planMisses:       r.Counter("core_cache_plan_misses_total"),
 		attaches:         r.Counter("core_attach_total"),

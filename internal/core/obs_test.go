@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/schema"
@@ -47,7 +49,7 @@ func cascadeEngine(t *testing.T) (e *Engine, root, a, b, c uid.UID) {
 // the shared dependent distinguishable from the exclusive cascades.
 func TestCascadeTrace(t *testing.T) {
 	e, root, a, b, c := cascadeEngine(t)
-	tr := e.Observability().Tracer()
+	tr := e.Observability().Recorder()
 	tr.SetActive(true)
 
 	deleted, err := e.Delete(root)
@@ -58,10 +60,11 @@ func TestCascadeTrace(t *testing.T) {
 		t.Fatalf("deleted = %v", deleted)
 	}
 
-	evs := tr.Events()
+	evs := tr.Trace()
 	type want struct {
-		phase, name string
-		fields      map[string]string
+		kind   obs.Kind
+		name   string
+		fields map[string]string
 	}
 	f := func(kv ...string) map[string]string {
 		m := map[string]string{}
@@ -71,20 +74,20 @@ func TestCascadeTrace(t *testing.T) {
 		return m
 	}
 	wants := []want{
-		{obs.PhaseBegin, "core.delete", f("uid", root.String())},
-		{obs.PhaseBegin, "core.delete.object", f("uid", root.String())},
-		{obs.PhasePoint, "core.delete.reap", f("child", a.String(), "rule", "cascade-dependent-exclusive")},
-		{obs.PhaseBegin, "core.delete.object", f("uid", a.String())},
-		{obs.PhasePoint, "core.delete.reap", f("child", c.String(), "rule", "survives-ds-parents-remain")},
-		{obs.PhaseEnd, "core.delete.object", nil},
-		{obs.PhasePoint, "core.delete.reap", f("child", b.String(), "rule", "cascade-dependent-exclusive")},
-		{obs.PhaseBegin, "core.delete.object", f("uid", b.String())},
-		{obs.PhasePoint, "core.delete.reap", f("child", c.String(), "rule", "cascade-last-ds-parent")},
-		{obs.PhaseBegin, "core.delete.object", f("uid", c.String())},
-		{obs.PhaseEnd, "core.delete.object", nil},
-		{obs.PhaseEnd, "core.delete.object", nil},
-		{obs.PhaseEnd, "core.delete.object", nil},
-		{obs.PhaseEnd, "core.delete", f("deleted", "4")},
+		{obs.KindBegin, "core.delete", f("uid", root.String())},
+		{obs.KindBegin, "core.delete.object", f("uid", root.String())},
+		{obs.KindPoint, "core.delete.reap", f("child", a.String(), "rule", "cascade-dependent-exclusive")},
+		{obs.KindBegin, "core.delete.object", f("uid", a.String())},
+		{obs.KindPoint, "core.delete.reap", f("child", c.String(), "rule", "survives-ds-parents-remain")},
+		{obs.KindEnd, "core.delete.object", nil},
+		{obs.KindPoint, "core.delete.reap", f("child", b.String(), "rule", "cascade-dependent-exclusive")},
+		{obs.KindBegin, "core.delete.object", f("uid", b.String())},
+		{obs.KindPoint, "core.delete.reap", f("child", c.String(), "rule", "cascade-last-ds-parent")},
+		{obs.KindBegin, "core.delete.object", f("uid", c.String())},
+		{obs.KindEnd, "core.delete.object", nil},
+		{obs.KindEnd, "core.delete.object", nil},
+		{obs.KindEnd, "core.delete.object", nil},
+		{obs.KindEnd, "core.delete", f("deleted", "4")},
 	}
 	if len(evs) != len(wants) {
 		for _, ev := range evs {
@@ -92,7 +95,7 @@ func TestCascadeTrace(t *testing.T) {
 		}
 		t.Fatalf("got %d events, want %d", len(evs), len(wants))
 	}
-	fieldsOf := func(ev obs.Event) map[string]string {
+	fieldsOf := func(ev obs.Record) map[string]string {
 		m := map[string]string{}
 		for _, fl := range ev.Fields {
 			m[fl.Key] = fl.Val
@@ -101,8 +104,8 @@ func TestCascadeTrace(t *testing.T) {
 	}
 	for i, w := range wants {
 		ev := evs[i]
-		if ev.Phase != w.phase || ev.Name != w.name {
-			t.Fatalf("event %d = %v, want %s %s", i, ev, w.phase, w.name)
+		if ev.Kind != w.kind || ev.Name != w.name {
+			t.Fatalf("event %d = %v, want %s %s", i, ev, w.kind, w.name)
 		}
 		got := fieldsOf(ev)
 		for k, v := range w.fields {
@@ -139,6 +142,31 @@ func TestCascadeTrace(t *testing.T) {
 	checkClean(t, e)
 }
 
+// TestSlowDeleteDumpsItsRecord: with a slow threshold set, a delete at
+// or over it triggers the ring dump, and the dump holds that delete's own
+// op record, not only what ran before it.
+func TestSlowDeleteDumpsItsRecord(t *testing.T) {
+	e, root, _, _, _ := cascadeEngine(t)
+	rec := e.Observability().Recorder()
+	var buf strings.Builder
+	rec.SetWriter(&buf)
+	rec.SetThreshold(time.Nanosecond)
+	if _, err := e.Delete(root); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "slow-op threshold breach") {
+		t.Fatalf("no dump after a delete over the threshold: %q", out)
+	}
+	if want := "core.delete " + root.String() + " "; !strings.Contains(out, want) || !strings.Contains(out, "[cascade=3]") {
+		t.Fatalf("dump lacks the delete's record %q:\n%s", want, out)
+	}
+	slow := rec.Slow()
+	if len(slow) != 1 || slow[0].Name != "core.delete" || slow[0].Detail != root.String() {
+		t.Fatalf("slow view = %v", slow)
+	}
+}
+
 // TestCascadeTraceOffByDefault: the same cascade with the default
 // (disabled) tracer must emit nothing and still count.
 func TestCascadeTraceOffByDefault(t *testing.T) {
@@ -146,7 +174,7 @@ func TestCascadeTraceOffByDefault(t *testing.T) {
 	if _, err := e.Delete(root); err != nil {
 		t.Fatal(err)
 	}
-	if evs := e.Observability().Tracer().Events(); len(evs) != 0 {
+	if evs := e.Observability().Recorder().Trace(); len(evs) != 0 {
 		t.Fatalf("disabled tracer recorded %d events", len(evs))
 	}
 	if got := e.Observability().Snapshot().Counters["core_delete_cascaded_total"]; got != 3 {

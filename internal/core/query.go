@@ -130,33 +130,27 @@ func read[T any](v View, prof *obs.ProfCtx, fn func(r reader) (T, error)) (T, er
 	return fn(e.reader(e.headSource(v.tx, prof), e.cat))
 }
 
-// observeQuery wraps a traversal query with tracing, slow-path
-// accounting, and a flight-recorder record. It is entered when the
-// tracer or slow log is active (e.o.timed()), a flight recorder is
-// bound, or the query carries a profile context; the bare path pays a
-// couple of atomic loads and no time.Now calls only with a nil
-// registry (the flight recorder is always-on otherwise, at the cost of
-// one record per query).
+// observeQuery times a traversal query and writes its op record, with
+// its UID rendered once, plus a span around it while tracing is on. It
+// is entered whenever a recorder is bound; only a nil registry skips it,
+// and with it the time.Now pair.
 func (e *Engine) observeQuery(op string, id uid.UID, prof *obs.ProfCtx, run func() ([]uid.UID, error)) ([]uid.UID, error) {
 	start := time.Now()
 	var sp uint64
-	if tr := e.o.tr; tr.Active() {
+	if tr := e.o.rec; tr.Active() {
 		sp = tr.Begin(0, op, obs.F("uid", id))
 	}
 	out, err := run()
 	d := time.Since(start)
 	e.o.traversalNs.Observe(int64(d))
-	if tr := e.o.tr; tr.Active() {
+	if tr := e.o.rec; tr.Active() {
 		tr.End(sp, op, obs.F("results", len(out)))
 	}
-	e.o.slow.Observe(op, d, id.String())
-	if f := e.o.flight; f != nil {
-		outcome := "ok"
-		if err != nil {
-			outcome = "err"
-		}
-		f.Record(op, id.String(), d, outcome, prof.TopCosts())
+	outcome := "ok"
+	if err != nil {
+		outcome = "err"
 	}
+	e.o.rec.Op(op, id.String(), start, d, outcome, prof.TopCosts())
 	return out, err
 }
 
@@ -169,7 +163,7 @@ func (v View) ComponentsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 	run := func() ([]uid.UID, error) {
 		return read(v, q.Prof, func(r reader) ([]uid.UID, error) { return r.components(id, q) })
 	}
-	if o := &v.e.o; o.timed() || o.flight != nil {
+	if v.e.o.rec != nil {
 		return v.e.observeQuery("components-of", id, q.Prof, run)
 	}
 	return run()
@@ -188,7 +182,7 @@ func (v View) AncestorsOf(id uid.UID, q QueryOpts) ([]uid.UID, error) {
 	run := func() ([]uid.UID, error) {
 		return read(v, q.Prof, func(r reader) ([]uid.UID, error) { return r.ancestors(id, q) })
 	}
-	if o := &v.e.o; o.timed() || o.flight != nil {
+	if v.e.o.rec != nil {
 		return v.e.observeQuery("ancestors-of", id, q.Prof, run)
 	}
 	return run()

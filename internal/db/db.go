@@ -50,24 +50,10 @@ type Options struct {
 	// recently committed work (it never produces a half-applied
 	// transaction either way; replay is atomic per transaction).
 	SyncWAL bool
-	// GroupCommitWait bounds how long a group-commit leader waits for
-	// concurrent committers to join its batch (default 200µs). The wait
-	// is only taken when other committers are demonstrably in flight, so
-	// a lone committer is never delayed.
-	GroupCommitWait time.Duration
-	// GroupCommitBatch caps how many committers one fsync may cover
-	// (default 64).
-	GroupCommitBatch int
 	// SnapshotFile overrides how a checkpoint creates the file it writes
 	// its snapshot to, e.g. with a fault-injecting file from
 	// internal/faultfs. When nil, storage.CreateFile.
 	SnapshotFile func(path string) (storage.File, error)
-	// SlowOpThreshold arms the slow-op log from the start: operations at
-	// or above this duration are recorded in the ring and trigger a
-	// throttled flight-recorder dump. Zero leaves the log disabled (it
-	// can still be armed later via Observability().Slow().SetThreshold,
-	// which the shell's `slow DUR` command does).
-	SlowOpThreshold time.Duration
 }
 
 // ErrClosed is returned when a closed DB is used.
@@ -153,9 +139,6 @@ func Open(opts Options) (*DB, error) {
 	d := &DB{opts: opts, cat: schema.NewCatalog(), reg: obs.NewRegistry(), saved: make(map[string][sha256.Size]byte)}
 	d.profRuns = d.reg.Counter("query_profile_runs_total")
 	d.profWall = d.reg.Histogram("query_profile_wall_ns", nil)
-	if opts.SlowOpThreshold > 0 {
-		d.reg.Slow().SetThreshold(opts.SlowOpThreshold)
-	}
 	d.engine = core.NewEngine(d.cat)
 	// One registry for every subsystem, installed before anything runs
 	// concurrently: the /metrics endpoint then exposes core, storage,
@@ -178,7 +161,7 @@ func Open(opts Options) (*DB, error) {
 	// The group committer is constructed even for in-memory databases
 	// (d.wal == nil makes every Sync a no-op) so its metric family is
 	// always registered.
-	d.gc = storage.NewGroupCommitter(d.wal, opts.GroupCommitWait, opts.GroupCommitBatch)
+	d.gc = storage.NewGroupCommitter(d.wal, 0, 0)
 	d.gc.SetObservability(d.reg)
 	h := &hook{d: d, groups: make(map[core.TxnID]*group)}
 	d.engine.SetHook(core.MultiHook{h, d.vers})
@@ -497,15 +480,14 @@ func (d *DB) Checkpoint() error {
 }
 
 // checkpointLocked runs the checkpoint and, on failure, dumps the
-// flight recorder: a checkpoint that cannot complete is exactly the
+// recorder's ring: a checkpoint that cannot complete is exactly the
 // moment the recent-operation history is about to become unrecoverable.
 func (d *DB) checkpointLocked() error {
 	err := d.checkpointInner()
 	if err != nil && !errors.Is(err, ErrClosed) {
-		if f := d.reg.Flight(); f != nil {
-			f.Record("db.checkpoint", d.opts.Dir, 0, "err", err.Error())
-			f.Dump("checkpoint failure")
-		}
+		rec := d.reg.Recorder()
+		rec.Op("db.checkpoint", d.opts.Dir, time.Now(), 0, "err", err.Error())
+		rec.Dump("checkpoint failure")
 	}
 	return err
 }
@@ -738,7 +720,8 @@ func (d *DB) Txns() *txn.Manager { return d.txm }
 func (d *DB) Indexes() *index.Manager { return d.idx }
 
 // Observability returns the registry shared by every subsystem — the
-// source for the /metrics exposition, trace control, and the slow log.
+// source for the /metrics exposition and of the recorder behind the
+// trace, slow and flight views.
 func (d *DB) Observability() *obs.Registry { return d.reg }
 
 // AttachProf installs p as the ambient cost sink of the layers that

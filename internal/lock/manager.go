@@ -101,9 +101,7 @@ type Manager struct {
 // latency histogram, bound from a registry so db.Open can share one
 // across subsystems.
 type managerObs struct {
-	tr        *obs.Tracer
-	slow      *obs.SlowLog
-	flight    *obs.FlightRecorder
+	rec       *obs.Recorder
 	acquires  *obs.Counter
 	waits     *obs.Counter
 	upgrades  *obs.Counter
@@ -133,9 +131,7 @@ func NewManager() *Manager {
 // them). Call before the manager is used concurrently.
 func (m *Manager) SetObservability(r *obs.Registry) {
 	m.o = managerObs{
-		tr:        r.Tracer(),
-		slow:      r.Slow(),
-		flight:    r.Flight(),
+		rec:       r.Recorder(),
 		acquires:  r.Counter("lock_acquire_total"),
 		waits:     r.Counter("lock_wait_total"),
 		upgrades:  r.Counter("lock_upgrade_total"),
@@ -260,20 +256,20 @@ func chooseVictim(cycle []TxID) TxID {
 // calls ReleaseAll — 2PL's usual abort path — which also clears its doom.
 func (m *Manager) abortVictim(tx TxID, key string, mode Mode, g Granule, waitSpan uint64) error {
 	m.o.victims.Inc()
-	if tr := m.o.tr; tr.Active() {
+	if tr := m.o.rec; tr.Active() {
 		if waitSpan != 0 {
 			tr.End(waitSpan, "lock.wait", obs.F("outcome", "deadlock"))
 		} else {
 			tr.Point(0, "lock.deadlock", obs.F("tx", tx), obs.F("granule", key), obs.F("mode", mode))
 		}
 	}
-	// Black-box trigger: a deadlock-victim abort dumps the flight ring so
-	// the operations leading up to the cycle are on record. Throttled and
+	// Black-box trigger: a deadlock-victim abort dumps the ring so the
+	// operations leading up to the cycle are on record. Throttled and
 	// incremental: under a deadlock storm each dump adds only the records
 	// since the last one.
-	if f := m.o.flight; f != nil {
-		f.Record("lock.deadlock", fmt.Sprintf("tx=%d %s %s", tx, mode, key), 0, "deadlock", "")
-		f.DumpThrottled("deadlock-victim abort")
+	if rec := m.o.rec; rec != nil {
+		rec.Op("lock.deadlock", fmt.Sprintf("tx=%d %s %s", tx, mode, key), time.Now(), 0, "deadlock", "")
+		rec.DumpThrottled("deadlock-victim abort")
 	}
 	return fmt.Errorf("tx %d requesting %s on %s: %w", tx, mode, g, ErrDeadlock)
 }
@@ -347,7 +343,7 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 					m.yieldTo[victim] = cycle[(i+len(cycle)-1)%len(cycle)]
 				}
 			}
-			if tr := m.o.tr; tr.Active() {
+			if tr := m.o.rec; tr.Active() {
 				tr.Point(waitSpan, "lock.deadlock", obs.F("tx", tx), obs.F("granule", key), obs.F("mode", mode), obs.F("victim", victim))
 			}
 			if victim == tx {
@@ -373,7 +369,7 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 			}
 			m.o.waits.Inc()
 			waitStart = time.Now()
-			if tr := m.o.tr; tr.Active() {
+			if tr := m.o.rec; tr.Active() {
 				waitSpan = tr.Begin(0, "lock.wait", obs.F("tx", tx), obs.F("granule", key), obs.F("mode", mode))
 			}
 		}
@@ -392,9 +388,9 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 	if waited {
 		d := time.Since(waitStart)
 		m.o.waitNs.Observe(int64(d))
-		m.o.slow.Observe("lock.wait", d, key)
+		m.o.rec.Op("lock.wait", key, waitStart, d, "granted", "")
 		m.profFor(tx).LockWait(mode.String(), d)
-		if tr := m.o.tr; tr.Active() {
+		if tr := m.o.rec; tr.Active() {
 			tr.End(waitSpan, "lock.wait", obs.F("outcome", "granted"))
 		}
 	}
@@ -407,12 +403,12 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 		// Accumulating a second mode on a held granule is a conversion
 		// (upgrade) in this manager's model.
 		m.o.upgrades.Inc()
-		if tr := m.o.tr; tr.Active() {
+		if tr := m.o.rec; tr.Active() {
 			tr.Point(0, "lock.upgrade", obs.F("tx", tx), obs.F("granule", key), obs.F("mode", mode))
 		}
 	}
 	m.o.acquires.Inc()
-	if tr := m.o.tr; tr.Active() {
+	if tr := m.o.rec; tr.Active() {
 		tr.Point(0, "lock.acquire", obs.F("tx", tx), obs.F("granule", key), obs.F("mode", mode))
 	}
 	st.holders[tx] = append(st.holders[tx], mode)
@@ -513,7 +509,7 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.o.releases.Inc()
-	if tr := m.o.tr; tr.Active() {
+	if tr := m.o.rec; tr.Active() {
 		tr.Point(0, "lock.release-all", obs.F("tx", tx), obs.F("granules", len(m.held[tx])))
 	}
 	for key := range m.held[tx] {

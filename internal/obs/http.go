@@ -9,9 +9,9 @@ import (
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON snapshot of every instrument
-//	/trace         trace ring buffer as JSON (?clear=1 empties it after)
-//	/slow          slow-operation log as JSON
-//	/flight        flight-recorder ring as JSON (?clear=1 empties it after)
+//	/trace         the recorder's span records as JSON (?clear=1 drops them after)
+//	/slow          its op records at or above the slow threshold as JSON
+//	/flight        every record in the ring as JSON (?clear=1 empties it after)
 //
 // It is what cmd/orion-shell serves under -metrics; anything holding a
 // *Registry can mount it.
@@ -26,21 +26,20 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, r.Snapshot())
 	})
+	rec := r.Recorder()
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		tr := r.Tracer()
-		writeJSON(w, tr.Events())
+		writeJSON(w, rec.Trace())
 		if req.URL.Query().Get("clear") == "1" {
-			tr.Clear()
+			rec.ClearTrace()
 		}
 	})
 	mux.HandleFunc("/slow", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, r.Slow().Entries())
+		writeJSON(w, rec.Slow())
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, req *http.Request) {
-		f := r.Flight()
-		writeJSON(w, f.Records())
+		writeJSON(w, rec.Records())
 		if req.URL.Query().Get("clear") == "1" {
-			f.Clear()
+			rec.Clear()
 		}
 	})
 	return mux

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -71,24 +72,23 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram recorded")
 	}
-	tr := r.Tracer()
+	tr := r.Recorder()
 	if tr.Active() {
-		t.Fatal("nil tracer active")
+		t.Fatal("nil recorder active")
 	}
 	tr.SetActive(true)
 	if sp := tr.Begin(0, "x"); sp != 0 {
-		t.Fatalf("nil tracer Begin = %d", sp)
+		t.Fatalf("nil recorder Begin = %d", sp)
 	}
 	tr.End(1, "x")
 	tr.Point(0, "x")
-	if tr.Events() != nil {
-		t.Fatal("nil tracer has events")
+	if tr.Trace() != nil {
+		t.Fatal("nil recorder has span records")
 	}
-	sl := r.Slow()
-	sl.SetThreshold(time.Nanosecond)
-	sl.Observe("x", time.Second, "")
-	if sl.Active() || sl.Entries() != nil {
-		t.Fatal("nil slow log recorded")
+	tr.SetThreshold(time.Nanosecond)
+	tr.Op("x", "", time.Now(), time.Second, "ok", "")
+	if tr.Threshold() != 0 || tr.Slow() != nil {
+		t.Fatal("nil recorder recorded")
 	}
 	r.Reset()
 	r.ResetPrefix("x")
@@ -164,7 +164,7 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 }
 
 func TestTracerNestingAndWrap(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewRegistry().Recorder()
 	if tr.Active() {
 		t.Fatal("tracer active before SetActive")
 	}
@@ -177,76 +177,72 @@ func TestTracerNestingAndWrap(t *testing.T) {
 	tr.Point(child, "tick")
 	tr.End(child, "inner")
 	tr.End(root, "outer")
-	evs := tr.Events()
+	evs := tr.Trace()
 	if len(evs) != 5 {
 		t.Fatalf("got %d events", len(evs))
 	}
-	if evs[1].Parent != root || evs[1].Span != child {
+	if evs[0].Span != root || evs[1].Parent != root || evs[1].Span != child {
 		t.Fatalf("inner Begin not nested under outer: %+v", evs[1])
 	}
-	if evs[2].Parent != child || evs[2].Phase != PhasePoint {
+	if evs[2].Parent != child || evs[2].Kind != KindPoint {
 		t.Fatalf("point not attached to inner: %+v", evs[2])
 	}
-	if evs[3].Span != child || evs[3].Phase != PhaseEnd {
+	if evs[3].Span != child || evs[3].Kind != KindEnd {
 		t.Fatalf("inner End: %+v", evs[3])
 	}
+	if s := evs[0].String(); !strings.Contains(s, "B outer span=") {
+		t.Fatalf("String = %q", s)
+	}
 	// Ring wrap: emit past capacity, then verify order and monotonic seq.
-	for i := 0; i < 30; i++ {
+	for i := 0; i < RingCapacity+30; i++ {
 		tr.Point(0, "spin")
 	}
-	evs = tr.Events()
-	if len(evs) != 16 {
-		t.Fatalf("ring holds %d events, want 16", len(evs))
+	evs = tr.Trace()
+	if len(evs) != RingCapacity {
+		t.Fatalf("ring holds %d events, want %d", len(evs), RingCapacity)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
 			t.Fatalf("non-contiguous seq after wrap: %d then %d", evs[i-1].Seq, evs[i].Seq)
 		}
 	}
-	tr.Clear()
-	if len(tr.Events()) != 0 {
-		t.Fatal("Clear left events")
-	}
-}
-
-func TestTracerWriter(t *testing.T) {
-	tr := NewTracer(16)
-	tr.SetActive(true)
-	var buf bytes.Buffer
-	tr.SetWriter(&buf)
-	sp := tr.Begin(0, "op", F("uid", 7))
-	tr.End(sp, "op")
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], "B op") || !strings.Contains(lines[0], "uid=7") {
-		t.Fatalf("writer got %q", buf.String())
+	tr.ClearTrace()
+	if len(tr.Trace()) != 0 {
+		t.Fatal("ClearTrace left events")
 	}
 }
 
 func TestSlowLog(t *testing.T) {
-	sl := NewSlowLog(16)
-	sl.Observe("ignored", time.Hour, "") // threshold 0 = disabled
-	if sl.Active() || len(sl.Entries()) != 0 {
-		t.Fatal("disabled slow log recorded")
+	sl := NewRegistry().Recorder()
+	sl.SetWriter(io.Discard)                              // each breach dumps
+	sl.Op("ignored", "", time.Now(), time.Hour, "ok", "") // threshold 0 = slow view off
+	if sl.Threshold() != 0 || len(sl.Slow()) != 0 {
+		t.Fatal("slow view without a threshold")
 	}
 	sl.SetThreshold(time.Millisecond)
-	if !sl.Active() || sl.Threshold() != time.Millisecond {
+	if sl.Threshold() != time.Millisecond {
 		t.Fatal("threshold not installed")
 	}
-	sl.Observe("fast", 100*time.Microsecond, "")
-	sl.Observe("slow", 2*time.Millisecond, "detail")
-	entries := sl.Entries()
-	if len(entries) != 1 || entries[0].Op != "slow" || entries[0].Detail != "detail" {
+	sl.Op("fast", "", time.Now(), 100*time.Microsecond, "ok", "")
+	sl.Op("slow", "detail", time.Now(), 2*time.Millisecond, "ok", "")
+	sl.SetActive(true)
+	sp := sl.Begin(0, "span")
+	sl.End(sp, "span")
+	// Slow history is whatever the ring holds: the op recorded before the
+	// threshold was set shows once it meets it.
+	entries := sl.Slow()
+	if len(entries) != 2 || entries[0].Name != "ignored" || entries[1].Name != "slow" || entries[1].Detail != "detail" {
 		t.Fatalf("entries = %+v", entries)
 	}
-	for i := 0; i < 40; i++ {
-		sl.Observe("spin", time.Second, fmt.Sprintf("%d", i))
+	for i := 0; i < RingCapacity; i++ {
+		sl.Op("spin", fmt.Sprintf("%d", i), time.Now(), time.Second, "ok", "")
 	}
-	entries = sl.Entries()
-	if len(entries) != 16 || entries[len(entries)-1].Detail != "39" {
+	entries = sl.Slow()
+	if len(entries) != RingCapacity || entries[len(entries)-1].Detail != fmt.Sprint(RingCapacity-1) {
 		t.Fatalf("ring wrap: %d entries, last %q", len(entries), entries[len(entries)-1].Detail)
 	}
 	sl.Clear()
-	if len(sl.Entries()) != 0 {
+	if len(sl.Slow()) != 0 {
 		t.Fatal("Clear left entries")
 	}
 }
@@ -255,11 +251,11 @@ func TestHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core_attach_total").Inc()
 	r.Histogram("core_delete_ns", nil).Observe(123)
-	r.Tracer().SetActive(true)
-	sp := r.Tracer().Begin(0, "core.delete")
-	r.Tracer().End(sp, "core.delete")
-	r.Slow().SetThreshold(time.Nanosecond)
-	r.Slow().Observe("core.delete", time.Second, "x")
+	r.Recorder().SetActive(true)
+	sp := r.Recorder().Begin(0, "core.delete")
+	r.Recorder().End(sp, "core.delete")
+	r.Recorder().SetThreshold(time.Nanosecond)
+	r.Recorder().Op("core.delete", "x", time.Now(), time.Second, "ok", "")
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
@@ -304,23 +300,23 @@ func TestHandler(t *testing.T) {
 	}
 
 	body, _ = get("/trace?clear=1")
-	var evs []Event
+	var evs []Record
 	if err := json.Unmarshal([]byte(body), &evs); err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) != 2 || evs[0].Name != "core.delete" {
 		t.Fatalf("trace = %+v", evs)
 	}
-	if n := len(r.Tracer().Events()); n != 0 {
+	if n := len(r.Recorder().Trace()); n != 0 {
 		t.Fatalf("?clear=1 left %d events", n)
 	}
 
 	body, _ = get("/slow")
-	var entries []SlowEntry
+	var entries []Record
 	if err := json.Unmarshal([]byte(body), &entries); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Op != "core.delete" {
+	if len(entries) != 1 || entries[0].Name != "core.delete" {
 		t.Fatalf("slow = %+v", entries)
 	}
 }

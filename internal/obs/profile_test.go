@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -111,17 +112,17 @@ func TestProfCtxConcurrent(t *testing.T) {
 }
 
 func TestFlightRecorderBasics(t *testing.T) {
-	f := NewFlightRecorder(64)
-	if f.Len() != 0 {
+	f := NewRegistry().Recorder()
+	if len(f.Records()) != 0 {
 		t.Fatal("fresh recorder non-empty")
 	}
-	f.Record("op-a", "1:1", time.Millisecond, "ok", "visited=3")
-	f.Record("op-b", "1:2", 2*time.Millisecond, "err", "")
+	f.Op("op-a", "1:1", time.Now(), time.Millisecond, "ok", "visited=3")
+	f.Op("op-b", "1:2", time.Now(), 2*time.Millisecond, "err", "")
 	recs := f.Records()
-	if len(recs) != 2 || recs[0].Op != "op-a" || recs[1].Op != "op-b" {
+	if len(recs) != 2 || recs[0].Name != "op-a" || recs[1].Name != "op-b" {
 		t.Fatalf("records = %+v", recs)
 	}
-	if recs[0].Seq != 0 || recs[1].Seq != 1 {
+	if recs[0].Seq != 1 || recs[1].Seq != 2 {
 		t.Fatalf("sequence numbers = %d, %d", recs[0].Seq, recs[1].Seq)
 	}
 	s := recs[1].String()
@@ -132,42 +133,43 @@ func TestFlightRecorderBasics(t *testing.T) {
 		t.Fatalf("String = %q", recs[0].String())
 	}
 	f.Clear()
-	if f.Len() != 0 {
+	if len(f.Records()) != 0 {
 		t.Fatal("Clear left records")
 	}
 	// Sequence numbers keep increasing past a Clear.
-	f.Record("op-c", "", 0, "ok", "")
-	if got := f.Records(); len(got) != 1 || got[0].Seq != 2 {
+	f.Op("op-c", "", time.Now(), 0, "ok", "")
+	if got := f.Records(); len(got) != 1 || got[0].Seq != 3 {
 		t.Fatalf("post-clear records = %+v", got)
 	}
 }
 
 func TestFlightRecorderWraparound(t *testing.T) {
-	f := NewFlightRecorder(64) // minimum capacity
-	const total = 150
+	f := NewRegistry().Recorder()
+	const total = RingCapacity + 86
 	for i := 0; i < total; i++ {
-		f.Record("op", fmt.Sprintf("root-%d", i), 0, "ok", "")
+		f.Op("op", fmt.Sprintf("root-%d", i), time.Now(), 0, "ok", "")
 	}
 	recs := f.Records()
-	if len(recs) != 64 {
-		t.Fatalf("retained %d records, want 64", len(recs))
+	if len(recs) != RingCapacity {
+		t.Fatalf("retained %d records, want %d", len(recs), RingCapacity)
 	}
-	// Oldest retained record is total-64; order is strictly increasing.
-	if recs[0].Seq != total-64 {
-		t.Fatalf("oldest seq = %d, want %d", recs[0].Seq, total-64)
+	// The oldest retained record is the one RingCapacity back from the
+	// newest (sequence numbers start at 1); order is strictly increasing.
+	if recs[0].Seq != total-RingCapacity+1 {
+		t.Fatalf("oldest seq = %d, want %d", recs[0].Seq, total-RingCapacity+1)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq != recs[i-1].Seq+1 {
 			t.Fatalf("gap at %d: %d -> %d", i, recs[i-1].Seq, recs[i].Seq)
 		}
 	}
-	if recs[len(recs)-1].Root != fmt.Sprintf("root-%d", total-1) {
+	if recs[len(recs)-1].Detail != fmt.Sprintf("root-%d", total-1) {
 		t.Fatalf("newest record = %+v", recs[len(recs)-1])
 	}
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder(128)
+	f := NewRegistry().Recorder()
 	var wg sync.WaitGroup
 	const writers, per = 8, 500
 	for w := 0; w < writers; w++ {
@@ -175,7 +177,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				f.Record("op", fmt.Sprintf("w%d-%d", w, i), 0, "ok", "")
+				f.Op("op", fmt.Sprintf("w%d-%d", w, i), time.Now(), 0, "ok", "")
 			}
 		}(w)
 	}
@@ -185,7 +187,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			for _, r := range f.Records() {
-				if r.Op == "" {
+				if r.Name == "" {
 					t.Error("reader saw a torn record")
 					return
 				}
@@ -198,8 +200,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		t.Fatalf("cursor = %d, want %d", f.cur.Load(), writers*per)
 	}
 	recs := f.Records()
-	if len(recs) != 128 {
-		t.Fatalf("retained %d, want 128", len(recs))
+	if len(recs) != RingCapacity {
+		t.Fatalf("retained %d, want %d", len(recs), RingCapacity)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq <= recs[i-1].Seq {
@@ -210,10 +212,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 
 func TestFlightDumpAndThrottle(t *testing.T) {
 	r := NewRegistry()
-	f := r.Flight()
+	f := r.Recorder()
 	var buf bytes.Buffer
 	f.SetWriter(&buf)
-	f.Record("deadlock-op", "tx=1", 0, "deadlock", "lock_wait=1/1ms")
+	f.Op("deadlock-op", "tx=1", time.Now(), 0, "deadlock", "lock_wait=1/1ms")
 	if n := f.Dump("test reason"); n != 1 {
 		t.Fatalf("Dump wrote %d records, want 1", n)
 	}
@@ -238,15 +240,15 @@ func TestFlightDumpAndThrottle(t *testing.T) {
 // row print disjoint record sets — the second only what arrived after
 // the first.
 func TestFlightThrottledDumpPrintsOnlyNewRecords(t *testing.T) {
-	f := NewRegistry().Flight()
+	f := NewRegistry().Recorder()
 	var buf bytes.Buffer
 	f.SetWriter(&buf)
-	f.Record("old-a", "", 0, "ok", "")
-	f.Record("old-b", "", 0, "ok", "")
+	f.Op("old-a", "", time.Now(), 0, "ok", "")
+	f.Op("old-b", "", time.Now(), 0, "ok", "")
 	if n := f.DumpThrottled("first"); n != 2 {
 		t.Fatalf("first dump wrote %d records, want 2", n)
 	}
-	f.Record("new-c", "", 0, "ok", "")
+	f.Op("new-c", "", time.Now(), 0, "ok", "")
 	buf.Reset()
 	f.lastDump.Store(0) // lift the once-per-second throttle
 	if n := f.DumpThrottled("second"); n != 1 {
@@ -259,28 +261,35 @@ func TestFlightThrottledDumpPrintsOnlyNewRecords(t *testing.T) {
 }
 
 func TestFlightNil(t *testing.T) {
-	var f *FlightRecorder
-	f.Record("x", "", 0, "", "")
+	var f *Recorder
+	f.Op("x", "", time.Now(), 0, "", "")
 	f.SetWriter(&bytes.Buffer{})
 	f.Clear()
-	if f.Len() != 0 || f.Records() != nil || f.Dump("x") != 0 || f.DumpThrottled("x") != 0 {
+	f.ClearTrace()
+	if f.Records() != nil || f.Dump("x") != 0 || f.DumpThrottled("x") != 0 {
 		t.Fatal("nil recorder recorded state")
 	}
 	var r *Registry
-	if r.Flight() != nil {
+	if r.Recorder() != nil {
 		t.Fatal("nil registry returned a recorder")
 	}
 }
 
+// TestSlowLogBreachTriggersFlightDump: an op at the threshold dumps the
+// ring, and the dump holds that op; one below it does not dump.
 func TestSlowLogBreachTriggersFlightDump(t *testing.T) {
-	r := NewRegistry()
+	rec := NewRegistry().Recorder()
 	var buf bytes.Buffer
-	r.Flight().SetWriter(&buf)
-	r.Flight().Record("slow-thing", "1:1", 50*time.Millisecond, "ok", "")
-	r.Slow().SetThreshold(time.Millisecond)
-	r.Slow().Observe("slow-thing", 50*time.Millisecond, "")
-	if !strings.Contains(buf.String(), "slow-op threshold breach") {
-		t.Fatalf("no flight dump after breach; out = %q", buf.String())
+	rec.SetWriter(&buf)
+	rec.SetThreshold(time.Millisecond)
+	rec.Op("fast-thing", "1:1", time.Now(), time.Microsecond, "ok", "")
+	if buf.Len() != 0 {
+		t.Fatalf("dump below the threshold: %q", buf.String())
+	}
+	rec.Op("slow-thing", "1:2", time.Now(), 50*time.Millisecond, "ok", "")
+	out := buf.String()
+	if !strings.Contains(out, "slow-op threshold breach") || !strings.Contains(out, "slow-thing 1:2 50ms") {
+		t.Fatalf("no dump holding the breaching op; out = %q", out)
 	}
 }
 
@@ -345,33 +354,59 @@ func TestQuantilesInSnapshotAndExposition(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrentWriters: span writers and op writers share the
+// ring while readers take all three views and a clear drops the spans.
 func TestTracerConcurrentWriters(t *testing.T) {
-	tr := NewTracer(128)
+	tr := NewRegistry().Recorder()
 	tr.SetActive(true)
+	tr.SetWriter(io.Discard) // every op breaches the threshold
+	tr.SetThreshold(time.Nanosecond)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
+				if w%2 == 0 {
+					tr.Op("op", "", time.Now(), time.Second, "ok", "")
+					continue
+				}
 				sp := tr.Begin(0, "op")
 				tr.Point(sp, "mid")
 				tr.End(sp, "op")
 			}
-		}()
+		}(w)
 	}
 	// Concurrent reads while the ring wraps.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			tr.Events()
+			tr.Records()
+			tr.Trace()
+			tr.Slow()
+			if i == 25 {
+				tr.ClearTrace()
+			}
 		}
 	}()
 	wg.Wait()
 	<-done
-	evs := tr.Events()
-	if len(evs) == 0 || len(evs) > 128 {
-		t.Fatalf("events after wrap = %d", len(evs))
+	if got, want := tr.cur.Load(), uint64(4*500+4*3*500); got != want {
+		t.Fatalf("cursor = %d, want %d", got, want)
+	}
+	all, evs, ops := tr.Records(), tr.Trace(), tr.Slow()
+	if len(evs)+len(ops) != len(all) {
+		t.Fatalf("views do not partition the ring: %d records, %d span records, %d op records", len(all), len(evs), len(ops))
+	}
+	for _, e := range evs {
+		if e.Kind == KindOp {
+			t.Fatalf("op record in the trace view: %v", e)
+		}
+	}
+	for _, o := range ops {
+		if o.Kind != KindOp {
+			t.Fatalf("span record in the slow view: %v", o)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the system's observability substrate: a dependency-free
 // registry of atomic counters, gauges, and fixed-bucket histograms with
-// Prometheus-style text exposition and a JSON snapshot, plus lightweight
-// operation tracing (trace.go) and a slow-operation log (slow.go).
+// Prometheus-style text exposition and a JSON snapshot, plus one
+// lock-free ring of operation and trace records (recorder.go).
 //
 // Every subsystem (core engine, WAL, lock manager,
 // transaction manager) binds its instruments from one shared Registry;
@@ -11,10 +11,11 @@
 // branch on "is observability configured".
 //
 // Cost model: counters and gauges are single atomic adds; histograms are
-// a bounds scan plus three atomic adds. Tracing and the slow log are off
-// by default and guarded by one atomic load (nil-receiver-safe), so the
-// disabled path costs a branch — BenchmarkObsDisabled in the root
-// package pins the hot-path overhead under 5%.
+// a bounds scan plus three atomic adds. Tracing is off by default and
+// guarded by one atomic load (nil-receiver-safe), so the disabled path
+// costs a branch; an op record is one allocation, one atomic add and one
+// pointer store — BenchmarkObsDisabled in the root package pins the
+// hot-path overhead under 5%.
 package obs
 
 import (
@@ -215,8 +216,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Registry holds named instruments plus the tracer and slow log. Lookups
-// are mutex-guarded get-or-create; callers are expected to resolve their
+// Registry holds named instruments plus the recorder. Lookups are
+// mutex-guarded get-or-create; callers are expected to resolve their
 // instruments once at construction and hold the pointers, so lookup cost
 // never lands on a hot path.
 type Registry struct {
@@ -225,56 +226,31 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	tracer *Tracer
-	slow   *SlowLog
-	flight *FlightRecorder
+	rec Recorder
 }
 
-// NewRegistry returns an empty registry with a disabled tracer (4096
-// event ring), a disabled slow log (256 entry ring), and an always-on
-// flight recorder (256 record ring) whose record/dump counters are
-// pre-bound so the flight_* family is visible on the first scrape. A
-// slow-op threshold breach triggers a throttled flight dump.
+// NewRegistry returns an empty registry and its recorder, with tracing
+// and the slow threshold off. The recorder's record and dump counters are
+// bound here, so the flight_* family is visible on the first scrape.
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracer:   NewTracer(4096),
-		slow:     NewSlowLog(256),
-		flight:   NewFlightRecorder(256),
 	}
-	r.flight.records = r.Counter("flight_records_total")
-	r.flight.dumps = r.Counter("flight_dumps_total")
-	r.slow.onBreach = func() { r.flight.DumpThrottled("slow-op threshold breach") }
+	r.rec.records = r.Counter("flight_records_total")
+	r.rec.dumps = r.Counter("flight_dumps_total")
 	return r
 }
 
-// Tracer returns the registry's tracer (nil for a nil registry, which
-// every Tracer method accepts).
-func (r *Registry) Tracer() *Tracer {
+// Recorder returns the registry's recorder: the ring behind the trace,
+// slow and flight views (nil for a nil registry, which every Recorder
+// method accepts).
+func (r *Registry) Recorder() *Recorder {
 	if r == nil {
 		return nil
 	}
-	return r.tracer
-}
-
-// Slow returns the registry's slow-operation log (nil for a nil
-// registry, which every SlowLog method accepts).
-func (r *Registry) Slow() *SlowLog {
-	if r == nil {
-		return nil
-	}
-	return r.slow
-}
-
-// Flight returns the registry's flight recorder (nil for a nil
-// registry, which every FlightRecorder method accepts).
-func (r *Registry) Flight() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.flight
+	return &r.rec
 }
 
 // Counter returns (creating if needed) the named counter.

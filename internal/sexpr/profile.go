@@ -246,9 +246,9 @@ func indexableEq(n Node, ok bool) (string, bool) {
 	return "", false
 }
 
-// (flight dump|clear|status) exposes the always-on black-box flight
-// recorder: dump renders the retained per-operation records oldest
-// first, clear empties the ring, status returns the record count.
+// (flight dump|clear|status) exposes the recorder's flight view, the
+// always-on black box: dump renders every retained record oldest first,
+// clear empties the ring, status returns the record count.
 func evalFlight(in *Interp, args []Node) (value.Value, error) {
 	if len(args) != 1 {
 		return value.Nil, fmt.Errorf("usage: (flight dump|clear|status): %w", ErrEval)
@@ -257,10 +257,10 @@ func evalFlight(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	f := in.DB.Observability().Flight()
+	rec := in.DB.Observability().Recorder()
 	switch strings.ToLower(verb) {
 	case "dump":
-		recs := f.Records()
+		recs := rec.Records()
 		if len(recs) == 0 {
 			return value.Str("flight recorder: empty\n"), nil
 		}
@@ -271,10 +271,10 @@ func evalFlight(in *Interp, args []Node) (value.Value, error) {
 		}
 		return value.Str(b.String()), nil
 	case "clear":
-		f.Clear()
+		rec.Clear()
 		return value.Bool(true), nil
 	case "status":
-		return value.Int(int64(f.Len())), nil
+		return value.Int(int64(len(rec.Records()))), nil
 	default:
 		return value.Nil, fmt.Errorf("unknown flight verb %q (want dump/clear/status): %w", verb, ErrEval)
 	}

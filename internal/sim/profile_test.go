@@ -280,7 +280,7 @@ func (s *syncBuf) String() string {
 // set to the recorder's writer.
 func TestDeadlockDumpsFlightRecorder(t *testing.T) {
 	h := newProfHarness(t, db.Options{})
-	f := h.d.Observability().Flight()
+	f := h.d.Observability().Recorder()
 	var buf syncBuf
 	f.SetWriter(&buf)
 
@@ -318,7 +318,7 @@ func TestDeadlockDumpsFlightRecorder(t *testing.T) {
 	var sawDeadlock bool
 	recs := f.Records()
 	for _, r := range recs {
-		if r.Op == "lock.deadlock" {
+		if r.Name == "lock.deadlock" {
 			sawDeadlock = true
 		}
 	}

@@ -58,8 +58,8 @@ type gcBatch struct {
 // NewGroupCommitter returns a coordinator over w (nil for an in-memory
 // database: every Sync is then a no-op, but the instruments still
 // register so the metric family is always exposed). maxWait <= 0 and
-// maxBatch <= 0 select the defaults; Options at the db layer map
-// negative values to "no wait" before calling here.
+// maxBatch <= 0 select DefaultCommitWait and DefaultCommitBatch, which is
+// what db.Open asks for; tests pass other caps.
 func NewGroupCommitter(w *WAL, maxWait time.Duration, maxBatch int) *GroupCommitter {
 	if maxWait <= 0 {
 		maxWait = DefaultCommitWait

@@ -4,10 +4,9 @@ import "repro/internal/obs"
 
 // walObs holds the WAL's pre-resolved instruments: append volume
 // counters plus fsync count and latency (fsync dominates commit cost,
-// so it is always timed and feeds the slow log).
+// so it is always timed and writes an op record).
 type walObs struct {
-	tr          *obs.Tracer
-	slow        *obs.SlowLog
+	rec         *obs.Recorder
 	appends     *obs.Counter
 	appendBytes *obs.Counter
 	fsyncs      *obs.Counter
@@ -42,8 +41,7 @@ func (g *GroupCommitter) SetObservability(r *obs.Registry) {
 // them). Call before the log is used concurrently.
 func (w *WAL) SetObservability(r *obs.Registry) {
 	w.o = walObs{
-		tr:          r.Tracer(),
-		slow:        r.Slow(),
+		rec:         r.Recorder(),
 		appends:     r.Counter("wal_append_total"),
 		appendBytes: r.Counter("wal_append_bytes_total"),
 		fsyncs:      r.Counter("wal_fsync_total"),

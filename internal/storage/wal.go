@@ -184,7 +184,7 @@ func (w *WAL) Append(rec WALRecord) error {
 	w.o.appends.Inc()
 	w.o.appendBytes.Add(uint64(len(frame)))
 	w.prof.Load().WALAppend(len(frame))
-	if tr := w.o.tr; tr.Active() {
+	if tr := w.o.rec; tr.Active() {
 		tr.Point(0, "wal.append", obs.F("uid", rec.UID), obs.F("op", rec.Op), obs.F("bytes", len(frame)))
 	}
 	return nil
@@ -192,7 +192,7 @@ func (w *WAL) Append(rec WALRecord) error {
 
 // Sync flushes the log to stable storage. The fsync is always timed —
 // it is orders of magnitude above the instrumentation cost — and feeds
-// the latency histogram and the slow log.
+// the latency histogram and an op record.
 //
 // Sync deliberately does not hold the append mutex across the fsync:
 // appends issued while a sync is in flight must proceed (they belong to
@@ -205,10 +205,12 @@ func (w *WAL) Sync() error {
 	dur := time.Since(start)
 	w.o.fsyncs.Inc()
 	w.o.fsyncNs.Observe(int64(dur))
-	if w.o.slow.Active() {
-		w.o.slow.Observe("wal.fsync", dur, w.path)
+	outcome := "ok"
+	if err != nil {
+		outcome = "err"
 	}
-	if tr := w.o.tr; tr.Active() {
+	w.o.rec.Op("wal.fsync", w.path, start, dur, outcome, "")
+	if tr := w.o.rec; tr.Active() {
 		tr.Point(0, "wal.fsync", obs.F("ns", int64(dur)))
 	}
 	return err

@@ -77,11 +77,10 @@ func (m *Manager) SetProfHooks(attach, detach func(*obs.ProfCtx)) {
 func (m *Manager) SetBoundary(b Boundary) { m.boundary = b }
 
 // managerObs holds the manager's pre-resolved instruments (see
-// internal/obs): transaction lifecycle counters plus the tracer for
-// begin/commit/abort points.
+// internal/obs): transaction lifecycle counters plus the recorder for
+// begin/commit/abort points and profiled transactions' op records.
 type managerObs struct {
-	tr              *obs.Tracer
-	flight          *obs.FlightRecorder
+	rec             *obs.Recorder
 	begins          *obs.Counter
 	commits         *obs.Counter
 	aborts          *obs.Counter
@@ -106,8 +105,7 @@ func NewManager(e *core.Engine) *Manager {
 // lock manager — to r (nil disables them). Call before concurrent use.
 func (m *Manager) SetObservability(r *obs.Registry) {
 	m.o = managerObs{
-		tr:              r.Tracer(),
-		flight:          r.Flight(),
+		rec:             r.Recorder(),
 		begins:          r.Counter("txn_begin_total"),
 		commits:         r.Counter("txn_commit_total"),
 		aborts:          r.Counter("txn_abort_total"),
@@ -145,7 +143,7 @@ func (m *Manager) Begin() *Txn {
 // identity must come from Begin or Reserve and must hold no locks.
 func (m *Manager) BeginAt(id lock.TxID) *Txn {
 	m.o.begins.Inc()
-	if tr := m.o.tr; tr.Active() {
+	if tr := m.o.rec; tr.Active() {
 		tr.Point(0, "txn.begin", obs.F("tx", id))
 	}
 	return &Txn{
@@ -172,7 +170,7 @@ func (m *Manager) BeginRetry(id lock.TxID) *Txn {
 func (m *Manager) BeginSnapshot() *core.Snapshot {
 	m.o.snapshots.Inc()
 	s := m.engine.BeginSnapshot()
-	if tr := m.o.tr; tr.Active() {
+	if tr := m.o.rec; tr.Active() {
 		tr.Point(0, "txn.snapshot", obs.F("seq", s.Seq()))
 	}
 	return s
@@ -228,8 +226,8 @@ func (t *Txn) Profile() *obs.ProfCtx {
 }
 
 // finishProf seals the transaction's profile at commit/abort: stops
-// the wall clock, detaches the ambient sinks, and drops the flight
-// record for the transaction as a whole. The lock-manager registration
+// the wall clock, detaches the ambient sinks, and writes the op record
+// for the transaction as a whole. The lock-manager registration
 // is cleaned up by ReleaseAll.
 func (t *Txn) finishProf(op, outcome string) {
 	if t.prof == nil {
@@ -239,8 +237,9 @@ func (t *Txn) finishProf(op, outcome string) {
 	if t.m.profDetach != nil {
 		t.m.profDetach(t.prof)
 	}
-	if f := t.m.o.flight; f != nil {
-		f.Record(op, fmt.Sprintf("tx=%d", t.id), t.prof.Wall(), outcome, t.prof.TopCosts())
+	if rec := t.m.o.rec; rec != nil {
+		wall := t.prof.Wall()
+		rec.Op(op, fmt.Sprintf("tx=%d", t.id), time.Now().Add(-wall), wall, outcome, t.prof.TopCosts())
 	}
 }
 
@@ -483,7 +482,7 @@ func (t *Txn) Commit() error {
 	} else {
 		publish()
 	}
-	if tr := t.m.o.tr; tr.Active() {
+	if tr := t.m.o.rec; tr.Active() {
 		tr.Point(0, "txn.commit", obs.F("tx", t.id))
 	}
 	outcome := "ok"
@@ -510,7 +509,7 @@ func (t *Txn) Abort() error {
 	}
 	t.done = true
 	t.m.o.aborts.Inc()
-	if tr := t.m.o.tr; tr.Active() {
+	if tr := t.m.o.rec; tr.Active() {
 		tr.Point(0, "txn.abort", obs.F("tx", t.id))
 	}
 	t.m.engine.AbortVersions(t.TxnID())
