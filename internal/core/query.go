@@ -98,13 +98,13 @@ func (e *Engine) headSource(tx TxnID, prof *obs.ProfCtx) *headSource {
 	return &headSource{e: e, ov: e.overlays[tx], pend: e.pending(), prof: prof}
 }
 
-func (s *headSource) fetch(id uid.UID) (*object.Object, error) {
+func (s *headSource) object(id uid.UID) *object.Object {
 	o, private := s.ov[id]
 	if !private {
 		o = s.e.head(id)
 	}
 	if o == nil {
-		return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
+		return nil
 	}
 	if s.pend.on(o) {
 		if !private {
@@ -113,21 +113,35 @@ func (s *headSource) fetch(id uid.UID) (*object.Object, error) {
 		s.e.convert(o)
 	}
 	s.prof.ObjectVisited()
+	return o
+}
+
+func (s *headSource) fetch(id uid.UID) (*object.Object, error) { return found(id, s.object(id)) }
+
+// found is o, or an ErrNoObject for id when o is nil.
+func found(id uid.UID, o *object.Object) (*object.Object, error) {
+	if o == nil {
+		return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
+	}
 	return o, nil
 }
 
-// read runs fn over the view's source. The heads and the overlays are
-// read under the shared latch: publication takes it exclusively, so the
-// read is an implicit snapshot at the clock. A snapshot reads lock-free.
+// read runs fn over the view's source, with a pooled walk scratch that
+// it returns on every path out. The heads and the overlays are read
+// under the shared latch: publication takes it exclusively, so the read
+// is an implicit snapshot at the clock. A snapshot reads lock-free.
 // prof receives the objects visited (a snapshot uses its own, SetProf).
 func read[T any](v View, prof *obs.ProfCtx, fn func(r reader) (T, error)) (T, error) {
+	w := getWalk()
+	defer w.release()
 	if s := v.snap; s != nil {
-		return fn(s.e.reader(s, s.cat))
+		return fn(s.e.reader(s, s.cat, w))
 	}
 	e := v.e
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return fn(e.reader(e.headSource(v.tx, prof), e.cat))
+	w.heads = headSource{e: e, ov: e.overlays[v.tx], pend: e.pending(), prof: prof}
+	return fn(e.reader(&w.heads, e.cat, w))
 }
 
 // observeQuery times a traversal query and writes its op record, with
@@ -241,7 +255,7 @@ func (v View) Partitions(id uid.UID) (PartitionSets, error) {
 // begun now would return, unless deferred schema changes pend on it;
 // those are applied to a private copy.
 func (v View) Get(id uid.UID) (*object.Object, error) {
-	return read(v, nil, func(r reader) (*object.Object, error) { return r.src.fetch(id) })
+	return read(v, nil, func(r reader) (*object.Object, error) { return r.fetch(id) })
 }
 
 // Exists reports whether the view sees the object.
@@ -253,7 +267,7 @@ func (v View) Exists(id uid.UID) bool {
 // Describe renders the object with its class name, for the figures tool.
 func (v View) Describe(id uid.UID) (string, error) {
 	return read(v, nil, func(r reader) (string, error) {
-		o, err := r.src.fetch(id)
+		o, err := r.fetch(id)
 		if err != nil {
 			return "", err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/object"
@@ -111,7 +110,7 @@ func (s *Snapshot) Release() {
 // object resolves id at the snapshot boundary: the newest version at or
 // below seq, nil when the object did not exist there (no chain, no
 // version that old, or a tombstone). Lock-free: two atomic loads per
-// chain node.
+// chain node. It makes the snapshot a walk source (traverse.go).
 func (s *Snapshot) object(id uid.UID) *object.Object {
 	ci, ok := s.e.mvcc.chains.Load(id)
 	if !ok {
@@ -130,14 +129,6 @@ func (s *Snapshot) object(id uid.UID) *object.Object {
 	}
 	s.prof.VersionsWalked(walked)
 	return nil
-}
-
-// fetch makes the snapshot a walk source (traverse.go).
-func (s *Snapshot) fetch(id uid.UID) (*object.Object, error) {
-	if o := s.object(id); o != nil {
-		return o, nil
-	}
-	return nil, fmt.Errorf("%v: %w", id, ErrNoObject)
 }
 
 // Each calls fn with every object visible at the snapshot boundary, in

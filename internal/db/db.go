@@ -253,20 +253,22 @@ const snapshotBatch = 4096
 // leave a partial cascade behind. Only the log's tail may be torn: the
 // snapshot and the predecessor were synced whole before anything could
 // read them. A torn tail is cut off, so that the records appended next
-// follow the last intact frame.
+// follow the last intact frame. The decoded objects share one copy of
+// each attribute name.
 func (d *DB) replay() (uint64, error) {
 	dir := d.opts.Dir
+	names := encoding.Names{}
 	var batch []storage.WALRecord
 	lastUID, err := storage.ReplaySnapshot(filepath.Join(dir, snapshotFile), func(rec storage.WALRecord) error {
 		if batch = append(batch, rec); len(batch) < snapshotBatch {
 			return nil
 		}
-		err := d.restore(batch)
+		err := d.restore(names, batch)
 		batch = batch[:0]
 		return err
 	})
 	if err == nil {
-		err = d.restore(batch)
+		err = d.restore(names, batch)
 	}
 	if err != nil {
 		return 0, err
@@ -284,7 +286,7 @@ func (d *DB) replay() (uint64, error) {
 			pending[rec.Txn] = []storage.WALRecord{}
 			return nil
 		case storage.OpCommit:
-			err := d.restore(pending[rec.Txn])
+			err := d.restore(names, pending[rec.Txn])
 			delete(pending, rec.Txn)
 			return err
 		case storage.OpAbort:
@@ -295,7 +297,7 @@ func (d *DB) replay() (uint64, error) {
 				pending[rec.Txn] = append(pending[rec.Txn], rec)
 				return nil
 			}
-			return d.restore([]storage.WALRecord{rec})
+			return d.restore(names, []storage.WALRecord{rec})
 		default:
 			return fmt.Errorf("unknown WAL op %d", rec.Op)
 		}
@@ -326,8 +328,8 @@ func (d *DB) replay() (uint64, error) {
 // skipped: a class is dropped only after the deletion of its every
 // instance commits, so the object is one that deletion removed, met in
 // a snapshot older than the catalog (DropClass saves the catalog and
-// writes no snapshot).
-func (d *DB) restore(recs []storage.WALRecord) error {
+// writes no snapshot). Attribute names come from names.
+func (d *DB) restore(names encoding.Names, recs []storage.WALRecord) error {
 	objs := make(map[uid.UID]*object.Object, len(recs))
 	for _, rec := range recs {
 		if rec.Op == storage.OpDelete {
@@ -338,7 +340,7 @@ func (d *DB) restore(recs []storage.WALRecord) error {
 			d.engine.SeedUID(rec.UID.Serial)
 			continue
 		}
-		o, err := encoding.DecodeObject(rec.Data)
+		o, err := names.DecodeObject(rec.Data)
 		if err != nil {
 			return fmt.Errorf("db: decode %v: %w", rec.UID, err)
 		}
@@ -394,30 +396,19 @@ func (h *hook) record(tx core.TxnID, rec storage.WALRecord) error {
 	return nil
 }
 
-// logRecords appends recs, bracketed by OpBegin and OpCommit when they
-// are a transaction's group. Engine-direct records (tx == 0) carry no
-// bracket: replay applies them immediately.
+// logRecords appends recs in one write, bracketed by OpBegin and
+// OpCommit when they are a transaction's group. Engine-direct records
+// (tx == 0) carry no bracket: replay applies them immediately.
 func (d *DB) logRecords(tx core.TxnID, recs []storage.WALRecord) error {
 	if d.wal == nil {
 		return nil
 	}
-	if tx != 0 {
-		if err := d.wal.Append(storage.WALRecord{Op: storage.OpBegin, Txn: uint64(tx)}); err != nil {
-			return err
-		}
-	}
-	for _, rec := range recs {
-		if err := d.wal.Append(rec); err != nil {
-			return err
-		}
-	}
-	if tx == 0 {
-		return nil
-	}
-	if err := d.wal.Append(storage.WALRecord{Op: storage.OpCommit, Txn: uint64(tx)}); err != nil {
+	if err := d.wal.AppendGroup(uint64(tx), recs...); err != nil {
 		return err
 	}
-	d.commits.Inc()
+	if tx != 0 {
+		d.commits.Inc()
+	}
 	return nil
 }
 

@@ -62,15 +62,21 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func decodeString(b []byte) (string, []byte, error) {
+	s, rest, err := decodeBytes(b)
+	return string(s), rest, err
+}
+
+// decodeBytes is decodeString without the copy: the string's bytes, in b.
+func decodeBytes(b []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", nil, fmt.Errorf("string length: %w", ErrTruncated)
+		return nil, nil, fmt.Errorf("string length: %w", ErrTruncated)
 	}
 	b = b[n:]
 	if uint64(len(b)) < l {
-		return "", nil, fmt.Errorf("string body: %w", ErrTruncated)
+		return nil, nil, fmt.Errorf("string body: %w", ErrTruncated)
 	}
-	return string(b[:l]), b[l:], nil
+	return b[:l], b[l:], nil
 }
 
 // AppendValue appends the encoding of v to dst.
@@ -209,6 +215,30 @@ func EncodeObject(o *object.Object) []byte {
 
 // DecodeObject deserializes an object record.
 func DecodeObject(b []byte) (*object.Object, error) {
+	return Names(nil).DecodeObject(b)
+}
+
+// Names interns the attribute names of decoded objects: each distinct
+// name is allocated once and shared by every object decoded through the
+// table, as recovery decodes thousands of objects of a few classes.
+type Names map[string]string
+
+// intern returns the table's copy of name, adding one first if absent.
+// A nil table copies name afresh.
+func (n Names) intern(name []byte) string {
+	if s, ok := n[string(name)]; ok {
+		return s
+	}
+	s := string(name)
+	if n != nil {
+		n[s] = s
+	}
+	return s
+}
+
+// DecodeObject is the package's DecodeObject, taking each attribute
+// name from names.
+func (names Names) DecodeObject(b []byte) (*object.Object, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("object header: %w", ErrTruncated)
 	}
@@ -233,8 +263,8 @@ func DecodeObject(b []byte) (*object.Object, error) {
 	}
 	b = b[n:]
 	for i := uint64(0); i < nattrs; i++ {
-		var name string
-		name, b, err = decodeString(b)
+		var name []byte
+		name, b, err = decodeBytes(b)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +273,7 @@ func DecodeObject(b []byte) (*object.Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.Set(name, v)
+		o.Set(names.intern(name), v)
 	}
 	nrev, n := binary.Uvarint(b)
 	if n <= 0 {

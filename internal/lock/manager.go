@@ -251,10 +251,12 @@ func chooseVictim(cycle []TxID) TxID {
 	return victim
 }
 
-// abortVictim fails tx's pending request with ErrDeadlock. Caller holds
-// m.mu. The victim's locks stay held until its transaction aborts and
-// calls ReleaseAll — 2PL's usual abort path — which also clears its doom.
-func (m *Manager) abortVictim(tx TxID, key string, mode Mode, g Granule, waitSpan uint64) error {
+// abortVictim fails tx's pending request with ErrDeadlock, and returns
+// the reason the ring is to be dumped under once m.mu is released.
+// Caller holds m.mu. The victim's locks stay held until its transaction
+// aborts and calls ReleaseAll — 2PL's usual abort path — which also
+// clears its doom.
+func (m *Manager) abortVictim(tx TxID, key string, mode Mode, g Granule, waitSpan uint64) (string, error) {
 	m.o.victims.Inc()
 	if tr := m.o.rec; tr.Active() {
 		if waitSpan != 0 {
@@ -267,11 +269,12 @@ func (m *Manager) abortVictim(tx TxID, key string, mode Mode, g Granule, waitSpa
 	// operations leading up to the cycle are on record. Throttled and
 	// incremental: under a deadlock storm each dump adds only the records
 	// since the last one.
+	dump := ""
 	if rec := m.o.rec; rec != nil {
-		rec.Op("lock.deadlock", fmt.Sprintf("tx=%d %s %s", tx, mode, key), time.Now(), 0, "deadlock", "")
-		rec.DumpThrottled("deadlock-victim abort")
+		rec.Store("lock.deadlock", fmt.Sprintf("tx=%d %s %s", tx, mode, key), time.Now(), 0, "deadlock", "")
+		dump = "deadlock-victim abort"
 	}
-	return fmt.Errorf("tx %d requesting %s on %s: %w", tx, mode, g, ErrDeadlock)
+	return dump, fmt.Errorf("tx %d requesting %s on %s: %w", tx, mode, g, ErrDeadlock)
 }
 
 // Lock acquires mode on g for tx, blocking while incompatible locks are
@@ -295,10 +298,23 @@ func (m *Manager) LockQueued(tx TxID, g Granule, mode Mode) error {
 	return m.lock(tx, g, mode, true)
 }
 
+// lock runs the request under m.mu, then writes the dump of the ring
+// it triggered, if any, with m.mu released: the dump writer may be slow,
+// and no other request waits for it.
 func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
-	key := g.String()
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	dump, err := m.lockLocked(tx, g, mode, queued)
+	m.mu.Unlock()
+	if dump != "" {
+		m.o.rec.DumpThrottled(dump)
+	}
+	return err
+}
+
+// lockLocked is lock under m.mu; dump is the reason the ring is to be
+// dumped under, "" for none.
+func (m *Manager) lockLocked(tx TxID, g Granule, mode Mode, queued bool) (dump string, err error) {
+	key := g.String()
 	st := m.state(key)
 	var waitStart time.Time
 	var waitSpan uint64
@@ -388,7 +404,9 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 	if waited {
 		d := time.Since(waitStart)
 		m.o.waitNs.Observe(int64(d))
-		m.o.rec.Op("lock.wait", key, waitStart, d, "granted", "")
+		if m.o.rec.Store("lock.wait", key, waitStart, d, "granted", "") {
+			dump = obs.SlowBreach
+		}
 		m.profFor(tx).LockWait(mode.String(), d)
 		if tr := m.o.rec; tr.Active() {
 			tr.End(waitSpan, "lock.wait", obs.F("outcome", "granted"))
@@ -396,7 +414,7 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 	}
 	for _, h := range st.holders[tx] {
 		if h == mode {
-			return nil
+			return dump, nil
 		}
 	}
 	if len(st.holders[tx]) > 0 {
@@ -426,7 +444,7 @@ func (m *Manager) lock(tx TxID, g Granule, mode Mode, queued bool) error {
 		// running through this grant is invisible to findCycle.
 		m.cond.Broadcast()
 	}
-	return nil
+	return dump, nil
 }
 
 // TryLock acquires mode on g without blocking; ok reports success.

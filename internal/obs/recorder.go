@@ -186,13 +186,26 @@ func (r *Recorder) Point(parent uint64, name string, fields ...Field) {
 // threshold it then triggers the throttled dump, which therefore
 // includes this record.
 func (r *Recorder) Op(name, detail string, start time.Time, dur time.Duration, outcome, costs string) {
+	if r.Store(name, detail, start, dur, outcome, costs) {
+		r.DumpThrottled(SlowBreach)
+	}
+}
+
+// SlowBreach is the reason a slow-op threshold breach dumps under.
+const SlowBreach = "slow-op threshold breach"
+
+// Store is Op without the dump: it records the operation and reports
+// whether dur met the slow threshold, in which case the caller owes the
+// DumpThrottled(SlowBreach) that Op would have run. A caller holding a
+// lock that other operations wait on stores under it and dumps after
+// releasing it, so a slow dump writer stalls only its own caller.
+func (r *Recorder) Store(name, detail string, start time.Time, dur time.Duration, outcome, costs string) bool {
 	if r == nil {
-		return
+		return false
 	}
 	r.push(&Record{At: start, Kind: KindOp, Name: name, Detail: detail, Dur: dur, Outcome: outcome, Costs: costs})
-	if t := r.thresh.Load(); t > 0 && int64(dur) >= t {
-		r.DumpThrottled("slow-op threshold breach")
-	}
+	t := r.thresh.Load()
+	return t > 0 && int64(dur) >= t
 }
 
 // SetThreshold sets the slow view's minimum duration; 0 turns it off.

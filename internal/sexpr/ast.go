@@ -7,8 +7,11 @@ package sexpr
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/uid"
 )
 
 // NodeKind discriminates parsed nodes.
@@ -28,32 +31,44 @@ const (
 	NRef                     // #3:7 — an object reference literal
 )
 
-// Node is a parsed s-expression node.
+// Node is a parsed s-expression node, 64 bytes. Text is the node's one
+// string and bits its one 64-bit payload; the accessors read the payload
+// by kind. Every string a node holds is its own allocation, never a
+// substring of the source, so a parsed tree retains none of the request.
 type Node struct {
 	Kind NodeKind
-	Sym  string // NSym, NKeyword (without the colon)
-	Str  string // NString
-	Int  int64  // NInt
-	Real float64
-	Bool bool
+	cls  uint32 // NRef: the class part
+	Pos  int    // byte offset of the node in the source, for error messages
+	Text string // NSym, NKeyword (without the colon), NString
+	bits uint64 // NInt, NReal (IEEE 754 bits), NBool (1 = true), NRef (the serial)
 	Kids []Node // NList; NQuote has exactly one kid
-	Ref  [2]uint64
-	Pos  int // byte offset, for error messages
 }
+
+// Int is an NInt's value.
+func (n Node) Int() int64 { return int64(n.bits) }
+
+// Real is an NReal's value.
+func (n Node) Real() float64 { return math.Float64frombits(n.bits) }
+
+// Bool is an NBool's value.
+func (n Node) Bool() bool { return n.bits != 0 }
+
+// Ref is an NRef's object reference.
+func (n Node) Ref() uid.UID { return uid.UID{Class: uid.ClassID(n.cls), Serial: n.bits} }
 
 // String renders the node back to source form.
 func (n Node) String() string {
 	switch n.Kind {
 	case NSym:
-		return n.Sym
+		return n.Text
 	case NKeyword:
-		return ":" + n.Sym
+		return ":" + n.Text
 	case NString:
-		return quoteString(n.Str)
+		return quoteString(n.Text)
 	case NInt:
-		return fmt.Sprintf("%d", n.Int)
+		return strconv.FormatInt(n.Int(), 10)
 	case NReal:
-		s := strconv.FormatFloat(n.Real, 'g', -1, 64)
+		s := strconv.FormatFloat(n.Real(), 'g', -1, 64)
 		// Keep the literal float-shaped so it re-parses as a real, not an
 		// int (e.g. -0 would otherwise come back as the integer 0).
 		if !strings.ContainsAny(s, ".eEnN") { // NaN/Inf contain letters
@@ -61,7 +76,7 @@ func (n Node) String() string {
 		}
 		return s
 	case NBool:
-		if n.Bool {
+		if n.Bool() {
 			return "true"
 		}
 		return "false"
@@ -70,7 +85,7 @@ func (n Node) String() string {
 	case NQuote:
 		return "'" + n.Kids[0].String()
 	case NRef:
-		return fmt.Sprintf("#%d:%d", n.Ref[0], n.Ref[1])
+		return fmt.Sprintf("#%d:%d", n.cls, n.bits)
 	case NList:
 		parts := make([]string, len(n.Kids))
 		for i, k := range n.Kids {
@@ -85,7 +100,7 @@ func (n Node) String() string {
 // IsSym reports whether n is the given symbol (case-insensitive, as in
 // Lisp).
 func (n Node) IsSym(s string) bool {
-	return n.Kind == NSym && strings.EqualFold(n.Sym, s)
+	return n.Kind == NSym && strings.EqualFold(n.Text, s)
 }
 
 // quoteString renders a string literal using only the escapes the parser

@@ -121,24 +121,24 @@ func (in *Interp) EvalString(src string) (value.Value, error) {
 func (in *Interp) Eval(n Node) (value.Value, error) {
 	switch n.Kind {
 	case NInt:
-		return value.Int(n.Int), nil
+		return value.Int(n.Int()), nil
 	case NReal:
-		return value.Real(n.Real), nil
+		return value.Real(n.Real()), nil
 	case NString:
-		return value.Str(n.Str), nil
+		return value.Str(n.Text), nil
 	case NBool:
-		return value.Bool(n.Bool), nil
+		return value.Bool(n.Bool()), nil
 	case NNil:
 		return value.Nil, nil
 	case NRef:
-		return value.Ref(uid.UID{Class: uid.ClassID(n.Ref[0]), Serial: n.Ref[1]}), nil
+		return value.Ref(n.Ref()), nil
 	case NQuote:
 		return in.quoteValue(n.Kids[0])
 	case NSym:
-		if v, ok := in.env[n.Sym]; ok {
+		if v, ok := in.env[n.Text]; ok {
 			return v, nil
 		}
-		return value.Nil, fmt.Errorf("unbound symbol %q: %w", n.Sym, ErrEval)
+		return value.Nil, fmt.Errorf("unbound symbol %q: %w", n.Text, ErrEval)
 	case NList:
 		if len(n.Kids) == 0 {
 			return value.Nil, nil
@@ -147,9 +147,9 @@ func (in *Interp) Eval(n Node) (value.Value, error) {
 		if head.Kind != NSym {
 			return value.Nil, fmt.Errorf("cannot apply %s: %w", head, ErrEval)
 		}
-		fn, ok := builtins[strings.ToLower(head.Sym)]
+		fn, ok := builtins[strings.ToLower(head.Text)]
 		if !ok {
-			return value.Nil, fmt.Errorf("unknown message %q: %w", head.Sym, ErrEval)
+			return value.Nil, fmt.Errorf("unknown message %q: %w", head.Text, ErrEval)
 		}
 		v, err := fn(in, n.Kids[1:])
 		return v, in.noteDeadlock(err)
@@ -163,7 +163,7 @@ func (in *Interp) Eval(n Node) (value.Value, error) {
 func (in *Interp) quoteValue(n Node) (value.Value, error) {
 	switch n.Kind {
 	case NSym:
-		return value.Str(n.Sym), nil
+		return value.Str(n.Text), nil
 	case NList:
 		elems := make([]value.Value, 0, len(n.Kids))
 		for _, k := range n.Kids {
@@ -278,11 +278,11 @@ func (in *Interp) objArg(n Node) (uid.UID, error) {
 func symName(n Node) (string, error) {
 	switch n.Kind {
 	case NSym:
-		return n.Sym, nil
+		return n.Text, nil
 	case NQuote:
 		return symName(n.Kids[0])
 	case NString:
-		return n.Str, nil
+		return n.Text, nil
 	case NList:
 		// (quote X) is equivalent to 'X.
 		if len(n.Kids) == 2 && n.Kids[0].IsSym("quote") {
@@ -310,33 +310,44 @@ func nameArgs(args []Node, n int, usage string) ([]string, error) {
 	return names, nil
 }
 
-// splitKeywords separates leading positional args from :keyword value
-// pairs.
-func splitKeywords(args []Node) (pos []Node, kw map[string]Node, order []string, err error) {
-	kw = map[string]Node{}
+// keywords are the :keyword value pairs of a message's arguments, read
+// in place: kw[2i] is a keyword and kw[2i+1] its value.
+type keywords []Node
+
+// splitKeywords separates the leading positional args from the :keyword
+// value pairs after them. Both are subslices of args.
+func splitKeywords(args []Node) (pos []Node, kw keywords, err error) {
 	i := 0
 	for i < len(args) && args[i].Kind != NKeyword {
-		pos = append(pos, args[i])
 		i++
 	}
-	for i < len(args) {
+	pos, kw = args[:i], keywords(args[i:])
+	for ; i < len(args); i += 2 {
 		if args[i].Kind != NKeyword {
-			return nil, nil, nil, fmt.Errorf("expected keyword, got %s: %w", args[i], ErrEval)
+			return nil, nil, fmt.Errorf("expected keyword, got %s: %w", args[i], ErrEval)
 		}
 		if i+1 >= len(args) {
-			return nil, nil, nil, fmt.Errorf("keyword :%s lacks a value: %w", args[i].Sym, ErrEval)
+			return nil, nil, fmt.Errorf("keyword :%s lacks a value: %w", args[i].Text, ErrEval)
 		}
-		kw[strings.ToLower(args[i].Sym)] = args[i+1]
-		order = append(order, args[i].Sym)
-		i += 2
 	}
-	return pos, kw, order, nil
+	return pos, kw, nil
+}
+
+// get returns the value of the keyword whose lowered name is name; of a
+// keyword given twice, the last value.
+func (kw keywords) get(name string) (Node, bool) {
+	for i := len(kw) - 2; i >= 0; i -= 2 {
+		if lowerIs(kw[i].Text, name) {
+			return kw[i+1], true
+		}
+	}
+	return Node{}, false
 }
 
 func boolArg(n Node) (bool, error) {
 	switch n.Kind {
 	case NBool:
-		return n.Bool, nil
+		return n.Bool(), nil
 	case NNil:
 		return false, nil
 	default:
@@ -362,7 +373,7 @@ func evalDefine(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	in.env[args[0].Sym] = v
+	in.env[args[0].Text] = v
 	return v, nil
 }
 
@@ -415,12 +426,12 @@ func (in *Interp) parseAttrSpec(n Node) (schema.AttrSpec, error) {
 	if err != nil {
 		return schema.AttrSpec{}, err
 	}
-	_, kw, _, err := splitKeywords(n.Kids[1:])
+	_, kw, err := splitKeywords(n.Kids[1:])
 	if err != nil {
 		return schema.AttrSpec{}, err
 	}
 	spec := schema.AttrSpec{Name: name, Exclusive: true, Dependent: true}
-	dn, ok := kw["domain"]
+	dn, ok := kw.get("domain")
 	if !ok {
 		return schema.AttrSpec{}, fmt.Errorf("attribute %s lacks :domain: %w", name, ErrEval)
 	}
@@ -428,29 +439,29 @@ func (in *Interp) parseAttrSpec(n Node) (schema.AttrSpec, error) {
 	if err != nil {
 		return schema.AttrSpec{}, err
 	}
-	if v, ok := kw["composite"]; ok {
+	if v, ok := kw.get("composite"); ok {
 		if spec.Composite, err = boolArg(v); err != nil {
 			return schema.AttrSpec{}, err
 		}
 	}
-	if v, ok := kw["exclusive"]; ok {
+	if v, ok := kw.get("exclusive"); ok {
 		if spec.Exclusive, err = boolArg(v); err != nil {
 			return schema.AttrSpec{}, err
 		}
 	}
-	if v, ok := kw["dependent"]; ok {
+	if v, ok := kw.get("dependent"); ok {
 		if spec.Dependent, err = boolArg(v); err != nil {
 			return schema.AttrSpec{}, err
 		}
 	}
-	if v, ok := kw["init"]; ok {
+	if v, ok := kw.get("init"); ok {
 		if spec.Initial, err = in.Eval(v); err != nil {
 			return schema.AttrSpec{}, err
 		}
 	}
-	if v, ok := kw["document"]; ok {
+	if v, ok := kw.get("document"); ok {
 		if v.Kind == NString {
-			spec.Doc = v.Str
+			spec.Doc = v.Text
 		}
 	}
 	if !spec.Composite {
@@ -468,18 +479,18 @@ func evalMakeClass(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	_, kw, _, err := splitKeywords(args[1:])
+	_, kw, err := splitKeywords(args[1:])
 	if err != nil {
 		return value.Nil, err
 	}
 	def := schema.ClassDef{Name: name}
-	if v, ok := kw["superclasses"]; ok && v.Kind != NNil {
+	if v, ok := kw.get("superclasses"); ok && v.Kind != NNil {
 		ln := v
 		if ln.Kind == NQuote {
 			ln = ln.Kids[0]
 		}
 		if ln.Kind == NSym {
-			def.Superclasses = []string{ln.Sym}
+			def.Superclasses = []string{ln.Text}
 		} else if ln.Kind == NList {
 			for _, k := range ln.Kids {
 				s, err := symName(k)
@@ -491,7 +502,7 @@ func evalMakeClass(in *Interp, args []Node) (value.Value, error) {
 		}
 	}
 	for _, key := range []string{"attributes", "attribute"} {
-		v, ok := kw[key]
+		v, ok := kw.get(key)
 		if !ok {
 			continue
 		}
@@ -513,13 +524,13 @@ func evalMakeClass(in *Interp, args []Node) (value.Value, error) {
 			def.Attributes = append(def.Attributes, spec)
 		}
 	}
-	if v, ok := kw["versionable"]; ok {
+	if v, ok := kw.get("versionable"); ok {
 		if def.Versionable, err = boolArg(v); err != nil {
 			return value.Nil, err
 		}
 	}
-	if v, ok := kw["document"]; ok && v.Kind == NString {
-		def.Doc = v.Str
+	if v, ok := kw.get("document"); ok && v.Kind == NString {
+		def.Doc = v.Text
 	}
 	if _, err := in.DB.DefineClass(def); err != nil {
 		return value.Nil, err
@@ -535,14 +546,14 @@ func evalMake(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	_, kw, order, err := splitKeywords(args[1:])
+	_, kw, err := splitKeywords(args[1:])
 	if err != nil {
 		return value.Nil, err
 	}
 	var parents []core.ParentSpec
-	attrs := map[string]value.Value{}
-	for _, key := range order {
-		n := kw[strings.ToLower(key)]
+	attrs := make(map[string]value.Value, len(kw)/2)
+	for i := 0; i < len(kw); i += 2 {
+		key, n := kw[i].Text, kw[i+1]
 		if strings.EqualFold(key, "parent") {
 			ln := n
 			if ln.Kind == NQuote {
@@ -755,17 +766,17 @@ func evalSnapshot(in *Interp, args []Node) (value.Value, error) {
 // q.Prof, so the engine attributes the query's costs to it.
 func (in *Interp) parseQueryOpts(args []Node) (core.QueryOpts, error) {
 	q := core.QueryOpts{Prof: in.prof}
-	_, kw, _, err := splitKeywords(args)
+	_, kw, err := splitKeywords(args)
 	if err != nil {
 		return q, err
 	}
-	if v, ok := kw["classes"]; ok {
+	if v, ok := kw.get("classes"); ok {
 		ln := v
 		if ln.Kind == NQuote {
 			ln = ln.Kids[0]
 		}
 		if ln.Kind == NSym {
-			q.Classes = []string{ln.Sym}
+			q.Classes = []string{ln.Text}
 		} else if ln.Kind == NList {
 			for _, k := range ln.Kids {
 				s, err := symName(k)
@@ -776,18 +787,18 @@ func (in *Interp) parseQueryOpts(args []Node) (core.QueryOpts, error) {
 			}
 		}
 	}
-	if v, ok := kw["exclusive"]; ok {
+	if v, ok := kw.get("exclusive"); ok {
 		if q.Exclusive, err = boolArg(v); err != nil {
 			return q, err
 		}
 	}
-	if v, ok := kw["shared"]; ok {
+	if v, ok := kw.get("shared"); ok {
 		if q.Shared, err = boolArg(v); err != nil {
 			return q, err
 		}
 	}
-	if v, ok := kw["level"]; ok && v.Kind == NInt {
-		q.Level = int(v.Int)
+	if v, ok := kw.get("level"); ok && v.Kind == NInt {
+		q.Level = int(v.Int())
 	}
 	return q, nil
 }
@@ -1002,7 +1013,7 @@ func evalDropClass(in *Interp, args []Node) (value.Value, error) {
 }
 
 func evalChangeAttribute(in *Interp, args []Node) (value.Value, error) {
-	pos, kw, _, err := splitKeywords(args)
+	pos, kw, err := splitKeywords(args)
 	if err != nil {
 		return value.Nil, err
 	}
@@ -1024,7 +1035,7 @@ func evalChangeAttribute(in *Interp, args []Node) (value.Value, error) {
 		return value.Nil, fmt.Errorf("unknown change %q (want I1..I4): %w", n[2], ErrEval)
 	}
 	deferred := false
-	if v, ok := kw["deferred"]; ok {
+	if v, ok := kw.get("deferred"); ok {
 		deferred, _ = boolArg(v)
 	}
 	if err := in.schema(func() error { return in.DB.ChangeAttributeType(n[0], n[1], kind, deferred) }); err != nil {
@@ -1034,7 +1045,7 @@ func evalChangeAttribute(in *Interp, args []Node) (value.Value, error) {
 }
 
 func evalMakeComposite(in *Interp, args []Node) (value.Value, error) {
-	pos, kw, _, err := splitKeywords(args)
+	pos, kw, err := splitKeywords(args)
 	if err != nil {
 		return value.Nil, err
 	}
@@ -1043,10 +1054,10 @@ func evalMakeComposite(in *Interp, args []Node) (value.Value, error) {
 		return value.Nil, err
 	}
 	exclusive, dependent := true, true
-	if v, ok := kw["exclusive"]; ok {
+	if v, ok := kw.get("exclusive"); ok {
 		exclusive, _ = boolArg(v)
 	}
-	if v, ok := kw["dependent"]; ok {
+	if v, ok := kw.get("dependent"); ok {
 		dependent, _ = boolArg(v)
 	}
 	if err := in.schema(func() error { return in.DB.MakeComposite(n[0], n[1], exclusive, dependent) }); err != nil {
@@ -1076,17 +1087,17 @@ func evalMakeVersionable(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	_, kw, order, err := splitKeywords(args[1:])
+	_, kw, err := splitKeywords(args[1:])
 	if err != nil {
 		return value.Nil, err
 	}
-	attrs := map[string]value.Value{}
-	for _, key := range order {
-		v, err := in.Eval(kw[strings.ToLower(key)])
+	attrs := make(map[string]value.Value, len(kw)/2)
+	for i := 0; i < len(kw); i += 2 {
+		v, err := in.Eval(kw[i+1])
 		if err != nil {
 			return value.Nil, err
 		}
-		attrs[key] = v
+		attrs[kw[i].Text] = v
 	}
 	var g, v0 uid.UID
 	err = in.write(func(t *txn.Txn) (err error) {
@@ -1483,8 +1494,8 @@ func evalExtent(in *Interp, args []Node) (value.Value, error) {
 		return value.Nil, err
 	}
 	deep := false
-	if _, kw, _, err := splitKeywords(args[1:]); err == nil {
-		if v, ok := kw["deep"]; ok {
+	if _, kw, err := splitKeywords(args[1:]); err == nil {
+		if v, ok := kw.get("deep"); ok {
 			deep, _ = boolArg(v)
 		}
 	}

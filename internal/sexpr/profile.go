@@ -58,7 +58,7 @@ func evalExplain(in *Interp, args []Node) (value.Value, error) {
 	if n.Kind != NList || len(n.Kids) == 0 || n.Kids[0].Kind != NSym {
 		return value.Nil, fmt.Errorf("(explain ...) wants a query form, got %s: %w", n, ErrEval)
 	}
-	op := strings.ToLower(n.Kids[0].Sym)
+	op := strings.ToLower(n.Kids[0].Text)
 	var b strings.Builder
 	fmt.Fprintf(&b, "explain %s\n  op: %s\n", n, op)
 	switch op {
@@ -191,12 +191,12 @@ func (in *Interp) explainSelect(b *strings.Builder, args []Node) (value.Value, e
 	if err != nil {
 		return value.Nil, err
 	}
-	_, kw, _, err := splitKeywords(args[1:])
+	_, kw, err := splitKeywords(args[1:])
 	if err != nil {
 		return value.Nil, err
 	}
 	deep := false
-	if v, ok := kw["deep"]; ok {
+	if v, ok := kw.get("deep"); ok {
 		deep, _ = boolArg(v)
 	}
 	b.WriteString(in.sourceLine())
@@ -204,7 +204,7 @@ func (in *Interp) explainSelect(b *strings.Builder, args []Node) (value.Value, e
 	if deep {
 		scope += " and subclasses"
 	}
-	where, hasWhere := kw["where"]
+	where, hasWhere := kw.get("where")
 	if attr, ok := indexableEq(where, hasWhere); ok && in.DB.Indexes().Has(class, attr) {
 		fmt.Fprintf(b, "  access: index probe on %s.%s, residual predicate on matches\n", class, attr)
 	} else {
@@ -231,10 +231,10 @@ func indexableEq(n Node, ok bool) (string, bool) {
 	if n.Kind != NList || len(n.Kids) == 0 || n.Kids[0].Kind != NSym {
 		return "", false
 	}
-	switch strings.ToLower(n.Kids[0].Sym) {
+	switch strings.ToLower(n.Kids[0].Text) {
 	case "=":
 		if len(n.Kids) == 3 && n.Kids[1].Kind == NSym {
-			return n.Kids[1].Sym, true
+			return n.Kids[1].Text, true
 		}
 	case "and":
 		for _, k := range n.Kids[1:] {

@@ -30,18 +30,18 @@ func evalSelect(in *Interp, args []Node) (value.Value, error) {
 	if err != nil {
 		return value.Nil, err
 	}
-	_, kw, _, err := splitKeywords(args[1:])
+	_, kw, err := splitKeywords(args[1:])
 	if err != nil {
 		return value.Nil, err
 	}
 	deep := false
-	if v, ok := kw["deep"]; ok {
+	if v, ok := kw.get("deep"); ok {
 		if deep, err = boolArg(v); err != nil {
 			return value.Nil, err
 		}
 	}
 	var pred query.Expr
-	if v, ok := kw["where"]; ok {
+	if v, ok := kw.get("where"); ok {
 		if pred, err = in.parsePredicate(v); err != nil {
 			return value.Nil, err
 		}
@@ -94,7 +94,7 @@ func evalDropIndex(in *Interp, args []Node) (value.Value, error) {
 // parsePath reads a PATH node.
 func parsePath(n Node) (*query.Path, error) {
 	if n.Kind == NSym {
-		return query.Attr(n.Sym), nil
+		return query.Attr(n.Text), nil
 	}
 	if n.Kind == NQuote {
 		return parsePath(n.Kids[0])
@@ -121,7 +121,7 @@ func (in *Interp) parsePredicate(n Node) (query.Expr, error) {
 	if n.Kind != NList || len(n.Kids) == 0 || n.Kids[0].Kind != NSym {
 		return nil, fmt.Errorf("bad predicate %s: %w", n, ErrEval)
 	}
-	op := strings.ToLower(n.Kids[0].Sym)
+	op := strings.ToLower(n.Kids[0].Text)
 	args := n.Kids[1:]
 	switch op {
 	case "=", "!=", "<", "<=", ">", ">=":

@@ -83,10 +83,10 @@ func evalBegin(in *Interp, args []Node) (value.Value, error) {
 	case 0:
 		in.tx = in.DB.Txns().Begin()
 	case 1:
-		if args[0].Kind != NInt || args[0].Int <= 0 {
+		if args[0].Kind != NInt || args[0].Int() <= 0 {
 			return value.Nil, fmt.Errorf("usage: (begin [txn-id]): %w", ErrEval)
 		}
-		in.tx = in.DB.Txns().BeginRetry(lock.TxID(args[0].Int))
+		in.tx = in.DB.Txns().BeginRetry(lock.TxID(args[0].Int()))
 	default:
 		return value.Nil, fmt.Errorf("usage: (begin [txn-id]): %w", ErrEval)
 	}

@@ -73,8 +73,8 @@ func TestParserStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Str != "a\"b\n\t\\" {
-		t.Fatalf("escaped string = %q", n.Str)
+	if n.Text != "a\"b\n\t\\" {
+		t.Fatalf("escaped string = %q", n.Text)
 	}
 }
 

@@ -79,11 +79,15 @@ type WAL struct {
 	f    *os.File
 	path string
 	o    walObs
+	buf  []byte // the frames of one append, reused under mu
 
 	// prof is the ambient per-operation cost sink (AttachProf): appended
 	// frames are attributed to it while attached.
 	prof atomic.Pointer[obs.ProfCtx]
 }
+
+// maxKeptWALBuffer bounds the append buffer a WAL keeps between appends.
+const maxKeptWALBuffer = 1 << 20
 
 // AttachProf attributes WAL appends to p until detached (nil).
 func (w *WAL) AttachProf(p *obs.ProfCtx) { w.prof.Store(p) }
@@ -118,15 +122,6 @@ func readUvarintUID(b []byte) (uid.UID, []byte, error) {
 	return uid.UID{Class: uid.ClassID(c), Serial: s}, b[n:], nil
 }
 
-func encodeWALPayload(rec WALRecord) []byte {
-	p := make([]byte, 0, 24+len(rec.Data))
-	p = append(p, byte(rec.Op))
-	p = binary.AppendUvarint(p, rec.Txn)
-	p = appendUvarintUID(p, rec.UID)
-	p = binary.AppendUvarint(p, uint64(len(rec.Data)))
-	return append(p, rec.Data...)
-}
-
 func decodeWALPayload(p []byte) (WALRecord, error) {
 	var rec WALRecord
 	if len(p) < 1 {
@@ -157,37 +152,80 @@ func decodeWALPayload(p []byte) (WALRecord, error) {
 	return rec, nil
 }
 
-// appendFrame appends rec's frame to dst.
+// appendFrame appends rec's frame to dst, its payload encoded in place.
+// A record whose payload would pass MaxWALPayload leaves dst as it was.
 func appendFrame(dst []byte, rec WALRecord) ([]byte, error) {
-	payload := encodeWALPayload(rec)
+	start := len(dst)
+	dst = slices.Grow(dst, 8+24+len(rec.Data))
+	dst = append(dst, make([]byte, 8)...) // header, filled in below
+	dst = append(dst, byte(rec.Op))
+	dst = binary.AppendUvarint(dst, rec.Txn)
+	dst = appendUvarintUID(dst, rec.UID)
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Data)))
+	dst = append(dst, rec.Data...)
+	payload := dst[start+8:]
 	if len(payload) > MaxWALPayload {
-		return dst, fmt.Errorf("storage: wal record too big (%d bytes)", len(payload))
+		return dst[:start], fmt.Errorf("storage: wal record too big (%d bytes)", len(payload))
 	}
-	dst = slices.Grow(dst, 8+len(payload))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // Append writes rec to the log. It does not sync; call Sync at commit
 // boundaries.
 func (w *WAL) Append(rec WALRecord) error {
-	frame, err := appendFrame(nil, rec)
-	if err != nil {
-		return err
-	}
+	return w.AppendGroup(0, rec)
+}
+
+// AppendGroup writes recs to the log in one write: bracketed by an
+// OpBegin and an OpCommit frame for tx when tx is nonzero, so replay
+// applies the group whole or not at all. A record too big to frame fails
+// the group before any of it is written. It does not sync.
+func (w *WAL) AppendGroup(tx uint64, recs ...WALRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(frame); err != nil {
+	buf := w.buf[:0]
+	frames := len(recs)
+	var err error
+	if tx != 0 {
+		frames += 2
+		buf, _ = appendFrame(buf, WALRecord{Op: OpBegin, Txn: tx})
+	}
+	for _, rec := range recs {
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return err
+		}
+	}
+	if tx != 0 {
+		buf, _ = appendFrame(buf, WALRecord{Op: OpCommit, Txn: tx})
+	}
+	if cap(buf) <= maxKeptWALBuffer {
+		w.buf = buf
+	}
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
-	w.o.appends.Inc()
-	w.o.appendBytes.Add(uint64(len(frame)))
-	w.prof.Load().WALAppend(len(frame))
-	if tr := w.o.rec; tr.Active() {
-		tr.Point(0, "wal.append", obs.F("uid", rec.UID), obs.F("op", rec.Op), obs.F("bytes", len(frame)))
+	w.o.appends.Add(uint64(frames))
+	w.o.appendBytes.Add(uint64(len(buf)))
+	if p, tr := w.prof.Load(), w.o.rec; p != nil || tr.Active() {
+		observeFrames(p, tr, buf)
 	}
 	return nil
+}
+
+// observeFrames attributes each frame of buf to p and, while tracing is
+// on, writes a point record for it.
+func observeFrames(p *obs.ProfCtx, tr *obs.Recorder, buf []byte) {
+	for len(buf) > 0 {
+		n := 8 + int(binary.LittleEndian.Uint32(buf))
+		p.WALAppend(n)
+		if tr.Active() {
+			rec, _ := decodeWALPayload(buf[8:n])
+			tr.Point(0, "wal.append", obs.F("uid", rec.UID), obs.F("op", rec.Op), obs.F("bytes", n))
+		}
+		buf = buf[n:]
+	}
 }
 
 // Sync flushes the log to stable storage. The fsync is always timed —

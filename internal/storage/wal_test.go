@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/uid"
 )
 
@@ -167,5 +168,74 @@ func TestSnapshotDamageIsFatal(t *testing.T) {
 		if _, err := ReplaySnapshot(path, func(WALRecord) error { return nil }); !errors.Is(err, ErrCorruptWAL) {
 			t.Errorf("%s snapshot: err %v, want ErrCorruptWAL", name, err)
 		}
+	}
+}
+
+// encodeWALPayload is rec's frame payload, as the log writes it.
+func encodeWALPayload(rec WALRecord) []byte {
+	frame, err := appendFrame(nil, rec)
+	if err != nil {
+		panic(err)
+	}
+	return frame[8:]
+}
+
+// TestAppendGroupMatchesPerRecordAppends: a group written in one write
+// is byte for byte the log that appending its OpBegin, its records and
+// its OpCommit one at a time writes, and counts the same frames.
+func TestAppendGroupMatchesPerRecordAppends(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) (*WAL, *obs.Registry) {
+		w, err := OpenWAL(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		w.SetObservability(reg)
+		t.Cleanup(func() { w.Close() })
+		return w, reg
+	}
+	group := []WALRecord{
+		{Op: OpPut, Txn: 9, UID: uid.UID{Class: 2, Serial: 7}, Data: make([]byte, 300)},
+		{Op: OpDelete, Txn: 9, UID: uid.UID{Class: 1, Serial: 2}},
+		{Op: OpPut, Txn: 9, UID: uid.UID{Class: 3, Serial: 1 << 40}, Data: []byte("gamma")},
+	}
+	direct := WALRecord{Op: OpPut, UID: uid.UID{Class: 1, Serial: 1}, Data: []byte("alpha")}
+
+	one, oneReg := open("one")
+	for _, rec := range append(append([]WALRecord{direct, {Op: OpBegin, Txn: 9}}, group...), WALRecord{Op: OpCommit, Txn: 9}) {
+		if err := one.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grouped, groupedReg := open("grouped")
+	if err := grouped.AppendGroup(0, direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := grouped.AppendGroup(9, group...); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(filepath.Join(dir, "one"))
+	b, _ := os.ReadFile(filepath.Join(dir, "grouped"))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("grouped log differs from per-record appends:\n%x\n%x", b, a)
+	}
+	for _, name := range []string{"wal_append_total", "wal_append_bytes_total"} {
+		if got, want := groupedReg.Counter(name).Load(), oneReg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d grouped, %d per record", name, got, want)
+		}
+	}
+	if n := groupedReg.Counter("wal_append_total").Load(); n != 6 {
+		t.Errorf("wal_append_total = %d, want 6 frames", n)
+	}
+
+	// A record too big to frame fails its group before any of it is
+	// written.
+	huge := WALRecord{Op: OpPut, Txn: 10, UID: uid.UID{Class: 1, Serial: 3}, Data: make([]byte, MaxWALPayload)}
+	if err := grouped.AppendGroup(10, group[0], huge); err == nil {
+		t.Fatal("a group holding an oversized record was appended")
+	}
+	if c, _ := os.ReadFile(filepath.Join(dir, "grouped")); !bytes.Equal(c, b) {
+		t.Fatalf("a failed group wrote %d bytes", len(c)-len(b))
 	}
 }
